@@ -8,7 +8,7 @@ A seeded synthetic generator and an evaluation harness make every stage
 testable end to end without any trained network.
 """
 
-from .clustering import ClusterConfig, Point3, box_density, cluster_centers, embed_detection
+from .clustering import ClusterConfig, box_density, cluster_centers, embed_detection
 from .domain import (
     ConfidenceState,
     DetectionSet,
@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import EvalReport, constrained_decode, decode_states, evaluate, id_rate, label_mse
-from .fusion import FusionTrace, TrainConfig, fuse, fuse_step, identity_params, initial_phi, train_phi
+from .fusion import FusionTrace, TrainConfig, fuse, identity_params, initial_phi, train_phi
 from .io import (
     load_case,
     load_centers,
@@ -69,7 +69,6 @@ __all__ = [
     "McSampleSet",
     "N_CLASSES",
     "ParseError",
-    "Point3",
     "SliceDetection",
     "SpineCase",
     "SpineError",
@@ -89,7 +88,6 @@ __all__ = [
     "entropy",
     "evaluate",
     "fuse",
-    "fuse_step",
     "gen_cases",
     "generate_case",
     "id_rate",

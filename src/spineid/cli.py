@@ -143,10 +143,7 @@ def _load_case_dir(path: str) -> list[tuple[Path, SpineCase]]:
 
 def _cmd_train_phi(args) -> int:
     cases = [case for _, case in _load_case_dir(args.train)]
-    params_init = FusionParams(
-        args.theta, args.hops, args.window, args.distance,
-        {d: np.eye(24) for d in phi_offsets(args.window)},
-    )
+    params_init = identity_params(args.theta, args.hops, args.window, args.distance)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, init=args.init)
     trained = train_phi(cases, params_init, cfg, u_metric=args.u_metric)
     io.save_fusion_params(trained, args.out)
@@ -155,7 +152,10 @@ def _cmd_train_phi(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    seq = [int(v) for v in args.seq.split(",") if v.strip() != ""]
+    try:
+        seq = [int(v) for v in args.seq.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"--seq must list comma-separated label indices, got {args.seq!r}") from None
     print(sequence_loss(seq))
     return 0
 
@@ -197,8 +197,8 @@ def _cmd_eval(args) -> int:
     if args.labels_dir:
         for path, case in pairs:
             label_file = Path(args.labels_dir) / f"{path.stem}.labels.json"
-            data = json.loads(label_file.read_text())
-            predictions.append([int(v) for v in data["labels"]])
+            labels = io._get(io._read_json(label_file), "labels", label_file)
+            predictions.append(io._convert(lambda v: [int(x) for x in v], labels, "labels", label_file))
     else:
         from .uncertainty import aggregate_samples
 

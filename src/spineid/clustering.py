@@ -32,23 +32,6 @@ from .errors import EmptyClusterError, ValidationError
 
 
 @dataclass(frozen=True)
-class Point3:
-    """A detection box center embedded in volume coordinates."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Radii and thresholds for the three clustering passes."""
 
@@ -88,38 +71,37 @@ class ClusterConfig:
         )
 
 
-def embed_detection(d: SliceDetection) -> Point3:
-    """Map an in-slice box center to volume coordinates.
+def _embed(detections) -> np.ndarray:
+    """(n, 3) volume coordinates of the box centers; see ``embed_detection``."""
+    pts = np.array([(d.slice_index, d.cx, d.cy) for d in detections], dtype=np.float64)
+    coronal = np.array([d.plane == "coronal" for d in detections])
+    pts[coronal, :2] = pts[coronal, 1::-1]
+    return pts
+
+
+def embed_detection(d: SliceDetection) -> np.ndarray:
+    """Map an in-slice box center to volume coordinates, a float64 (x, y, z) array.
 
     Sagittal slices are stacked along x and coronal slices along y; within a
     slice, cy is always the cranial-caudal (z) coordinate.
     """
-    if d.plane == "sagittal":
-        return Point3(float(d.slice_index), d.cx, d.cy)
-    return Point3(d.cx, float(d.slice_index), d.cy)
+    return _embed([d])[0]
 
 
-def _points_matrix(dets) -> np.ndarray:
-    if isinstance(dets, np.ndarray):
-        pts = np.asarray(dets, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValidationError(f"expected an (n, 3) point array, got shape {pts.shape}")
-        return pts
-    return np.array([[p.x, p.y, p.z] for p in dets], dtype=np.float64)
-
-
-def box_density(i: int, dets, eps: float, l_i: int) -> float:
+def box_density(i: int, dets: np.ndarray, eps: float, l_i: int) -> float:
     """Neighborhood box density: neighbors within eps of point i, over l_i.
 
     Counts embedded centers at Euclidean distance <= eps from point ``i``,
     excluding ``i`` itself, and divides by the per-vertebra frame count
-    ``l_i``. ``dets`` may be a list of Point3 or an (n, 3) array.
+    ``l_i``. ``dets`` is an (n, 3) array of embedded centers.
     """
     if l_i == 0:
         raise ValidationError("l_i must be non-zero")
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps!r}")
-    pts = _points_matrix(dets)
+    pts = np.asarray(dets, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValidationError(f"expected an (n, 3) point array, got shape {pts.shape}")
     if not 0 <= i < len(pts):
         raise ValidationError(f"index {i} outside the detection list of length {len(pts)}")
     tree = cKDTree(pts)
@@ -182,8 +164,7 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     if cfg is None:
         cfg = ClusterConfig.defaults_for(ds)
 
-    embedded = [embed_detection(d) for d in ds.detections]
-    pts = np.array([[p.x, p.y, p.z] for p in embedded], dtype=np.float64)
+    pts = _embed(ds.detections)
     dims = np.array([[d.w, d.h] for d in ds.detections], dtype=np.float64)
     conf = np.array([d.confidence for d in ds.detections], dtype=np.float64)
 

@@ -96,65 +96,62 @@ def resolve_certainty(case: SpineCase, u_metric: str | None = None) -> np.ndarra
     raise ValidationError(f"u_metric must be 'entropy' or 'variance', got {u_metric!r}")
 
 
-def _pair_table(case: SpineCase, params: FusionParams, u: np.ndarray):
-    """(dst, src, coeff) index arrays per offset; coeff folds theta, u and 1/dis."""
-    k = len(case)
-    positions = np.array([v.center.position for v in case.vertebrae], dtype=np.float64)
-    table = {}
-    for delta in phi_offsets(params.window):
-        dst = np.arange(max(0, -delta), k - max(0, delta), dtype=np.int64)
-        if len(dst) == 0:
-            continue
-        src = dst + delta
-        if params.distance_mode == "index":
-            dis = np.full(len(dst), float(abs(delta)))
-        else:
-            dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
-            if np.any(dis == 0.0):
-                i = int(dst[np.argmax(dis == 0.0)])
-                raise DegenerateGeometryError(
-                    f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
-                )
-        table[delta] = (dst, src, params.theta * u[src] / dis)
-    return table
+def _fuse_pairs(cases: list[SpineCase], params: FusionParams, u_metric: str | None):
+    """(dst, src, coeff) index arrays per offset over the stacked rows of ``cases``.
 
-
-def _step_matrix(c: np.ndarray, table, phi: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """One hop on a (k, 24) matrix; returns (next_states, raw row sums)."""
-    raw = c.copy()
-    for delta, (dst, src, coeff) in table.items():
-        raw[dst] += coeff[:, None] * (c[src] @ phi[delta])
-    sums = raw.sum(axis=1)
-    return raw / sums[:, None], sums
-
-
-def _states_matrix(states, k: int) -> np.ndarray:
-    states = list(states)
-    if len(states) != k:
-        raise ValidationError(f"got {len(states)} states for a case of {k} vertebrae")
-    return np.array([s.probs for s in states], dtype=np.float64)
-
-
-def fuse_step(
-    states: list[ConfidenceState],
-    case: SpineCase,
-    params: FusionParams,
-    u_metric: str | None = None,
-) -> list[ConfidenceState]:
-    """Apply one fusion hop to the given per-vertebra confidences.
-
-    With theta = 0, a single vertebra, or a window of 1 there are no
-    messages and the input states are returned unchanged.
+    coeff folds theta, the source's certainty u and 1/dis. Rows are numbered
+    case after case, and pairs never cross a case boundary, so one pass over
+    the stack fuses every case on its own.
     """
-    states = list(states)
-    if len(states) != len(case):
-        raise ValidationError(f"got {len(states)} states for a case of {len(case)} vertebrae")
-    if params.theta == 0.0 or len(case) == 1 or params.window == 1:
-        return states
-    u = resolve_certainty(case, u_metric)
-    table = _pair_table(case, params, u)
-    nxt, _ = _step_matrix(_states_matrix(states, len(case)), table, params.phi)
-    return [ConfidenceState(row) for row in nxt]
+    offsets = phi_offsets(params.window)
+    parts: dict[int, tuple[list, list, list]] = {delta: ([], [], []) for delta in offsets}
+    start = 0
+    for case in cases:
+        k = len(case)
+        u = resolve_certainty(case, u_metric)
+        positions = np.array([v.center.position for v in case.vertebrae], dtype=np.float64)
+        for delta in offsets:
+            dst = np.arange(max(0, -delta), k - max(0, delta), dtype=np.int64)
+            if len(dst) == 0:
+                continue
+            src = dst + delta
+            if params.distance_mode == "index":
+                dis = np.full(len(dst), float(abs(delta)))
+            else:
+                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+                if np.any(dis == 0.0):
+                    i = int(dst[np.argmax(dis == 0.0)])
+                    raise DegenerateGeometryError(
+                        f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
+                    )
+            dsts, srcs, coeffs = parts[delta]
+            dsts.append(dst + start)
+            srcs.append(src + start)
+            coeffs.append(params.theta * u[src] / dis)
+        start += k
+    return {
+        delta: tuple(np.concatenate(column) for column in parts[delta])
+        for delta in offsets
+        if parts[delta][0]
+    }
+
+
+def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
+    """Run ``hops`` fusion hops from the (m, 24) states ``c0``.
+
+    Returns the states before and after every hop (hops + 1 matrices) and
+    each hop's raw row sums, which the backward pass divides by.
+    """
+    cs, sums = [c0], []
+    for _ in range(hops):
+        c = cs[-1]
+        raw = c.copy()
+        for delta, (dst, src, coeff) in pairs.items():
+            raw[dst] += coeff[:, None] * (c[src] @ phi[delta])
+        s = raw.sum(axis=1)
+        cs.append(raw / s[:, None])
+        sums.append(s)
+    return cs, sums
 
 
 def fuse(
@@ -167,7 +164,11 @@ def fuse(
 
     The initial states default to each vertebra's MC sample mean. The trace
     holds hops + 1 snapshots, the first being the inputs; argmax ties break
-    toward the smaller class index.
+    toward the smaller class index. A single hop from given states is
+    ``fuse(case, params_with_hops_1, initial_states=states).snapshots[1]``.
+
+    With theta = 0, a single vertebra, or a window of 1 there are no
+    messages, and every snapshot is the input states unchanged.
     """
     if initial_states is None:
         initial_states = [aggregate_samples(v.mc) for v in case.vertebrae]
@@ -178,16 +179,14 @@ def fuse(
                 f"got {len(initial_states)} initial states for a case of {len(case)} vertebrae"
             )
     snapshots = [tuple(initial_states)]
-    no_messages = params.theta == 0.0 or len(case) == 1 or params.window == 1
-    if no_messages:
+    if params.theta == 0.0 or len(case) == 1 or params.window == 1:
+        # no messages; renormalizing would still move the states by ulps
         snapshots.extend(tuple(initial_states) for _ in range(params.hops))
     else:
-        u = resolve_certainty(case, u_metric)
-        table = _pair_table(case, params, u)
-        c = _states_matrix(initial_states, len(case))
-        for _ in range(params.hops):
-            c, _ = _step_matrix(c, table, params.phi)
-            snapshots.append(tuple(ConfidenceState(row) for row in c))
+        pairs = _fuse_pairs([case], params, u_metric)
+        c0 = np.array([s.probs for s in initial_states], dtype=np.float64)
+        cs, _ = _forward(c0, pairs, params.phi, params.hops)
+        snapshots.extend(tuple(ConfidenceState(row) for row in c) for c in cs[1:])
     final = snapshots[-1]
     return FusionTrace(
         snapshots=tuple(snapshots),
@@ -200,64 +199,37 @@ def fuse(
 
 
 class _Unrolled:
-    """All training cases stacked into one matrix with per-offset pair tables.
-
-    Case boundaries are respected by construction: pairs never cross them,
-    so one forward/backward pass covers the whole corpus.
-    """
+    """All training cases stacked into one matrix, with their fusion pairs."""
 
     def __init__(self, cases: list[SpineCase], params: FusionParams, u_metric: str | None):
-        c0_rows = []
-        truth_rows = []
-        tables = []
-        offset_list = phi_offsets(params.window)
-        start = 0
         for case in cases:
-            truths = case.truths
-            if truths is None:
+            if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
-            u = resolve_certainty(case, u_metric)
-            table = _pair_table(case, params, u)
-            tables.append((start, table))
-            c0_rows.extend(aggregate_samples(v.mc).probs for v in case.vertebrae)
-            truth_rows.extend(t.index for t in truths)
-            start += len(case)
-        self.c0 = np.array(c0_rows, dtype=np.float64)
-        self.truth = np.array(truth_rows, dtype=np.int64)
+        self.pairs = _fuse_pairs(cases, params, u_metric)
+        self.c0 = np.array(
+            [aggregate_samples(v.mc).probs for case in cases for v in case.vertebrae], dtype=np.float64
+        )
+        self.truth = np.array([t.index for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
-        self.pairs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for delta in offset_list:
-            dsts, srcs, coeffs = [], [], []
-            for case_start, table in tables:
-                if delta not in table:
-                    continue
-                dst, src, coeff = table[delta]
-                dsts.append(dst + case_start)
-                srcs.append(src + case_start)
-                coeffs.append(coeff)
-            if dsts:
-                self.pairs[delta] = (
-                    np.concatenate(dsts),
-                    np.concatenate(srcs),
-                    np.concatenate(coeffs),
-                )
+
+    def _cross_entropy(self, final: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mean cross-entropy of the final states and the truth entries it picks."""
+        picked = final[np.arange(len(self.c0)), self.truth]
+        with np.errstate(divide="ignore"):
+            return float(-np.log(picked).mean()), picked
+
+    def loss(self, phi: dict[int, np.ndarray]) -> float:
+        """Mean cross-entropy at the final hop, without the gradient."""
+        cs, _ = _forward(self.c0, self.pairs, phi, self.hops)
+        return self._cross_entropy(cs[-1])[0]
 
     def loss_and_grad(self, phi: dict[int, np.ndarray]):
         """Mean cross-entropy at the final hop and its gradient w.r.t. phi."""
+        cs, sums = _forward(self.c0, self.pairs, phi, self.hops)
+        loss, picked = self._cross_entropy(cs[-1])
         m = len(self.c0)
-        cs = [self.c0]
-        sums = []
-        for _ in range(self.hops):
-            nxt, s = _step_matrix(cs[-1], self.pairs, phi)
-            cs.append(nxt)
-            sums.append(s)
-        final = cs[-1]
-        picked = final[np.arange(m), self.truth]
-        with np.errstate(divide="ignore"):
-            loss = float(-np.log(picked).mean())
-
         grad = {delta: np.zeros((N_CLASSES, N_CLASSES)) for delta in phi}
-        g = np.zeros_like(final)
+        g = np.zeros_like(cs[-1])
         g[np.arange(m), self.truth] = -1.0 / (m * picked)
         for t in range(self.hops - 1, -1, -1):
             c_next, c_prev, s = cs[t + 1], cs[t], sums[t]
@@ -269,15 +241,6 @@ class _Unrolled:
                 grad[delta] += (coeff[:, None] * c_prev[src]).T @ hd
                 g[src] += coeff[:, None] * (hd @ phi[delta].T)
         return loss, grad
-
-    def loss(self, phi: dict[int, np.ndarray]) -> float:
-        m = len(self.c0)
-        c = self.c0
-        for _ in range(self.hops):
-            c, _ = _step_matrix(c, self.pairs, phi)
-        picked = c[np.arange(m), self.truth]
-        with np.errstate(divide="ignore"):
-            return float(-np.log(picked).mean())
 
 
 def train_phi(

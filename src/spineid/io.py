@@ -8,6 +8,7 @@ inputs always produce byte-identical files.
 from __future__ import annotations
 
 import json
+import reprlib
 from pathlib import Path
 from typing import Any
 
@@ -32,8 +33,15 @@ def _dump(obj: Any, path: str | Path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=str(path)) from None
+
+
 def _read_json(path: str | Path) -> Any:
-    text = Path(path).read_text()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -45,6 +53,19 @@ def _get(record: dict, key: str, path: str | Path, line: int | None = None) -> A
         return record[key]
     except (KeyError, TypeError):
         raise ParseError(f"missing field {key!r}", path=str(path), line=line) from None
+
+
+def _convert(convert, value: Any, key: str, path: str | Path, line: int | None = None) -> Any:
+    """``convert(value)`` for a decoded field; a value of the wrong type is rejected input."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        where = f"{path}" + (f":{line}" if line is not None else "")
+        raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)} [{where}]") from None
+
+
+def _float_array(value: Any) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +87,7 @@ def detection_to_dict(d: SliceDetection) -> dict:
 def detection_from_dict(rec: dict, path: str | Path = "<memory>", line: int | None = None) -> SliceDetection:
     return SliceDetection(
         plane=_get(rec, "plane", path, line),
-        slice_index=int(_get(rec, "slice_index", path, line)),
+        slice_index=_convert(int, _get(rec, "slice_index", path, line), "slice_index", path, line),
         cx=_get(rec, "cx", path, line),
         cy=_get(rec, "cy", path, line),
         w=_get(rec, "w", path, line),
@@ -90,7 +111,7 @@ def save_detections(ds: DetectionSet, path: str | Path) -> None:
 
 
 def load_detections(path: str | Path) -> DetectionSet:
-    raw_lines = Path(path).read_text().splitlines()
+    raw_lines = _read_text(path).splitlines()
     records = []
     for lineno, raw in enumerate(raw_lines, start=1):
         if not raw.strip():
@@ -105,9 +126,10 @@ def load_detections(path: str | Path) -> DetectionSet:
     detections = [detection_from_dict(rec, path, lineno) for lineno, rec in records[1:]]
     return DetectionSet(
         case_id=str(_get(header, "case_id", path, header_line)),
-        volume_shape=tuple(_get(header, "volume_shape", path, header_line)),
+        volume_shape=_convert(tuple, _get(header, "volume_shape", path, header_line),
+                              "volume_shape", path, header_line),
         detections=tuple(detections),
-        slice_count_per_plane=int(_get(header, "k", path, header_line)),
+        slice_count_per_plane=_convert(int, _get(header, "k", path, header_line), "k", path, header_line),
     )
 
 
@@ -126,10 +148,10 @@ def center_to_dict(c: VertebraCenter) -> dict:
 
 def center_from_dict(rec: dict, path: str | Path = "<memory>") -> VertebraCenter:
     return VertebraCenter(
-        position=tuple(_get(rec, "position", path)),
-        mean_dims=tuple(_get(rec, "mean_dims", path)),
-        member_count=int(_get(rec, "member_count", path)),
-        z_rank=int(_get(rec, "z_rank", path)),
+        position=_convert(tuple, _get(rec, "position", path), "position", path),
+        mean_dims=_convert(tuple, _get(rec, "mean_dims", path), "mean_dims", path),
+        member_count=_convert(int, _get(rec, "member_count", path), "member_count", path),
+        z_rank=_convert(int, _get(rec, "z_rank", path), "z_rank", path),
     )
 
 
@@ -193,8 +215,8 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
         verts.append(
             SpineVertebra(
                 center=center_from_dict(_get(rec, "center", path), path),
-                mc=McSampleSet(np.array(_get(mc_rec, "samples", path), dtype=np.float64)),
-                truth=None if truth is None else VertebraLabel(int(truth)),
+                mc=McSampleSet(_convert(_float_array, _get(mc_rec, "samples", path), "samples", path)),
+                truth=None if truth is None else VertebraLabel(_convert(int, truth, "truth", path)),
                 uncertainty=None if report is None else report_from_dict(report, path),
                 fusion_weight=rec.get("fusion_weight"),
             )
@@ -226,20 +248,23 @@ def params_to_dict(p: FusionParams) -> dict:
 
 def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
     raw_phi = _get(data, "phi", path)
+    if not isinstance(raw_phi, dict):
+        raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)} "
+                              f"[{path}]")
     phi = {}
     for key, flat in raw_phi.items():
         try:
             offset = int(key)
         except ValueError:
             raise ParseError(f"phi key {key!r} is not a signed offset", path=str(path)) from None
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = _convert(_float_array, flat, f"phi[{key}]", path)
         if flat.size != 24 * 24:
             raise ValidationError(f"phi[{key}] must hold 576 values, got {flat.size}")
         phi[offset] = flat.reshape(24, 24)
     return FusionParams(
         theta=_get(data, "theta", path),
-        hops=int(_get(data, "hops", path)),
-        window=int(_get(data, "window", path)),
+        hops=_convert(int, _get(data, "hops", path), "hops", path),
+        window=_convert(int, _get(data, "window", path), "window", path),
         distance_mode=_get(data, "distance_mode", path),
         phi=phi,
     )

@@ -230,3 +230,42 @@ class TestExitCodes:
         io.save_case(case, case_dir / "case_0000.json")
         assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5",
                      "--epochs", "3", "--out", str(tmp_path / "phi.json"), "--window", "3"]) == 3
+
+    @pytest.mark.parametrize("field, value", [("hops", "x"), ("phi", [])], ids=["hops-str", "phi-list"])
+    def test_bad_phi_field_is_validation_error(self, corpus, tmp_path, capsys, field, value):
+        data = io.params_to_dict(identity_params())
+        data[field] = value
+        params_path = tmp_path / "phi.json"
+        params_path.write_text(json.dumps(data))
+        assert main(["fuse", "--case", str(corpus / "case_0000.json"), "--params", str(params_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("subcommand, name, content, code", [
+        ("fuse", "case.json", b'{"case_id": "\xff"}', 4),
+        ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": [10, 10, 10], "k": 5}\n\xfe\n', 4),
+        ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": 5, "k": 5}\n', 2),
+    ], ids=["case-not-utf8", "detections-not-utf8", "volume-shape-scalar"])
+    def test_bad_input_file(self, tmp_path, capsys, subcommand, name, content, code):
+        path = tmp_path / name
+        path.write_bytes(content)
+        flag = "--case" if subcommand == "fuse" else "--in"
+        assert main([subcommand, flag, str(path), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_integer_score_sequence_is_validation_error(self, capsys):
+        assert main(["score", "--seq", "1,a"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("content, code", [
+        ("{not json", 4),
+        ('{"case_id": "c"}', 4),
+        ('{"labels": ["a"]}', 2),
+    ], ids=["not-json", "no-labels-key", "label-not-int"])
+    def test_bad_labels_file(self, corpus, tmp_path, capsys, content, code):
+        labels_dir = tmp_path / "labels"
+        labels_dir.mkdir()
+        for case_path in corpus.glob("case_*.json"):
+            (labels_dir / f"{case_path.stem}.labels.json").write_text(content)
+        assert main(["eval", "--cases-dir", str(corpus), "--labels-dir", str(labels_dir)]) == code
+        assert capsys.readouterr().err.startswith("error:")

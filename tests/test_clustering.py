@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spineid.clustering import ClusterConfig, Point3, box_density, cluster_centers, embed_detection
+from spineid.clustering import ClusterConfig, box_density, cluster_centers, embed_detection
 from spineid.domain import DetectionSet, SliceDetection
 from spineid.errors import EmptyClusterError, ValidationError
 
@@ -65,15 +65,19 @@ def blob_detections(
 class TestEmbedding:
     def test_sagittal_mapping(self):
         d = SliceDetection("sagittal", 10, 5.0, 7.0, 3.0, 3.0, 0.9)
-        assert embed_detection(d) == Point3(10.0, 5.0, 7.0)
+        p = embed_detection(d)
+        assert p.dtype == np.float64 and p.shape == (3,)
+        assert np.array_equal(p, [10.0, 5.0, 7.0])
 
     def test_coronal_mapping(self):
         d = SliceDetection("coronal", 10, 5.0, 7.0, 3.0, 3.0, 0.9)
-        assert embed_detection(d) == Point3(5.0, 10.0, 7.0)
+        p = embed_detection(d)
+        assert p.dtype == np.float64 and p.shape == (3,)
+        assert np.array_equal(p, [5.0, 10.0, 7.0])
 
     def test_deterministic(self):
         d = SliceDetection("sagittal", 3, 1.25, 9.5, 2.0, 2.0, 0.5)
-        assert embed_detection(d) == embed_detection(d)
+        assert np.array_equal(embed_detection(d), embed_detection(d))
 
 
 class TestBoxDensity:
@@ -85,9 +89,10 @@ class TestBoxDensity:
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [50, 50, 50]], dtype=float)
         assert box_density(0, pts, eps=2.0, l_i=5) == pytest.approx(4 / 5)
 
-    def test_accepts_point3_lists(self):
-        pts = [Point3(0, 0, 0), Point3(1, 0, 0), Point3(9, 9, 9)]
-        assert box_density(0, pts, eps=1.5, l_i=2) == 0.5
+    def test_rejects_non_point_arrays(self):
+        for bad in (np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3, 3))):
+            with pytest.raises(ValidationError, match=r"\(n, 3\)"):
+                box_density(0, bad, eps=1.5, l_i=2)
 
     def test_zero_l_rejected(self):
         pts = np.zeros((3, 3))

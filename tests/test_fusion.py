@@ -2,14 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, shift_phi
 from spineid.domain import ConfidenceState, FusionParams, phi_offsets
 from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
 from spineid.fusion import (
     TrainConfig,
+    _forward,
+    _Unrolled,
     fuse,
-    fuse_step,
     identity_params,
     initial_phi,
     resolve_certainty,
@@ -36,17 +39,25 @@ def oracle_step(states, u, theta, window, phi, dis=None):
     return out
 
 
+def one_hop(states, case, params):
+    """One fusion hop from ``states``: ``fuse`` with hops = 1, second snapshot."""
+    params = FusionParams(params.theta, 1, params.window, params.distance_mode, params.phi)
+    return list(fuse(case, params, initial_states=states).snapshots[1])
+
+
 class TestFuseStep:
+    """A single hop, run through ``fuse`` with hops = 1 and given initial states."""
+
     def test_theta_zero_is_exact_identity(self):
         case = make_case([one_hot(3), one_hot(4), one_hot(5)], truths=[3, 4, 5])
         states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = fuse_step(states, case, identity_params(theta=0.0))
+        out = one_hop(states, case, identity_params(theta=0.0))
         assert all(a == b for a, b in zip(out, states))
 
     def test_single_vertebra_identity(self):
         case = make_case([one_hot(9)], truths=[9])
         states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = fuse_step(states, case, identity_params(theta=0.7))
+        out = one_hop(states, case, identity_params(theta=0.7))
         assert out[0] == states[0]
 
     def test_three_vertebrae_hand_computed(self):
@@ -54,7 +65,7 @@ class TestFuseStep:
         case = make_case([one_hot(0), one_hot(1), one_hot(2)], truths=[0, 1, 2])
         params = identity_params(theta=0.1, hops=1, window=3)
         states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = fuse_step(states, case, params)
+        out = one_hop(states, case, params)
         middle = np.zeros(24)
         middle[0] = middle[2] = 0.1 / 1.2
         middle[1] = 1.0 / 1.2
@@ -64,22 +75,28 @@ class TestFuseStep:
         first[1] = 0.1 / 1.1
         assert np.allclose(out[0].probs, first, atol=1e-15)
 
-    def test_matches_oracle_on_random_case(self):
+    @pytest.mark.parametrize("distance", ["index", "physical"])
+    @pytest.mark.parametrize("hops", [1, 3])
+    def test_matches_oracle_on_random_case(self, hops, distance):
         rng = np.random.default_rng(21)
         case = random_case(rng, k=7)
-        params = FusionParams(0.15, 1, 5, "index",
+        params = FusionParams(0.15, hops, 5, distance,
                               {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(5)})
-        states = [aggregate_samples(v.mc) for v in case.vertebrae]
+        pos = np.array([v.center.position for v in case.vertebrae])
+        dis = None if distance == "index" else (lambda i, j: np.linalg.norm(pos[i] - pos[j]))
         u = resolve_certainty(case)
-        expected = oracle_step([s.probs for s in states], u, 0.15, 5, params.phi)
-        got = fuse_step(states, case, params)
-        for g, e in zip(got, expected):
-            assert np.abs(g.probs - e).max() <= 1e-12
+        trace = fuse(case, params)
+        assert len(trace.snapshots) == hops + 1
+        expected = [s.probs for s in trace.snapshots[0]]
+        for snap in trace.snapshots[1:]:
+            expected = oracle_step(expected, u, 0.15, 5, params.phi, dis)
+            for g, e in zip(snap, expected):
+                assert np.abs(g.probs - e).max() <= 1e-12
 
     def test_state_count_mismatch(self):
         case = make_case([one_hot(1), one_hot(2)], truths=[1, 2])
         with pytest.raises(ValidationError, match="states"):
-            fuse_step([ConfidenceState(one_hot(1))], case, identity_params())
+            one_hop([ConfidenceState(one_hot(1))], case, identity_params())
 
     def test_coincident_centers_in_physical_mode(self):
         case = make_case([one_hot(1), one_hot(2)], truths=[1, 2],
@@ -87,7 +104,43 @@ class TestFuseStep:
         params = identity_params(theta=0.1, window=3, distance_mode="physical")
         states = [aggregate_samples(v.mc) for v in case.vertebrae]
         with pytest.raises(DegenerateGeometryError):
-            fuse_step(states, case, params)
+            one_hop(states, case, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cases=st.integers(1, 4),
+    hops=st.integers(1, 3),
+    window=st.sampled_from([3, 5]),
+    distance=st.sampled_from(["index", "physical"]),
+)
+def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, distance):
+    # cases of two or more vertebrae: fuse returns a single vertebra's states
+    # unrenormalized, while the stacked pass renormalizes every row
+    rng = np.random.default_rng(seed)
+    cases = [random_case(rng, k=int(rng.integers(2, 7))) for _ in range(n_cases)]
+    params = FusionParams(0.1, hops, window, distance,
+                          {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(window)})
+    un = _Unrolled(cases, params, None)
+    cs, _ = _forward(un.c0, un.pairs, params.phi, hops)
+    start = 0
+    for case in cases:
+        trace = fuse(case, params)
+        # A case with one pair at some offset multiplies a single row by phi,
+        # which numpy hands to a different BLAS routine than a many-row
+        # product; that row may then differ by an ulp from the stacked pass.
+        single_pair = len(case) <= (window + 1) // 2
+        for c, snap in zip(cs, trace.snapshots, strict=True):
+            got, want = c[start:start + len(case)], np.array([s.probs for s in snap])
+            if single_pair:
+                assert np.abs(got - want).max() <= 1e-15
+            else:
+                assert np.array_equal(got, want)
+        start += len(case)
+    assert start == len(un.c0)
+    for c in cs[1:]:
+        assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 class TestFuse:
