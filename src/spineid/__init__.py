@@ -8,13 +8,12 @@ A seeded synthetic generator and an evaluation harness make every stage
 testable end to end without any trained network.
 """
 
-from .clustering import ClusterConfig, box_density, cluster_centers, embed_detection
+from .clustering import ClusterConfig, box_density, cluster_centers, embed_detections
 from .domain import (
     ConfidenceState,
     DetectionSet,
     FusionParams,
     McSampleSet,
-    SliceDetection,
     SpineCase,
     SpineVertebra,
     UncertaintyReport,
@@ -69,7 +68,6 @@ __all__ = [
     "McSampleSet",
     "N_CLASSES",
     "ParseError",
-    "SliceDetection",
     "SpineCase",
     "SpineError",
     "SpineVertebra",
@@ -84,7 +82,7 @@ __all__ = [
     "cluster_centers",
     "constrained_decode",
     "decode_states",
-    "embed_detection",
+    "embed_detections",
     "entropy",
     "evaluate",
     "fuse",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .domain import DetectionSet, SliceDetection, VertebraCenter
+from .domain import PLANES, DetectionSet, VertebraCenter
 from .errors import EmptyClusterError, ValidationError
 
 
@@ -60,9 +60,9 @@ class ClusterConfig:
         whole extent, 1.5x the box height can exceed the inter-vertebra
         spacing and merge neighbors, so pass an explicit eps_pos there.
         """
-        if not ds.detections:
+        if not len(ds):
             raise ValidationError("cannot derive defaults from an empty detection set")
-        median_h = float(np.median([d.h for d in ds.detections]))
+        median_h = float(np.median(ds.h))
         return cls(
             eps_pos=1.5 * median_h,
             min_pts=max(4, ds.slice_count_per_plane // 50),
@@ -71,21 +71,16 @@ class ClusterConfig:
         )
 
 
-def _embed(detections) -> np.ndarray:
-    """(n, 3) volume coordinates of the box centers; see ``embed_detection``."""
-    pts = np.array([(d.slice_index, d.cx, d.cy) for d in detections], dtype=np.float64)
-    coronal = np.array([d.plane == "coronal" for d in detections])
-    pts[coronal, :2] = pts[coronal, 1::-1]
-    return pts
-
-
-def embed_detection(d: SliceDetection) -> np.ndarray:
-    """Map an in-slice box center to volume coordinates, a float64 (x, y, z) array.
+def embed_detections(ds: DetectionSet) -> np.ndarray:
+    """Map every box center to volume coordinates: a float64 (n, 3) array of (x, y, z) rows.
 
     Sagittal slices are stacked along x and coronal slices along y; within a
     slice, cy is always the cranial-caudal (z) coordinate.
     """
-    return _embed([d])[0]
+    sagittal = ds.plane == PLANES.index("sagittal")
+    x = np.where(sagittal, ds.slice_index, ds.cx)
+    y = np.where(sagittal, ds.cx, ds.slice_index)
+    return np.column_stack((x, y, ds.cy))
 
 
 def box_density(i: int, dets: np.ndarray, eps: float, l_i: int) -> float:
@@ -146,38 +141,32 @@ def _dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
 
 
 def _median_boxes_per_slice(ds: DetectionSet) -> float:
-    counts: dict[tuple[str, int], int] = {}
-    for d in ds.detections:
-        key = (d.plane, d.slice_index)
-        counts[key] = counts.get(key, 0) + 1
-    return float(np.median(sorted(counts.values())))
+    _, counts = np.unique(ds.slice_index * len(PLANES) + ds.plane, return_counts=True)
+    return float(np.median(counts))
 
 
 def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[VertebraCenter]:
     """Run the three clustering passes and return ordered vertebra centers.
 
     Raises EmptyClusterError, carrying per-pass drop counts, when nothing
-    survives. Shuffling ``ds.detections`` never changes the result.
+    survives. Permuting the rows of ``ds`` never changes the result.
     """
-    if not ds.detections:
+    if not len(ds):
         raise ValidationError(f"detection set {ds.case_id!r} is empty")
     if cfg is None:
         cfg = ClusterConfig.defaults_for(ds)
 
-    pts = _embed(ds.detections)
-    dims = np.array([[d.w, d.h] for d in ds.detections], dtype=np.float64)
-    conf = np.array([d.confidence for d in ds.detections], dtype=np.float64)
-
     # Canonical total order makes every later step permutation invariant.
-    order = np.lexsort((conf, dims[:, 1], dims[:, 0], pts[:, 2], pts[:, 1], pts[:, 0]))
+    pts = embed_detections(ds)
+    order = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    dims = dims[order]
+    dims = np.column_stack((ds.w, ds.h))[order]
 
     # Pass 1: density floor. l is the median box count over populated slices,
     # a scale-free stand-in for the per-vertebra frame count.
     l_med = _median_boxes_per_slice(ds)
     tree = cKDTree(pts)
-    neighbor_counts = np.array([len(nb) - 1 for nb in tree.query_ball_point(pts, r=cfg.eps_pos)])
+    neighbor_counts = tree.query_ball_point(pts, r=cfg.eps_pos, return_length=True) - 1
     density = neighbor_counts / l_med
     keep = density >= cfg.density_floor
     dropped_density = int(np.count_nonzero(~keep))

@@ -1,8 +1,8 @@
 """Value types shared by every pipeline stage.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``; numpy-backed fields are stored as read-only float64 arrays,
-so instances are safe to share across threads and processes.
+``__post_init__``; numpy-backed fields are stored as read-only arrays, so
+instances are safe to share across threads and processes.
 
 Coordinate convention (fixed, voxel units): the embedded frame is (x, y, z)
 with z the cranial-caudal axis, increasing toward the head. A volume of shape
@@ -14,7 +14,8 @@ center is (cx, cy) where cy is the z coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,7 +34,10 @@ MAX_ENTROPY = math.log(N_CLASSES)
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {reprlib.repr(value)}") from None
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -47,66 +51,81 @@ def _frozen_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class SliceDetection:
-    """One 2D bounding box on one slice of one anatomical plane."""
-
-    plane: str
-    slice_index: int
-    cx: float
-    cy: float
-    w: float
-    h: float
-    confidence: float
-
-    def __post_init__(self):
-        if self.plane not in PLANES:
-            raise ValidationError(f"plane must be one of {PLANES}, got {self.plane!r}")
-        if not isinstance(self.slice_index, int) or isinstance(self.slice_index, bool) or self.slice_index < 0:
-            raise ValidationError(f"slice_index must be a non-negative integer, got {self.slice_index!r}")
-        for name in ("cx", "cy"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name in ("w", "h"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
-        conf = _require_finite("confidence", self.confidence)
-        if not 0.0 <= conf <= 1.0:
-            raise ValidationError(f"confidence must lie in [0, 1], got {conf}")
-        object.__setattr__(self, "confidence", conf)
+DETECTION_COLUMNS = ("plane", "slice_index", "cx", "cy", "w", "h", "confidence")
+_INT_COLUMNS, _FLOAT_COLUMNS = DETECTION_COLUMNS[:2], DETECTION_COLUMNS[2:]
 
 
-@dataclass(frozen=True)
+def _column(name: str, values, integer: bool) -> np.ndarray:
+    """A read-only 1-D int64 or float64 copy of one detection column."""
+    try:
+        col = np.array(values, dtype=np.int64 if integer else np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"column {name} must hold numbers") from None
+    if col.ndim != 1:
+        raise ValidationError(f"column {name} must be 1-D, got shape {col.shape}")
+    col.flags.writeable = False
+    return col
+
+
+@dataclass(frozen=True, eq=False)
 class DetectionSet:
-    """Every per-slice detection for one scan, plus the scan geometry."""
+    """Every per-slice detection for one scan, plus the scan geometry.
+
+    Boxes are equal-length, read-only 1-D columns; row i of each is box i.
+    ``plane`` holds int64 codes into ``PLANES``, ``slice_index`` int64 slice
+    numbers, and ``cx``, ``cy``, ``w``, ``h``, ``confidence`` float64 values.
+    """
 
     case_id: str
     volume_shape: tuple[int, int, int]
-    detections: tuple[SliceDetection, ...]
     slice_count_per_plane: int
+    plane: np.ndarray
+    slice_index: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    w: np.ndarray
+    h: np.ndarray
+    confidence: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(int(v) for v in self.volume_shape)
+        try:
+            shape = tuple(int(v) for v in self.volume_shape)
+        except (TypeError, ValueError, OverflowError):
+            shape = ()
         if len(shape) != 3 or any(v <= 0 for v in shape):
             raise ValidationError(f"volume_shape must be three positive extents, got {self.volume_shape!r}")
         object.__setattr__(self, "volume_shape", shape)
-        object.__setattr__(self, "detections", tuple(self.detections))
         if self.slice_count_per_plane <= 0:
             raise ValidationError(f"slice_count_per_plane must be positive, got {self.slice_count_per_plane}")
-        d, h, w = shape
-        for i, det in enumerate(self.detections):
-            if not isinstance(det, SliceDetection):
-                raise ValidationError(f"detections[{i}] is not a SliceDetection")
-            extent = w if det.plane == "sagittal" else h
-            if det.slice_index >= extent:
-                raise ValidationError(
-                    f"detections[{i}]: slice_index {det.slice_index} outside the "
-                    f"{det.plane} extent {extent}"
-                )
+        for name in DETECTION_COLUMNS:
+            object.__setattr__(self, name, _column(name, getattr(self, name), name in _INT_COLUMNS))
+        lengths = {name: len(getattr(self, name)) for name in DETECTION_COLUMNS}
+        if len(set(lengths.values())) > 1:
+            raise ValidationError(f"detection columns must have equal lengths, got {lengths}")
+
+        _, h, w = shape
+        extent = np.where(self.plane == PLANES.index("sagittal"), w, h)
+        rules = [
+            ("plane", (self.plane < 0) | (self.plane >= len(PLANES)), f"must be a code into {PLANES}"),
+            *((name, ~np.isfinite(getattr(self, name)), "must be finite") for name in _FLOAT_COLUMNS),
+            ("w", self.w <= 0, "must be positive"),
+            ("h", self.h <= 0, "must be positive"),
+            ("confidence", (self.confidence < 0) | (self.confidence > 1), "must lie in [0, 1]"),
+            ("slice_index", (self.slice_index < 0) | (self.slice_index >= extent),
+             f"must lie inside its plane (sagittal extent {w}, coronal extent {h})"),
+        ]
+        for name, bad, rule in rules:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(f"detections[{i}]: {name} {rule}, got {getattr(self, name)[i]}")
 
     def __len__(self) -> int:
-        return len(self.detections)
+        return len(self.plane)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DetectionSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)

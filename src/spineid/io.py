@@ -15,11 +15,12 @@ from typing import Any
 import numpy as np
 
 from .domain import (
+    DETECTION_COLUMNS,
+    PLANES,
     ConfidenceState,
     DetectionSet,
     FusionParams,
     McSampleSet,
-    SliceDetection,
     SpineCase,
     SpineVertebra,
     UncertaintyReport,
@@ -59,7 +60,7 @@ def _convert(convert, value: Any, key: str, path: str | Path, line: int | None =
     """``convert(value)`` for a decoded field; a value of the wrong type is rejected input."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         where = f"{path}" + (f":{line}" if line is not None else "")
         raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)} [{where}]") from None
 
@@ -72,28 +73,12 @@ def _float_array(value: Any) -> np.ndarray:
 # detections: JSON Lines, one header then one box per line
 
 
-def detection_to_dict(d: SliceDetection) -> dict:
-    return {
-        "plane": d.plane,
-        "slice_index": int(d.slice_index),
-        "cx": float(d.cx),
-        "cy": float(d.cy),
-        "w": float(d.w),
-        "h": float(d.h),
-        "confidence": float(d.confidence),
-    }
+def _int_array(value: Any) -> np.ndarray:
+    return np.array(value, dtype=np.int64)
 
 
-def detection_from_dict(rec: dict, path: str | Path = "<memory>", line: int | None = None) -> SliceDetection:
-    return SliceDetection(
-        plane=_get(rec, "plane", path, line),
-        slice_index=_convert(int, _get(rec, "slice_index", path, line), "slice_index", path, line),
-        cx=_get(rec, "cx", path, line),
-        cy=_get(rec, "cy", path, line),
-        w=_get(rec, "w", path, line),
-        h=_get(rec, "h", path, line),
-        confidence=_get(rec, "confidence", path, line),
-    )
+def _plane_codes(names: list) -> np.ndarray:
+    return np.array([PLANES.index(name) for name in names], dtype=np.int64)
 
 
 def save_detections(ds: DetectionSet, path: str | Path) -> None:
@@ -106,7 +91,9 @@ def save_detections(ds: DetectionSet, path: str | Path) -> None:
             }
         )
     ]
-    lines.extend(json.dumps(detection_to_dict(d)) for d in ds.detections)
+    planes = [PLANES[code] for code in ds.plane.tolist()]
+    rows = zip(planes, *(getattr(ds, name).tolist() for name in DETECTION_COLUMNS[1:]))
+    lines.extend(json.dumps(dict(zip(DETECTION_COLUMNS, row))) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -122,14 +109,16 @@ def load_detections(path: str | Path) -> DetectionSet:
             raise ParseError(f"invalid JSON record: {exc.msg}", path=str(path), line=lineno) from None
     if not records:
         raise ParseError("detections file is empty", path=str(path), line=1)
-    header_line, header = records[0]
-    detections = [detection_from_dict(rec, path, lineno) for lineno, rec in records[1:]]
+    (header_line, header), boxes = records[0], records[1:]
+    columns = {key: [_get(rec, key, path, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
     return DetectionSet(
         case_id=str(_get(header, "case_id", path, header_line)),
         volume_shape=_convert(tuple, _get(header, "volume_shape", path, header_line),
                               "volume_shape", path, header_line),
-        detections=tuple(detections),
         slice_count_per_plane=_convert(int, _get(header, "k", path, header_line), "k", path, header_line),
+        plane=_convert(_plane_codes, columns["plane"], "plane", path),
+        slice_index=_convert(_int_array, columns["slice_index"], "slice_index", path),
+        **{key: _convert(_float_array, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
     )
 
 
@@ -181,7 +170,8 @@ def report_to_dict(r: UncertaintyReport) -> dict:
 
 def report_from_dict(rec: dict, path: str | Path = "<memory>") -> UncertaintyReport:
     return UncertaintyReport(
-        mean_probs=ConfidenceState.from_ingest(_get(rec, "mean_probs", path)),
+        mean_probs=ConfidenceState.from_ingest(
+            _convert(_float_array, _get(rec, "mean_probs", path), "mean_probs", path)),
         entropy=_get(rec, "entropy", path),
         variance=_get(rec, "variance", path),
         certainty_weight=_get(rec, "certainty_weight", path),
@@ -282,15 +272,17 @@ def load_fusion_params(path: str | Path) -> FusionParams:
 # embedding batches (input to the contrastive loss commands)
 
 
+def _labels(values: Any) -> tuple[VertebraLabel, ...]:
+    """Labels given as canonical names or as integer indices."""
+    return tuple(VertebraLabel.from_name(v) if isinstance(v, str) else VertebraLabel(int(v)) for v in values)
+
+
 def load_embedding_batch(path: str | Path, tau_override: float | None = None):
     """Read vectors, labels and optional tau; import deferred to avoid a cycle."""
     from .losses import EmbeddingBatch
 
     data = _read_json(path)
-    vectors = np.asarray(_get(data, "vectors", path), dtype=np.float64)
-    labels = [
-        VertebraLabel(int(v)) if not isinstance(v, str) else VertebraLabel.from_name(v)
-        for v in _get(data, "labels", path)
-    ]
-    tau = tau_override if tau_override is not None else data.get("tau", 0.1)
-    return EmbeddingBatch(vectors=vectors, labels=tuple(labels), tau=float(tau))
+    vectors = _convert(_float_array, _get(data, "vectors", path), "vectors", path)
+    labels = _convert(_labels, _get(data, "labels", path), "labels", path)
+    tau = tau_override if tau_override is not None else _convert(float, data.get("tau", 0.1), "tau", path)
+    return EmbeddingBatch(vectors=vectors, labels=labels, tau=tau)

@@ -36,6 +36,11 @@ class EmbeddingBatch:
         vecs = np.array(self.vectors, dtype=np.float64, copy=True)
         if vecs.ndim != 2 or vecs.shape[0] < 2:
             raise ValidationError(f"vectors must be a (batch >= 2) x dim matrix, got shape {vecs.shape}")
+        # checked before the norm, which would overflow on huge components
+        outside = ~(np.abs(vecs) <= 1.0 + NORM_TOL)
+        if np.any(outside):
+            row = int(np.argmax(outside.any(axis=1)))
+            raise ValidationError(f"embedding row {row} has a component outside [-1, 1], so its L2 norm is not 1")
         norms = np.linalg.norm(vecs, axis=1)
         off = np.abs(norms - 1.0)
         if np.any(off > NORM_TOL):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import DetectionSet, McSampleSet, SliceDetection, SpineCase, SpineVertebra, VertebraCenter
+from .domain import PLANES, DetectionSet, McSampleSet, SpineCase, SpineVertebra, VertebraCenter
 from .errors import ValidationError
 from .labels import N_CLASSES, VertebraLabel
 
@@ -117,6 +117,7 @@ class GenConfig:
 # Geometry of the planted spine, in voxels.
 _SPACING = 26.0
 _MARGIN = 40.0
+_SAGITTAL, _CORONAL = PLANES.index("sagittal"), PLANES.index("coronal")
 
 
 def _case_rng(master_seed: int, case_index: int) -> np.random.Generator:
@@ -133,24 +134,22 @@ def sample_mc(rng: np.random.Generator, base: np.ndarray, kappa: float, n: int) 
 
 
 def _true_boxes(rng, cfg: DetectConfig, plane, normal_coord, in_cx, in_cy, bw, bh, extent):
+    """Detection rows (plane code, slice, cx, cy, w, h, confidence) around one vertebra."""
     count = cfg.boxes_per_vertebra
     if cfg.count_jitter > 0:
         count = max(1, int(round(count * (1.0 + rng.uniform(-cfg.count_jitter, cfg.count_jitter)))))
-    boxes = []
-    for _ in range(count):
-        s = int(np.clip(round(normal_coord + rng.normal(0.0, cfg.pos_sigma)), 0, extent - 1))
-        boxes.append(
-            SliceDetection(
-                plane=plane,
-                slice_index=s,
-                cx=float(in_cx + rng.normal(0.0, cfg.pos_sigma)),
-                cy=float(in_cy + rng.normal(0.0, cfg.pos_sigma)),
-                w=float(max(1.0, bw + rng.normal(0.0, cfg.dim_sigma))),
-                h=float(max(1.0, bh + rng.normal(0.0, cfg.dim_sigma))),
-                confidence=float(rng.uniform(0.6, 0.99)),
-            )
+    return [
+        (
+            plane,
+            int(min(max(round(normal_coord + rng.normal(0.0, cfg.pos_sigma)), 0), extent - 1)),
+            float(in_cx + rng.normal(0.0, cfg.pos_sigma)),
+            float(in_cy + rng.normal(0.0, cfg.pos_sigma)),
+            float(max(1.0, bw + rng.normal(0.0, cfg.dim_sigma))),
+            float(max(1.0, bh + rng.normal(0.0, cfg.dim_sigma))),
+            float(rng.uniform(0.6, 0.99)),
         )
-    return boxes
+        for _ in range(count)
+    ]
 
 
 def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, DetectionSet]:
@@ -171,31 +170,30 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
     box_w = rng.uniform(26.0, 34.0, size=k)
     box_h = rng.uniform(17.0, 23.0, size=k)
 
-    detections: list[SliceDetection] = []
+    rows: list[tuple] = []
     per_vertebra_counts: list[int] = []
     for i in range(k):
-        sag = _true_boxes(rng, cfg.detect, "sagittal", xs[i], ys[i], zs[i], box_w[i], box_h[i], width)
-        cor = _true_boxes(rng, cfg.detect, "coronal", ys[i], xs[i], zs[i], box_w[i], box_h[i], height)
+        sag = _true_boxes(rng, cfg.detect, _SAGITTAL, xs[i], ys[i], zs[i], box_w[i], box_h[i], width)
+        cor = _true_boxes(rng, cfg.detect, _CORONAL, ys[i], xs[i], zs[i], box_w[i], box_h[i], height)
         per_vertebra_counts.append(len(sag) + len(cor))
-        detections.extend(sag)
-        detections.extend(cor)
+        rows.extend(sag + cor)
 
-    n_true = len(detections)
+    n_true = len(rows)
     rate = cfg.detect.noise_rate
     n_noise = int(round(rate / (1.0 - rate) * n_true)) if rate > 0 else 0
     for _ in range(n_noise):
-        plane = "sagittal" if rng.uniform() < 0.5 else "coronal"
-        extent = width if plane == "sagittal" else height
-        in_extent = height if plane == "sagittal" else width
-        detections.append(
-            SliceDetection(
-                plane=plane,
-                slice_index=int(rng.integers(0, extent)),
-                cx=float(rng.uniform(0.0, in_extent)),
-                cy=float(rng.uniform(0.0, depth)),
-                w=float(rng.uniform(10.0, 45.0)),
-                h=float(rng.uniform(10.0, 45.0)),
-                confidence=float(rng.uniform(0.1, 0.9)),
+        plane = _SAGITTAL if rng.uniform() < 0.5 else _CORONAL
+        extent = width if plane == _SAGITTAL else height
+        in_extent = height if plane == _SAGITTAL else width
+        rows.append(
+            (
+                plane,
+                int(rng.integers(0, extent)),
+                float(rng.uniform(0.0, in_extent)),
+                float(rng.uniform(0.0, depth)),
+                float(rng.uniform(10.0, 45.0)),
+                float(rng.uniform(10.0, 45.0)),
+                float(rng.uniform(0.1, 0.9)),
             )
         )
 
@@ -218,12 +216,7 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
 
     case_id = f"case_{case_index:04d}"
     case = SpineCase(case_id=case_id, vertebrae=tuple(vertebrae))
-    dets = DetectionSet(
-        case_id=case_id,
-        volume_shape=(depth, height, width),
-        detections=tuple(detections),
-        slice_count_per_plane=cfg.k_slices,
-    )
+    dets = DetectionSet(case_id, (depth, height, width), cfg.k_slices, *zip(*rows))
     return case, dets
 
 

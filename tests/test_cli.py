@@ -231,7 +231,8 @@ class TestExitCodes:
         assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5",
                      "--epochs", "3", "--out", str(tmp_path / "phi.json"), "--window", "3"]) == 3
 
-    @pytest.mark.parametrize("field, value", [("hops", "x"), ("phi", [])], ids=["hops-str", "phi-list"])
+    @pytest.mark.parametrize("field, value", [("hops", "x"), ("phi", []), ("theta", "x")],
+                             ids=["hops-str", "phi-list", "theta-str"])
     def test_bad_phi_field_is_validation_error(self, corpus, tmp_path, capsys, field, value):
         data = io.params_to_dict(identity_params())
         data[field] = value
@@ -241,11 +242,39 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value", [("position", "x"), ("mean_dims", ["x", 1.0])],
+                             ids=["position-str", "mean-dims-str"])
+    def test_bad_center_field_is_validation_error(self, corpus, tmp_path, capsys, field, value):
+        data = json.loads((corpus / "case_0000.json").read_text())
+        data["vertebrae"][0]["center"][field] = value
+        case_path = tmp_path / "case.json"
+        case_path.write_text(json.dumps(data))
+        assert main(["fuse", "--case", str(case_path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("field, value", [
+        ("vectors", "x"),
+        ("vectors", [[1e308, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
+        ("labels", [[0], [0], [1], [1]]),
+        ("tau", "x"),
+    ], ids=["vectors-str", "vectors-overflow", "labels-nested", "tau-str"])
+    def test_bad_batch_field_is_validation_error(self, tmp_path, capsys, field, value):
+        batch = {"tau": 0.5, "labels": [0, 0, 1, 1], "vectors": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]}
+        batch[field] = value
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        assert main(["supcon", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("subcommand, name, content, code", [
         ("fuse", "case.json", b'{"case_id": "\xff"}', 4),
         ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": [10, 10, 10], "k": 5}\n\xfe\n', 4),
         ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": 5, "k": 5}\n', 2),
-    ], ids=["case-not-utf8", "detections-not-utf8", "volume-shape-scalar"])
+        ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": ["x", 1, 1], "k": 5}\n', 2),
+        ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": [10, 10, 10], "k": 5}\n'
+                                          b'{"plane": "sagittal", "slice_index": 1, "cx": "x", "cy": 1, "w": 1, '
+                                          b'"h": 1, "confidence": 1}\n', 2),
+    ], ids=["case-not-utf8", "detections-not-utf8", "volume-shape-scalar", "volume-shape-str", "cx-str"])
     def test_bad_input_file(self, tmp_path, capsys, subcommand, name, content, code):
         path = tmp_path / name
         path.write_bytes(content)

@@ -1,11 +1,23 @@
 """Clustering: embedding, density oracle, recovery, and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from spineid.clustering import ClusterConfig, box_density, cluster_centers, embed_detection
-from spineid.domain import DetectionSet, SliceDetection
+from spineid.clustering import ClusterConfig, box_density, cluster_centers, embed_detections
+from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet
 from spineid.errors import EmptyClusterError, ValidationError
+from spineid.io import load_detections, save_centers, save_detections
+from spineid.synthetic import DetectConfig, GenConfig, generate_case
+
+
+SAGITTAL, CORONAL = PLANES.index("sagittal"), PLANES.index("coronal")
+
+
+def detection_set(case_id, volume, k, rows) -> DetectionSet:
+    """A DetectionSet from (plane, slice_index, cx, cy, w, h, confidence) rows."""
+    return DetectionSet(case_id, volume, k, *(zip(*rows) if rows else [()] * len(DETECTION_COLUMNS)))
 
 
 def brute_density_counts(pts: np.ndarray, eps: float) -> np.ndarray:
@@ -29,55 +41,62 @@ def blob_detections(
 ):
     """Boxes jittered around planted 3D centers, both planes, plus noise."""
     d, h, w = volume
-    dets = []
+    rows = []
     for ci, (x, y, z) in enumerate(centers):
         bw, bh = dims if dims_per_center is None else dims_per_center[ci]
-        for plane, normal, in_cx in (("sagittal", x, y), ("coronal", y, x)):
-            extent = w if plane == "sagittal" else h
+        for plane, normal, in_cx in ((SAGITTAL, x, y), (CORONAL, y, x)):
+            extent = w if plane == SAGITTAL else h
             for _ in range(boxes_each // 2):
-                dets.append(
-                    SliceDetection(
-                        plane=plane,
-                        slice_index=int(np.clip(round(normal + rng.normal(0, sigma)), 0, extent - 1)),
-                        cx=float(in_cx + rng.normal(0, sigma)),
-                        cy=float(z + rng.normal(0, sigma)),
-                        w=float(max(1.0, bw + rng.normal(0, dim_sigma))),
-                        h=float(max(1.0, bh + rng.normal(0, dim_sigma))),
-                        confidence=float(rng.uniform(0.5, 1.0)),
+                rows.append(
+                    (
+                        plane,
+                        int(np.clip(round(normal + rng.normal(0, sigma)), 0, extent - 1)),
+                        float(in_cx + rng.normal(0, sigma)),
+                        float(z + rng.normal(0, sigma)),
+                        float(max(1.0, bw + rng.normal(0, dim_sigma))),
+                        float(max(1.0, bh + rng.normal(0, dim_sigma))),
+                        float(rng.uniform(0.5, 1.0)),
                     )
                 )
     for _ in range(noise):
-        plane = "sagittal" if rng.uniform() < 0.5 else "coronal"
-        dets.append(
-            SliceDetection(
-                plane=plane,
-                slice_index=int(rng.integers(0, w if plane == "sagittal" else h)),
-                cx=float(rng.uniform(0, h if plane == "sagittal" else w)),
-                cy=float(rng.uniform(0, d)),
-                w=float(rng.uniform(5, 45)),
-                h=float(rng.uniform(5, 45)),
-                confidence=float(rng.uniform(0.1, 0.9)),
+        plane = SAGITTAL if rng.uniform() < 0.5 else CORONAL
+        rows.append(
+            (
+                plane,
+                int(rng.integers(0, w if plane == SAGITTAL else h)),
+                float(rng.uniform(0, h if plane == SAGITTAL else w)),
+                float(rng.uniform(0, d)),
+                float(rng.uniform(5, 45)),
+                float(rng.uniform(5, 45)),
+                float(rng.uniform(0.1, 0.9)),
             )
         )
-    return DetectionSet("blob", volume, tuple(dets), max(w, h))
+    return detection_set("blob", volume, max(w, h), rows)
 
 
 class TestEmbedding:
+    VOLUME = (64, 64, 64)
+
     def test_sagittal_mapping(self):
-        d = SliceDetection("sagittal", 10, 5.0, 7.0, 3.0, 3.0, 0.9)
-        p = embed_detection(d)
-        assert p.dtype == np.float64 and p.shape == (3,)
-        assert np.array_equal(p, [10.0, 5.0, 7.0])
+        ds = detection_set("e", self.VOLUME, 10, [(SAGITTAL, 10, 5.0, 7.0, 3.0, 3.0, 0.9)])
+        p = embed_detections(ds)
+        assert p.dtype == np.float64 and p.shape == (1, 3)
+        assert np.array_equal(p, [[10.0, 5.0, 7.0]])
 
     def test_coronal_mapping(self):
-        d = SliceDetection("coronal", 10, 5.0, 7.0, 3.0, 3.0, 0.9)
-        p = embed_detection(d)
-        assert p.dtype == np.float64 and p.shape == (3,)
-        assert np.array_equal(p, [5.0, 10.0, 7.0])
+        ds = detection_set("e", self.VOLUME, 10, [(CORONAL, 10, 5.0, 7.0, 3.0, 3.0, 0.9)])
+        p = embed_detections(ds)
+        assert p.dtype == np.float64 and p.shape == (1, 3)
+        assert np.array_equal(p, [[5.0, 10.0, 7.0]])
+
+    def test_mixed_planes_map_row_by_row(self):
+        ds = detection_set("e", self.VOLUME, 10, [(CORONAL, 10, 5.0, 7.0, 3.0, 3.0, 0.9),
+                                                  (SAGITTAL, 3, 1.25, 9.5, 2.0, 2.0, 0.5)])
+        assert np.array_equal(embed_detections(ds), [[5.0, 10.0, 7.0], [3.0, 1.25, 9.5]])
 
     def test_deterministic(self):
-        d = SliceDetection("sagittal", 3, 1.25, 9.5, 2.0, 2.0, 0.5)
-        assert np.array_equal(embed_detection(d), embed_detection(d))
+        ds = detection_set("e", self.VOLUME, 10, [(SAGITTAL, 3, 1.25, 9.5, 2.0, 2.0, 0.5)])
+        assert np.array_equal(embed_detections(ds), embed_detections(ds))
 
 
 class TestBoxDensity:
@@ -142,15 +161,13 @@ class TestClusterCenters:
         rng = np.random.default_rng(13)
         base = (30.0, 20.0)
         center = [(100.0, 100.0, 200.0)]
-        small = blob_detections(rng, center, boxes_each=30, dims=base).detections
+        small = blob_detections(rng, center, boxes_each=30, dims=base)
         # double the dims of exactly half the boxes, keeping positions
-        doctored = []
-        for i, d in enumerate(small):
-            if i % 2 == 0:
-                doctored.append(SliceDetection(d.plane, d.slice_index, d.cx, d.cy, 2 * d.w, 2 * d.h, d.confidence))
-            else:
-                doctored.append(d)
-        ds = DetectionSet("half", (600, 200, 200), tuple(doctored), 200)
+        w, h = small.w.copy(), small.h.copy()
+        w[::2] *= 2
+        h[::2] *= 2
+        ds = DetectionSet("half", (600, 200, 200), 200, small.plane, small.slice_index, small.cx, small.cy,
+                          w, h, small.confidence)
         found = cluster_centers(ds, self.CFG)
         assert len(found) == 1
         mw, mh = found[0].mean_dims
@@ -161,9 +178,9 @@ class TestClusterCenters:
         rng = np.random.default_rng(14)
         planted, ds = self.planted(rng, noise=10)
         found = cluster_centers(ds, self.CFG)
-        perm = np.random.default_rng(99).permutation(len(ds.detections))
-        shuffled = DetectionSet(ds.case_id, ds.volume_shape,
-                                tuple(ds.detections[i] for i in perm), ds.slice_count_per_plane)
+        perm = np.random.default_rng(99).permutation(len(ds))
+        shuffled = DetectionSet(ds.case_id, ds.volume_shape, ds.slice_count_per_plane,
+                                *(getattr(ds, name)[perm] for name in DETECTION_COLUMNS))
         found2 = cluster_centers(shuffled, self.CFG)
         assert len(found) == len(found2)
         for a, b in zip(found, found2):
@@ -191,25 +208,25 @@ class TestClusterCenters:
         for c in centers:
             assert c.member_count >= self.CFG.min_pts
         # each kept box feeds exactly one center, so counts cannot exceed the input
-        assert sum(c.member_count for c in centers) <= len(ds.detections)
+        assert sum(c.member_count for c in centers) <= len(ds)
 
     def test_empty_result_error_carries_counts(self):
         rng = np.random.default_rng(18)
-        dets = []
+        rows = []
         for _ in range(12):  # isolated boxes only
-            dets.append(
-                SliceDetection("sagittal", int(rng.integers(0, 200)),
-                               float(rng.uniform(0, 200)), float(rng.uniform(0, 600)),
-                               float(rng.uniform(5, 45)), float(rng.uniform(5, 45)), 0.5)
+            rows.append(
+                (SAGITTAL, int(rng.integers(0, 200)),
+                 float(rng.uniform(0, 200)), float(rng.uniform(0, 600)),
+                 float(rng.uniform(5, 45)), float(rng.uniform(5, 45)), 0.5)
             )
-        ds = DetectionSet("noise", (600, 200, 200), tuple(dets), 200)
+        ds = detection_set("noise", (600, 200, 200), 200, rows)
         with pytest.raises(EmptyClusterError) as err:
             cluster_centers(ds, self.CFG)
         e = err.value
         assert e.dropped_density + e.dropped_position + e.dropped_dimension >= 12
 
     def test_empty_detection_set_rejected(self):
-        ds = DetectionSet("x", (10, 10, 10), (), 10)
+        ds = detection_set("x", (10, 10, 10), 10, [])
         with pytest.raises(ValidationError, match="empty"):
             cluster_centers(ds, self.CFG)
 
@@ -217,7 +234,7 @@ class TestClusterCenters:
         rng = np.random.default_rng(19)
         _, ds = self.planted(rng)
         cfg = ClusterConfig.defaults_for(ds)
-        median_h = float(np.median([d.h for d in ds.detections]))
+        median_h = float(np.median(ds.h))
         assert cfg.eps_pos == pytest.approx(1.5 * median_h)
         assert cfg.eps_dim == pytest.approx(0.5 * median_h)
         assert cfg.min_pts == max(4, ds.slice_count_per_plane // 50)
@@ -230,3 +247,23 @@ class TestClusterCenters:
         ds = blob_detections(rng, centers, volume=(700, 200, 200))
         found = cluster_centers(ds)  # defaults
         assert len(found) == 3
+
+
+def test_golden_generator_and_centers(tmp_path):
+    """Pins the bytes of generated detections and of their clustered centers.
+
+    Criterion 2's generator settings, cases 0-2: any change to the generator's
+    draw order, the detections format or the clustering passes moves a hash.
+    """
+    gen = GenConfig(seed=2002, n_cases=3, k_slices=200, vertebrae_range=(3, 24),
+                    detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
+    cfg = ClusterConfig(eps_pos=6.0, min_pts=4, eps_dim=10.0, density_floor=0.1)
+    det_hash, center_hash = hashlib.sha256(), hashlib.sha256()
+    for i in range(3):
+        _, ds = generate_case(gen, i)
+        save_detections(ds, tmp_path / "d.jsonl")
+        det_hash.update((tmp_path / "d.jsonl").read_bytes())
+        save_centers(cluster_centers(load_detections(tmp_path / "d.jsonl"), cfg), tmp_path / "c.json")
+        center_hash.update((tmp_path / "c.json").read_bytes())
+    assert det_hash.hexdigest() == "e5707e4d32906492c7e20341b3a96c076eb98545d34691419c9016accc8fa537"
+    assert center_hash.hexdigest() == "4b6b1dd85a55d783a92586ffd83b245d43d89ca328c351a3bd11aa675563e12b"

@@ -8,11 +8,11 @@ import pytest
 from conftest import make_case, one_hot, random_case, random_probs
 from spineid import io
 from spineid.domain import (
+    PLANES,
     ConfidenceState,
     DetectionSet,
     FusionParams,
     McSampleSet,
-    SliceDetection,
     SpineCase,
     SpineVertebra,
     VertebraCenter,
@@ -22,8 +22,10 @@ from spineid.errors import ParseError, ValidationError
 from spineid.uncertainty import report
 
 
-def det(plane="sagittal", slice_index=5, cx=10.0, cy=20.0, w=30.0, h=20.0, confidence=0.9):
-    return SliceDetection(plane, slice_index, cx, cy, w, h, confidence)
+def det(plane=0, slice_index=5, cx=10.0, cy=20.0, w=30.0, h=20.0, confidence=0.9,
+        volume_shape=(64, 64, 64)):
+    """A one-box DetectionSet."""
+    return DetectionSet("c", volume_shape, 10, [plane], [slice_index], [cx], [cy], [w], [h], [confidence])
 
 
 class TestValidation:
@@ -39,9 +41,15 @@ class TestValidation:
         with pytest.raises(ValidationError, match="cx"):
             det(cx=float("nan"))
 
-    def test_bad_plane(self):
-        with pytest.raises(ValidationError, match="plane"):
-            det(plane="axial")
+    def test_bad_plane(self, tmp_path):
+        for code in (-1, 2):
+            with pytest.raises(ValidationError, match="plane"):
+                det(plane=code)
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"case_id": "c", "volume_shape": [64, 64, 64], "k": 5}\n'
+                        '{"plane": "axial", "slice_index": 5, "cx": 1, "cy": 1, "w": 1, "h": 1, "confidence": 1}\n')
+        with pytest.raises(ValidationError, match=r"plane.*'axial'"):
+            io.load_detections(path)
 
     def test_confidence_range(self):
         with pytest.raises(ValidationError, match="confidence"):
@@ -49,9 +57,31 @@ class TestValidation:
 
     def test_slice_index_must_fit_volume(self):
         with pytest.raises(ValidationError, match="sagittal extent"):
-            DetectionSet("c", (100, 50, 40), (det(slice_index=40),), 10)
+            det(slice_index=40, volume_shape=(100, 50, 40))
         # same index is fine along the coronal axis (extent 50)
-        DetectionSet("c", (100, 50, 40), (det(plane="coronal", slice_index=40),), 10)
+        det(plane=PLANES.index("coronal"), slice_index=40, volume_shape=(100, 50, 40))
+        with pytest.raises(ValidationError, match="slice_index must lie inside"):
+            det(slice_index=-1)
+
+    def test_error_names_first_bad_row(self):
+        cols = _random_detections(np.random.default_rng(3), 5)
+        cols["h"][[2, 4]] = 0.0
+        with pytest.raises(ValidationError, match=r"detections\[2\]: h must be positive"):
+            DetectionSet("c", (64, 64, 64), 64, **cols)
+
+    def test_columns_must_have_equal_lengths(self):
+        cols = _random_detections(np.random.default_rng(4), 5)
+        cols["cy"] = cols["cy"][:4]
+        with pytest.raises(ValidationError, match="equal lengths"):
+            DetectionSet("c", (64, 64, 64), 64, **cols)
+
+    def test_columns_are_read_only_copies(self):
+        cols = _random_detections(np.random.default_rng(5), 5)
+        ds = DetectionSet("c", (64, 64, 64), 64, **cols)
+        cols["cx"][0] = -1.0
+        assert ds.cx[0] != -1.0
+        with pytest.raises(ValueError):
+            ds.cx[0] = 0.0
 
     def test_non_normalized_probs(self):
         bad = one_hot(3) * 1.01
@@ -154,16 +184,17 @@ class TestIngestTolerance:
         assert np.array_equal(state.probs, probs)
 
 
-def _random_detection(rng) -> SliceDetection:
-    return SliceDetection(
-        plane="sagittal" if rng.uniform() < 0.5 else "coronal",
-        slice_index=int(rng.integers(0, 64)),
-        cx=float(rng.uniform(0, 64)),
-        cy=float(rng.uniform(0, 64)),
-        w=float(rng.uniform(1, 40)),
-        h=float(rng.uniform(1, 40)),
-        confidence=float(rng.uniform(0, 1)),
-    )
+def _random_detections(rng, n: int) -> dict[str, np.ndarray]:
+    """Columns of n random boxes that fit a (64, 64, 64) volume."""
+    return {
+        "plane": rng.integers(0, len(PLANES), size=n),
+        "slice_index": rng.integers(0, 64, size=n),
+        "cx": rng.uniform(0, 64, size=n),
+        "cy": rng.uniform(0, 64, size=n),
+        "w": rng.uniform(1, 40, size=n),
+        "h": rng.uniform(1, 40, size=n),
+        "confidence": rng.uniform(0, 1, size=n),
+    }
 
 
 def _random_center(rng, rank=0) -> VertebraCenter:
@@ -189,11 +220,10 @@ def _random_params(rng) -> FusionParams:
 class TestRoundTrip:
     """save(load(x)) == x bit exactly, over seeded random instances."""
 
-    def test_detections_1000(self):
-        rng = np.random.default_rng(42)
-        for _ in range(1000):
-            d = _random_detection(rng)
-            assert io.detection_from_dict(json.loads(json.dumps(io.detection_to_dict(d)))) == d
+    def test_detections_1000(self, tmp_path):
+        ds = DetectionSet("c", (64, 64, 64), 64, **_random_detections(np.random.default_rng(42), 1000))
+        io.save_detections(ds, tmp_path / "d.jsonl")
+        assert io.load_detections(tmp_path / "d.jsonl") == ds
 
     def test_centers_1000(self):
         rng = np.random.default_rng(43)
@@ -230,12 +260,7 @@ class TestRoundTrip:
     def test_detections_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(47)
         for i in range(20):
-            ds = DetectionSet(
-                case_id=f"c{i}",
-                volume_shape=(64, 64, 64),
-                detections=tuple(_random_detection(rng) for _ in range(rng.integers(1, 30))),
-                slice_count_per_plane=64,
-            )
+            ds = DetectionSet(f"c{i}", (64, 64, 64), 64, **_random_detections(rng, int(rng.integers(1, 30))))
             path = tmp_path / f"d{i}.jsonl"
             io.save_detections(ds, path)
             assert io.load_detections(path) == ds
