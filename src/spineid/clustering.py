@@ -11,17 +11,24 @@ clean, ordered list of vertebra centers in three passes:
    keeps only the largest dimension cluster, rejecting boxes that straddle
    multiple vertebrae or cover a vertebra only partially.
 
+Passes 1 and 2 share one radius, so one KD-tree pair query serves both.
+DBSCAN works on that pair list as array code: clusters are the connected
+components of core points, and each border point joins the lowest-numbered
+cluster it touches, which are the labels of a breadth-first DBSCAN grown in
+index order. The dimension pass runs once for all position clusters, with
+each cluster lifted onto its own plane along a third axis so no pair crosses
+clusters.
+
 The center of each surviving cluster is the coordinate-wise median of its
 members, which tolerates residual outliers. Output is sorted cranial to
 caudal (descending z, ties broken by x then y) and assigned z ranks.
 
-Both passes run on a canonical ordering of the input, so the result is
+Every pass runs on a canonical ordering of the input, so the result is
 deterministic and invariant to the order in which detections arrive.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,45 +106,78 @@ def box_density(i: int, dets: np.ndarray, eps: float, l_i: int) -> float:
         raise ValidationError(f"expected an (n, 3) point array, got shape {pts.shape}")
     if not 0 <= i < len(pts):
         raise ValidationError(f"index {i} outside the detection list of length {len(pts)}")
-    tree = cKDTree(pts)
-    neighbors = tree.query_ball_point(pts[i], r=eps)
+    neighbors = _kdtree(pts, "points").query_ball_point(pts[i], r=eps)
     return (len(neighbors) - 1) / l_i
 
 
-def _neighbor_lists(pts: np.ndarray, eps: float) -> list[list[int]]:
-    tree = cKDTree(pts)
-    lists = tree.query_ball_point(pts, r=eps)
-    return [sorted(nb) for nb in lists]
+def _kdtree(pts: np.ndarray, what: str) -> cKDTree:
+    """A KD-tree over ``pts``, refusing clouds it cannot measure.
 
-
-def _dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    """Deterministic DBSCAN labels; -1 marks noise.
-
-    A point is core when its eps-ball holds at least min_pts points, itself
-    included. Clusters are grown breadth-first in index order, so identical
-    input always yields identical labels.
+    cKDTree fails with a bare ValueError once the squared extent of its points
+    overflows float64; that case, and non-finite points, are rejected here.
     """
-    n = len(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.sum(np.ptp(pts, axis=0) ** 2)
+    if not np.isfinite(reach):
+        raise ValidationError(f"{what} must be finite and close enough that squared distances fit in float64")
+    return cKDTree(pts)
+
+
+def _dbscan(n: int, pairs: np.ndarray, min_pts: int) -> np.ndarray:
+    """Deterministic DBSCAN labels for n points; -1 marks noise.
+
+    ``pairs`` is an (m, 2) index array listing once every pair of points at
+    distance <= eps. A point is core when its eps-ball holds at least min_pts
+    points, itself included. Clusters are the connected components of core
+    points joined by a pair, numbered in order of their smallest core index. A
+    border point (not core, but paired with a core point) joins the
+    lowest-numbered cluster it touches. These are the labels a breadth-first
+    DBSCAN grown from each unlabeled core point in index order assigns.
+    """
+    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
+    i, j = pairs[:, 0], pairs[:, 1]
+    linked = core[i] & core[j]
+    a = np.concatenate((i[linked], j[linked]))
+    b = np.concatenate((j[linked], i[linked]))
+    # Min-label propagation with pointer jumping: every root hooks onto the
+    # smallest root across a core-core pair, then each point jumps to its
+    # root's root. The fixed point gives each core point the smallest index of
+    # its component.
+    root = np.arange(n)
+    while True:
+        hooked = root.copy()
+        np.minimum.at(hooked, root[a], root[b])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
     labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels
-    neighbors = _neighbor_lists(pts, eps)
-    core = np.array([len(nb) >= min_pts for nb in neighbors])
-    cluster = 0
-    for start in range(n):
-        if labels[start] != -1 or not core[start]:
-            continue
-        labels[start] = cluster
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for q in neighbors[p]:
-                if labels[q] == -1:
-                    labels[q] = cluster
-                    if core[q]:
-                        queue.append(q)
-        cluster += 1
+    labels[core] = np.unique(root[core], return_inverse=True)[1]
+    border = core[i] != core[j]
+    inner = np.where(core[i], i, j)[border]
+    outer = np.where(core[i], j, i)[border]
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, outer, labels[inner])
+    touched = lowest < n
+    labels[touched] = lowest[touched]
     return labels
+
+
+def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> np.ndarray:
+    """One DBSCAN (min_pts 2) over (w, h) for every position cluster at once.
+
+    ``pos_labels`` must be sorted. Each box is lifted to (w, h, label * 2r):
+    boxes of one position cluster share the third coordinate exactly, so their
+    distances are unchanged, while boxes of different clusters lie more than r
+    apart. No (w, h) distance reaches 2 * (max w + max h), so capping the radius
+    r there keeps every pair and keeps the lift finite for any eps. The labels
+    of each position cluster form one contiguous run in the order a separate
+    DBSCAN of that cluster alone would number them.
+    """
+    radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
+    lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
+    pairs = _kdtree(lifted, "box dimensions").query_pairs(radius, output_type="ndarray")
+    return _dbscan(len(dims), pairs, 2)
 
 
 def _median_boxes_per_slice(ds: DetectionSet) -> float:
@@ -163,30 +203,39 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     dims = np.column_stack((ds.w, ds.h))[order]
 
     # Pass 1: density floor. l is the median box count over populated slices,
-    # a scale-free stand-in for the per-vertebra frame count.
+    # a scale-free stand-in for the per-vertebra frame count. Passes 1 and 2
+    # share one radius, so one pair query serves both.
     l_med = _median_boxes_per_slice(ds)
-    tree = cKDTree(pts)
-    neighbor_counts = tree.query_ball_point(pts, r=cfg.eps_pos, return_length=True) - 1
-    density = neighbor_counts / l_med
+    pairs = _kdtree(pts, "box centers").query_pairs(cfg.eps_pos, output_type="ndarray")
+    density = np.bincount(pairs.ravel(), minlength=len(pts)) / l_med
     keep = density >= cfg.density_floor
     dropped_density = int(np.count_nonzero(~keep))
-    pts1, dims1 = pts[keep], dims[keep]
 
-    # Pass 2: position clustering.
-    pos_labels = _dbscan(pts1, cfg.eps_pos, cfg.min_pts)
+    # Pass 2: position clustering over the pairs whose ends both survived.
+    renumber = np.cumsum(keep) - 1
+    kept_pairs = renumber[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]]
+    pos_labels = _dbscan(int(np.count_nonzero(keep)), kept_pairs, cfg.min_pts)
     dropped_position = int(np.count_nonzero(pos_labels == -1))
 
-    # Pass 3: dimension clustering inside each position cluster.
+    # Pass 3: dimension clustering inside each position cluster, run as one
+    # DBSCAN over the clustered boxes sorted by position label.
+    by_label = np.flatnonzero(pos_labels >= 0)
+    by_label = by_label[np.argsort(pos_labels[by_label], kind="stable")]
+    pts3, dims3, labels3 = pts[keep][by_label], dims[keep][by_label], pos_labels[by_label]
+    n_clusters = int(labels3[-1]) + 1 if len(labels3) else 0
+    all_dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if n_clusters else labels3
+    bounds = np.searchsorted(labels3, np.arange(n_clusters + 1))
     dropped_dimension = 0
     centers: list[tuple[float, float, float, float, float, int]] = []
-    for label in range(pos_labels.max() + 1 if len(pos_labels) else 0):
-        mask = pos_labels == label
-        member_pts = pts1[mask]
-        member_dims = dims1[mask]
-        dim_labels = _dbscan(member_dims, cfg.eps_dim, 2)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        member_pts = pts3[start:stop]
+        member_dims = dims3[start:stop]
+        dim_labels = all_dim_labels[start:stop]
         if dim_labels.max() < 0:
-            dropped_dimension += int(mask.sum())
+            dropped_dimension += int(stop - start)
             continue
+        # Labels run on from earlier clusters; the zero counts below this
+        # cluster's first label never win, and the order of its own is kept.
         sizes = np.bincount(dim_labels[dim_labels >= 0])
         # Largest dimension cluster wins; equal sizes resolve to the smaller
         # median box area, since oversized boxes straddling two vertebrae are

@@ -164,10 +164,14 @@ class ConfidenceState:
 
     def __post_init__(self):
         arr = _frozen_array(self.probs, (N_CLASSES,))
-        if not np.all(np.isfinite(arr)):
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("probabilities must be finite")
-        if np.any(arr < 0):
+        if lo < 0:
             raise ValidationError("probabilities must be non-negative")
+        # a value above 1 rules the vector out before its sum can overflow
+        if hi > 1.0 + SUM_TOL_INTERNAL:
+            raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL_INTERNAL}, but one exceeds 1")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL_INTERNAL:
             raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL_INTERNAL}, got {total!r}")
@@ -183,8 +187,11 @@ class ConfidenceState:
         arr = np.array(values, dtype=np.float64)
         if arr.shape != (N_CLASSES,):
             raise ValidationError(f"expected {N_CLASSES} probabilities, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0:
             raise ValidationError("ingested probabilities must be finite and non-negative")
+        if hi > 1.0 + SUM_TOL_INGEST:
+            raise ValidationError(f"ingested probabilities must sum to 1 within {SUM_TOL_INGEST}, but one exceeds 1")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL_INGEST:
             raise ValidationError(f"ingested probabilities must sum to 1 within {SUM_TOL_INGEST}, got {total!r}")
@@ -214,10 +221,15 @@ class McSampleSet:
             raise ValidationError(f"samples must be an N x {N_CLASSES} matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValidationError("at least one sample is required")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("samples must be finite")
-        if np.any(arr < 0):
+        if lo < 0:
             raise ValidationError("samples must be non-negative")
+        # a value above 1 rules a row out before its sum can overflow
+        if hi > 1.0 + SUM_TOL_INGEST:
+            row = int(np.argmax(arr.max(axis=1) > 1.0 + SUM_TOL_INGEST))
+            raise ValidationError(f"sample row {row} must sum to 1 within {SUM_TOL_INGEST}, but a value exceeds 1")
         sums = arr.sum(axis=1)
         bad = np.abs(sums - 1.0) > SUM_TOL_INGEST
         if np.any(bad):

@@ -282,6 +282,34 @@ class TestExitCodes:
         assert main([subcommand, flag, str(path), "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, n_boxes, value", [("w", 40, 1e200), ("cy", 1, 1e300)],
+                             ids=["w-1e200", "cy-1e300"])
+    def test_unmeasurable_detections_are_validation_error(self, corpus, tmp_path, capsys, field, n_boxes, value):
+        header, *lines = (corpus / "case_0000.detections.jsonl").read_text().splitlines()
+        boxes = [json.loads(line) for line in lines]
+        for box in boxes[:n_boxes]:
+            box[field] = value
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join([header] + [json.dumps(box) for box in boxes]) + "\n")
+        assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("record", ["samples", "mean_probs"])
+    def test_overflowing_probabilities_are_validation_error(self, corpus, tmp_path, capsys, record):
+        path = tmp_path / "case.json"
+        assert main(["uncertainty", "--in", str(corpus / "case_0000.json"), "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        vertebra = data["vertebrae"][0]
+        if record == "samples":
+            vertebra["mc"]["samples"][0] = [1e308] * 24
+        else:
+            vertebra["uncertainty"]["mean_probs"] = [1e308] * 24
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_non_integer_score_sequence_is_validation_error(self, capsys):
         assert main(["score", "--seq", "1,a"]) == 2
         assert capsys.readouterr().err.startswith("error:")

@@ -1,11 +1,15 @@
 """Clustering: embedding, density oracle, recovery, and determinism."""
 
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from spineid.clustering import ClusterConfig, box_density, cluster_centers, embed_detections
+from spineid.clustering import ClusterConfig, _dbscan, box_density, cluster_centers, embed_detections
 from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet
 from spineid.errors import EmptyClusterError, ValidationError
 from spineid.io import load_detections, save_centers, save_detections
@@ -26,6 +30,73 @@ def brute_density_counts(pts: np.ndarray, eps: float) -> np.ndarray:
     d2 = (diff**2).sum(axis=2)
     within = d2 <= eps * eps
     return within.sum(axis=1) - 1  # drop self
+
+
+def permuted(ds: DetectionSet, perm: np.ndarray) -> DetectionSet:
+    return DetectionSet(ds.case_id, ds.volume_shape, ds.slice_count_per_plane,
+                        *(getattr(ds, name)[perm] for name in DETECTION_COLUMNS))
+
+
+def doubled_dims(ds: DetectionSet, rows=slice(None, None, 2)) -> DetectionSet:
+    """The same boxes with the width and height of ``rows`` doubled."""
+    w, h = ds.w.copy(), ds.h.copy()
+    w[rows] *= 2
+    h[rows] *= 2
+    return DetectionSet(ds.case_id, ds.volume_shape, ds.slice_count_per_plane, ds.plane, ds.slice_index,
+                        ds.cx, ds.cy, w, h, ds.confidence)
+
+
+def bfs_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
+    """Oracle: breadth-first DBSCAN grown from each unlabeled core point in index order."""
+    n = len(pts)
+    labels = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return labels
+    neighbors = [sorted(nb) for nb in cKDTree(pts).query_ball_point(pts, r=eps)]
+    core = np.array([len(nb) >= min_pts for nb in neighbors])
+    cluster = 0
+    for start in range(n):
+        if labels[start] != -1 or not core[start]:
+            continue
+        labels[start] = cluster
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            for q in neighbors[p]:
+                if labels[q] == -1:
+                    labels[q] = cluster
+                    if core[q]:
+                        queue.append(q)
+        cluster += 1
+    return labels
+
+
+@st.composite
+def dbscan_clouds(draw):
+    """(points, eps, min_pts) in 2-D or 3-D, uniform or on an integer grid.
+
+    Grid clouds repeat points and put many pairs at exactly eps. Each star is a
+    center with min_pts - 1 leaves (at most two per axis) along distinct axis
+    directions; when it has that many, the center is core and, for
+    min_pts >= 3, its leaves are border points.
+    """
+    dim = draw(st.sampled_from((2, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 150))
+    min_pts = draw(st.integers(2, 7))
+    grid = draw(st.booleans())
+    if grid:
+        eps = float(draw(st.integers(1, 3)))
+        pts = rng.integers(0, 12, size=(n, dim)).astype(np.float64)
+    else:
+        eps = draw(st.floats(0.5, 6.0))
+        pts = rng.uniform(0, 30, size=(n, dim))
+    directions = np.concatenate((np.eye(dim), -np.eye(dim)))[: min_pts - 1]
+    reach = eps if grid else 0.75 * eps
+    stars = [c + np.vstack((np.zeros(dim), reach * directions))
+             for c in rng.integers(0, 40, size=(draw(st.integers(0, 3)), dim)).astype(np.float64)]
+    pts = np.vstack([pts] + stars)
+    return pts[rng.permutation(len(pts))], eps, min_pts
 
 
 def blob_detections(
@@ -130,6 +201,38 @@ class TestBoxDensity:
                 assert box_density(i, pts, eps, l_i) == counts[i] / l_i
 
 
+class TestDbscan:
+    @settings(max_examples=300, deadline=None)
+    @given(dbscan_clouds())
+    def test_matches_breadth_first_oracle(self, cloud):
+        pts, eps, min_pts = cloud
+        pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
+        labels = _dbscan(len(pts), pairs, min_pts)
+        expected = bfs_dbscan(pts, eps, min_pts)
+        core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= min_pts
+        event("border points" if np.any(~core & (expected >= 0)) else "no border points")
+        assert np.array_equal(labels, expected)
+
+    def test_border_point_joins_lowest_cluster(self):
+        # two core centers, each with three leaves; the last point is a border
+        # point at exactly eps from both centers
+        pts = np.array([[2, 0], [2, 1], [2, -1], [3, 0], [0, 0], [0, 1], [0, -1], [-1, 0], [1, 0]], dtype=float)
+        labels = _dbscan(len(pts), cKDTree(pts).query_pairs(1.0, output_type="ndarray"), 4)
+        assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 0]
+        assert np.array_equal(labels, bfs_dbscan(pts, 1.0, 4))
+
+    def test_no_points(self):
+        assert _dbscan(0, np.empty((0, 2), dtype=np.intp), 3).shape == (0,)
+
+    def test_pass_one_degrees_match_ball_counts(self):
+        gen = GenConfig(seed=2002, n_cases=1, k_slices=200, vertebrae_range=(12, 12),
+                        detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
+        pts = embed_detections(generate_case(gen, 0)[1])
+        tree = cKDTree(pts)
+        degrees = np.bincount(tree.query_pairs(6.0, output_type="ndarray").ravel(), minlength=len(pts))
+        assert np.array_equal(degrees, tree.query_ball_point(pts, r=6.0, return_length=True) - 1)
+
+
 class TestClusterCenters:
     CFG = ClusterConfig(eps_pos=5.0, min_pts=4, eps_dim=5.0, density_floor=0.1)
 
@@ -161,13 +264,8 @@ class TestClusterCenters:
         rng = np.random.default_rng(13)
         base = (30.0, 20.0)
         center = [(100.0, 100.0, 200.0)]
-        small = blob_detections(rng, center, boxes_each=30, dims=base)
         # double the dims of exactly half the boxes, keeping positions
-        w, h = small.w.copy(), small.h.copy()
-        w[::2] *= 2
-        h[::2] *= 2
-        ds = DetectionSet("half", (600, 200, 200), 200, small.plane, small.slice_index, small.cx, small.cy,
-                          w, h, small.confidence)
+        ds = doubled_dims(blob_detections(rng, center, boxes_each=30, dims=base))
         found = cluster_centers(ds, self.CFG)
         assert len(found) == 1
         mw, mh = found[0].mean_dims
@@ -179,12 +277,39 @@ class TestClusterCenters:
         planted, ds = self.planted(rng, noise=10)
         found = cluster_centers(ds, self.CFG)
         perm = np.random.default_rng(99).permutation(len(ds))
-        shuffled = DetectionSet(ds.case_id, ds.volume_shape, ds.slice_count_per_plane,
-                                *(getattr(ds, name)[perm] for name in DETECTION_COLUMNS))
-        found2 = cluster_centers(shuffled, self.CFG)
+        found2 = cluster_centers(permuted(ds, perm), self.CFG)
         assert len(found) == len(found2)
         for a, b in zip(found, found2):
             assert a == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.permutations(range(100)))
+    def test_permutation_invariance_property(self, perm):
+        # 3 x 30 planted boxes plus 10 noise boxes, with a doubled-dimension
+        # half in the last cluster so the dimension pass has a choice to make
+        ds = doubled_dims(self.planted(np.random.default_rng(14), noise=10)[1], slice(60, 90, 2))
+        assert cluster_centers(permuted(ds, np.array(perm)), self.CFG) == cluster_centers(ds, self.CFG)
+
+    def test_huge_eps_dim_keeps_every_box(self, tmp_path):
+        # eps_dim far beyond any box size: every position cluster is one
+        # dimension cluster, as when each cluster ran its own DBSCAN
+        rng = np.random.default_rng(13)
+        ds = doubled_dims(blob_detections(rng, [(100.0, 100.0, 200.0), (100.0, 100.0, 320.0)], boxes_each=30))
+        found = cluster_centers(ds, ClusterConfig(eps_pos=5.0, min_pts=4, eps_dim=1e200, density_floor=0.1))
+        assert [c.member_count for c in found] == [30, 30]
+        save_centers(found, tmp_path / "c.json")
+        assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == (
+            "21253b05d591a6728abe407990a3fd3065fd51aff719d7e4dba01f783f42f434")
+
+    @pytest.mark.parametrize("column, value", [("cy", 1e300), ("w", 1e200)])
+    def test_unmeasurable_spread_rejected(self, column, value):
+        _, ds = self.planted(np.random.default_rng(21))
+        col = getattr(ds, column).copy()
+        col[0] = value
+        cols = {name: getattr(ds, name) for name in DETECTION_COLUMNS} | {column: col}
+        ds = DetectionSet(ds.case_id, ds.volume_shape, ds.slice_count_per_plane, **cols)
+        with pytest.raises(ValidationError, match="squared distances fit in float64"):
+            cluster_centers(ds, self.CFG)
 
     def test_determinism(self):
         rng = np.random.default_rng(15)
@@ -254,16 +379,22 @@ def test_golden_generator_and_centers(tmp_path):
 
     Criterion 2's generator settings, cases 0-2: any change to the generator's
     draw order, the detections format or the clustering passes moves a hash.
+    Centers are pinned under criterion 2's explicit config and under the
+    data-derived defaults, which take a different eps_pos and eps_dim.
     """
     gen = GenConfig(seed=2002, n_cases=3, k_slices=200, vertebrae_range=(3, 24),
                     detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
     cfg = ClusterConfig(eps_pos=6.0, min_pts=4, eps_dim=10.0, density_floor=0.1)
-    det_hash, center_hash = hashlib.sha256(), hashlib.sha256()
+    det_hash, center_hash, default_hash = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for i in range(3):
         _, ds = generate_case(gen, i)
         save_detections(ds, tmp_path / "d.jsonl")
         det_hash.update((tmp_path / "d.jsonl").read_bytes())
-        save_centers(cluster_centers(load_detections(tmp_path / "d.jsonl"), cfg), tmp_path / "c.json")
+        loaded = load_detections(tmp_path / "d.jsonl")
+        save_centers(cluster_centers(loaded, cfg), tmp_path / "c.json")
         center_hash.update((tmp_path / "c.json").read_bytes())
+        save_centers(cluster_centers(loaded), tmp_path / "c.json")
+        default_hash.update((tmp_path / "c.json").read_bytes())
     assert det_hash.hexdigest() == "e5707e4d32906492c7e20341b3a96c076eb98545d34691419c9016accc8fa537"
     assert center_hash.hexdigest() == "4b6b1dd85a55d783a92586ffd83b245d43d89ca328c351a3bd11aa675563e12b"
+    assert default_hash.hexdigest() == "ac05d8ee405f02cfde34898e0fbeb2a6989d15c009a2b5208b2d8303741d2e07"

@@ -102,6 +102,15 @@ class TestValidation:
         # within 1e-6 passes
         McSampleSet(np.stack([one_hot(2), one_hot(2) * (1 + 5e-7)]))
 
+    def test_value_above_one_rejected_before_summing(self):
+        # summing 24 values of 1e308 would overflow; the range check comes first
+        with pytest.raises(ValidationError, match="row 1 must sum to 1.*exceeds 1"):
+            McSampleSet(np.stack([one_hot(2), np.full(24, 1e308)]))
+        with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
+            ConfidenceState.from_ingest(np.full(24, 1e308))
+        with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
+            ConfidenceState(np.full(24, 1e308))
+
     def test_empty_case(self):
         with pytest.raises(ValidationError, match="at least one vertebra"):
             SpineCase("c", ())
