@@ -49,8 +49,8 @@ trace = fuse(case, FusionParams(theta=0.1, hops=3, window=5, distance_mode="inde
 truth_names = [CANONICAL_NAMES[START + i] for i in range(5)]
 print(f"truth: {' '.join(truth_names)}\n")
 for t, snap in enumerate(trace.snapshots):
-    decoded = [CANONICAL_NAMES[int(np.argmax(s.probs))] for s in snap]
-    middle = snap[2].probs
+    decoded = [CANONICAL_NAMES[i] for i in snap.argmax(axis=1)]
+    middle = snap[2]
     print(f"hop {t}: {' '.join(decoded):30s} middle P({truth_names[2]}) = {middle[START + 2]:.3f}, "
           f"P({CANONICAL_NAMES[START + 3]}) = {middle[START + 3]:.3f}")
 

@@ -14,7 +14,6 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -29,11 +28,7 @@ from .fusion import TrainConfig, fuse, identity_params, train_phi
 from .labels import CANONICAL_NAMES
 from .losses import sequence_loss, supcon_grad, supcon_loss
 from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
-from .uncertainty import certainty_from_variance, report
-
-
-def _write_json(obj, path: str) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+from .uncertainty import fusion_weight, report, sample_mean
 
 
 # ---------------------------------------------------------------------------
@@ -82,9 +77,8 @@ def _with_uncertainty(case: SpineCase, metric: str) -> SpineCase:
     verts = []
     for v in case.vertebrae:
         rep = report(v.mc)
-        weight = rep.certainty_weight if metric == "entropy" else certainty_from_variance(rep)
         verts.append(SpineVertebra(center=v.center, mc=v.mc, truth=v.truth,
-                                   uncertainty=rep, fusion_weight=weight))
+                                   uncertainty=rep, fusion_weight=fusion_weight(rep, metric)))
     return SpineCase(case_id=case.case_id, vertebrae=tuple(verts))
 
 
@@ -116,19 +110,10 @@ def _cmd_fuse(args) -> int:
     params = _override_params(params, args)
     trace = fuse(case, params, u_metric=args.u_metric)
     labels = decode_states(trace.snapshots[-1], args.decode)
-    _write_json(
-        {"case_id": case.case_id, "labels": labels, "names": [CANONICAL_NAMES[i] for i in labels]},
-        args.out,
-    )
+    io.save_labels(case.case_id, labels, args.out)
     if args.trace:
-        _write_json(
-            {
-                "case_id": case.case_id,
-                "snapshots": [[list(map(float, s.probs)) for s in snap] for snap in trace.snapshots],
-                "final_labels": list(trace.final_labels),
-            },
-            args.trace,
-        )
+        io.save_json({"case_id": case.case_id, "snapshots": trace.snapshots.tolist(),
+                      "final_labels": list(trace.final_labels)}, args.trace)
     print(f"{case.case_id}: {' '.join(CANONICAL_NAMES[i] for i in labels)}")
     return 0
 
@@ -193,19 +178,13 @@ def _dump_csv(rep: EvalReport, path: str) -> None:
 def _cmd_eval(args) -> int:
     pairs = _load_case_dir(args.cases_dir)
     cases = [case for _, case in pairs]
-    predictions = []
     if args.labels_dir:
-        for path, case in pairs:
-            label_file = Path(args.labels_dir) / f"{path.stem}.labels.json"
-            labels = io._get(io._read_json(label_file), "labels", label_file)
-            predictions.append(io._convert(lambda v: [int(x) for x in v], labels, "labels", label_file))
+        predictions = [io.load_labels(Path(args.labels_dir) / f"{path.stem}.labels.json") for path, _ in pairs]
     else:
-        from .uncertainty import aggregate_samples
-
-        predictions = [[aggregate_samples(v.mc) for v in case.vertebrae] for case in cases]
+        predictions = [np.array([sample_mean(v.mc) for v in case.vertebrae]) for case in cases]
     rep = evaluate(cases, predictions, decode=args.decode)
     if args.out:
-        _write_json(_report_dict(rep), args.out)
+        io.save_json(_report_dict(rep), args.out)
     if args.dump_csv:
         _dump_csv(rep, args.dump_csv)
     print(f"id_rate {rep.id_rate:.4f}  mse {rep.mse:.4f}  over {rep.n_vertebrae} vertebrae")
@@ -213,8 +192,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from .uncertainty import aggregate_samples
-
     case_files = _load_case_dir(args.dir)
     params = io.load_fusion_params(args.params) if args.params else identity_params()
     params = _override_params(params, args)
@@ -233,8 +210,8 @@ def _cmd_pipeline(args) -> int:
         case = _with_uncertainty(case, args.u_metric or "entropy")
         trace = fuse(case, params)
         cases.append(case)
-        baseline_states.append(list(trace.snapshots[0]))
-        fused_states.append(list(trace.snapshots[-1]))
+        baseline_states.append(trace.snapshots[0])
+        fused_states.append(trace.snapshots[-1])
     baseline = evaluate(cases, baseline_states, decode=args.decode)
     fused = evaluate(cases, fused_states, decode=args.decode)
     out = {
@@ -246,7 +223,7 @@ def _cmd_pipeline(args) -> int:
         "baseline": _report_dict(baseline),
         "fused": _report_dict(fused),
     }
-    _write_json(out, args.out)
+    io.save_json(out, args.out)
     if args.dump_csv:
         _dump_csv(fused, args.dump_csv)
     print(

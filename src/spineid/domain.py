@@ -199,10 +199,6 @@ class ConfidenceState:
             arr = arr / total
         return cls(arr)
 
-    def argmax(self) -> int:
-        """Most probable class; ties resolve to the smallest index."""
-        return int(np.argmax(self.probs))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConfidenceState):
             return NotImplemented

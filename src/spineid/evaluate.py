@@ -15,13 +15,7 @@ DECODE_MODES = ("argmax", "constrained")
 
 
 def _as_indices(labels: Sequence) -> list[int]:
-    out = []
-    for v in labels:
-        if isinstance(v, VertebraLabel):
-            out.append(v.index)
-        else:
-            out.append(int(v))
-    return out
+    return [v.index if isinstance(v, VertebraLabel) else int(v) for v in labels]
 
 
 def id_rate(pred: Sequence, truth: Sequence) -> float:
@@ -40,18 +34,30 @@ def label_mse(pred: Sequence, truth: Sequence) -> float:
     return float(np.mean([(a - b) ** 2 for a, b in zip(p, t)]))
 
 
-def constrained_decode(states: Sequence[ConfidenceState]) -> list[int]:
-    """Best strictly consecutive label window for a case.
+def _as_matrix(states) -> np.ndarray:
+    """One case's confidences, given as a matrix, rows or ``ConfidenceState`` objects, as a (k, 24) matrix."""
+    if len(states) and isinstance(states[0], ConfidenceState):
+        states = [s.probs for s in states]
+    mat = np.asarray(states, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[1] != N_CLASSES:
+        raise ValidationError(f"confidences must form a k x {N_CLASSES} matrix, got shape {mat.shape}")
+    if not np.all((mat >= 0.0) & (mat <= 1.0)):
+        raise ValidationError("confidences must lie in [0, 1]")
+    return mat
+
+
+def constrained_decode(states) -> list[int]:
+    """Best strictly consecutive label window for a case's (k, 24) confidences.
 
     Chooses the start s maximizing sum_i log(C_i[s + i] + 1e-12) over all
     feasible windows and returns [s, s+1, ...]; ties go to the smallest s.
     """
-    k = len(states)
+    mat = _as_matrix(states)
+    k = len(mat)
     if k == 0:
         raise ValidationError("cannot decode an empty state list")
     if k > N_CLASSES:
         raise ValidationError(f"{k} vertebrae cannot carry {N_CLASSES} distinct consecutive labels")
-    mat = np.array([s.probs for s in states], dtype=np.float64)
     scores = [
         float(np.log(mat[np.arange(k), start + np.arange(k)] + 1e-12).sum())
         for start in range(N_CLASSES - k + 1)
@@ -60,10 +66,10 @@ def constrained_decode(states: Sequence[ConfidenceState]) -> list[int]:
     return list(range(best, best + k))
 
 
-def decode_states(states: Sequence[ConfidenceState], mode: str = "argmax") -> list[int]:
-    """Turn per-vertebra confidences into label indices."""
+def decode_states(states, mode: str = "argmax") -> list[int]:
+    """Turn a case's (k, 24) confidences into label indices."""
     if mode == "argmax":
-        return [int(np.argmax(s.probs)) for s in states]
+        return _as_matrix(states).argmax(axis=1).tolist()
     if mode == "constrained":
         return constrained_decode(states)
     raise ValidationError(f"decode mode must be one of {DECODE_MODES}, got {mode!r}")
@@ -99,47 +105,45 @@ class EvalReport:
 
 def evaluate(
     cases: Sequence[SpineCase],
-    predictions: Sequence[Sequence],
+    predictions: Sequence,
     decode: str = "argmax",
 ) -> EvalReport:
     """Score per-case predictions against the cases' ground truth.
 
-    ``predictions`` holds, per case, either confidence states (decoded with
-    the chosen mode) or already-decoded label indices. Every case must carry
-    full ground truth.
+    ``predictions`` holds, per case, either confidences (a (k, 24) matrix,
+    a list of rows or a list of ``ConfidenceState``, decoded with the chosen
+    mode) or k label indices in [0, 24). Every case must carry full ground
+    truth.
     """
     if len(cases) != len(predictions):
         raise ValidationError(f"{len(predictions)} prediction lists for {len(cases)} cases")
     if len(cases) == 0:
         raise ValidationError("cannot evaluate an empty corpus")
-    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    per_case = []
-    correct = 0
-    sq_err = 0.0
-    total = 0
-    for case, preds in zip(cases, predictions):
-        truths = case.truths
-        if truths is None:
+    truths, preds, per_case = [], [], []
+    for case, case_preds in zip(cases, predictions):
+        if case.truths is None:
             raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
-        preds = list(preds)
-        if len(preds) != len(case):
-            raise ValidationError(f"case {case.case_id!r}: {len(preds)} predictions for {len(case)} vertebrae")
-        if preds and isinstance(preds[0], ConfidenceState):
-            labels = decode_states(preds, decode)
+        if len(case_preds) != len(case):
+            raise ValidationError(f"case {case.case_id!r}: {len(case_preds)} predictions for {len(case)} vertebrae")
+        if isinstance(case_preds[0], ConfidenceState) or np.ndim(case_preds[0]) == 1:
+            labels = decode_states(case_preds, decode)
         else:
-            labels = _as_indices(preds)
-        case_correct = 0
-        for pred, truth in zip(labels, truths):
-            confusion[truth.index, pred] += 1
-            case_correct += pred == truth.index
-            sq_err += (pred - truth.index) ** 2
-        correct += case_correct
-        total += len(case)
-        per_case.append(case_correct / len(case))
+            labels = _as_indices(case_preds)
+            if not 0 <= min(labels) <= max(labels) < N_CLASSES:
+                i = next(i for i, v in enumerate(labels) if not 0 <= v < N_CLASSES)
+                raise ValidationError(f"case {case.case_id!r}: predicted label {labels[i]} at position {i} "
+                                      f"lies outside [0, {N_CLASSES})")
+        labels = np.array(labels, dtype=np.int64)
+        truth = np.array([t.index for t in case.truths], dtype=np.int64)
+        truths.append(truth)
+        preds.append(labels)
+        per_case.append(int((labels == truth).sum()) / len(case))
+    truth, pred = np.concatenate(truths), np.concatenate(preds)
+    total = len(truth)
     return EvalReport(
-        id_rate=correct / total,
-        mse=sq_err / total,
-        per_class_confusion=confusion,
+        id_rate=int((pred == truth).sum()) / total,
+        mse=int(((pred - truth) ** 2).sum()) / total,
+        per_class_confusion=np.bincount(truth * N_CLASSES + pred, minlength=N_CLASSES**2).reshape(N_CLASSES, -1),
         n_vertebrae=total,
         per_case_id_rate=tuple(per_case),
     )

@@ -24,17 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConfidenceState, FusionParams, SpineCase, phi_offsets
+from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import DegenerateGeometryError, DivergenceError, ValidationError
 from .labels import N_CLASSES
-from .uncertainty import aggregate_samples, certainty_from_variance, report
+from .uncertainty import fusion_weight, report, sample_mean
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionTrace:
-    """Per-hop confidence snapshots plus the decoded final labels."""
+    """Per-hop confidences plus the argmax labels of the last hop.
 
-    snapshots: tuple[tuple[ConfidenceState, ...], ...]
+    ``snapshots`` is a read-only float64 array of shape (hops + 1, k, 24):
+    ``snapshots[0]`` holds the inputs, each vertebra's MC sample mean, and
+    ``snapshots[t]`` the states after hop t.
+    """
+
+    snapshots: np.ndarray
     final_labels: tuple[int, ...]
 
 
@@ -89,11 +94,7 @@ def resolve_certainty(case: SpineCase, u_metric: str | None = None) -> np.ndarra
         if all(w is not None for w in stored):
             return np.array(stored, dtype=np.float64)
         u_metric = "entropy"
-    if u_metric == "entropy":
-        return np.array([report(v.mc).certainty_weight for v in case.vertebrae])
-    if u_metric == "variance":
-        return np.array([certainty_from_variance(report(v.mc)) for v in case.vertebrae])
-    raise ValidationError(f"u_metric must be 'entropy' or 'variance', got {u_metric!r}")
+    return np.array([fusion_weight(report(v.mc), u_metric) for v in case.vertebrae])
 
 
 def _fuse_pairs(cases: list[SpineCase], params: FusionParams, u_metric: str | None):
@@ -154,44 +155,33 @@ def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     return cs, sums
 
 
-def fuse(
-    case: SpineCase,
-    params: FusionParams,
-    u_metric: str | None = None,
-    initial_states: list[ConfidenceState] | None = None,
-) -> FusionTrace:
-    """Iterate the fusion hop and decode final labels by argmax.
+def fuse(case: SpineCase, params: FusionParams, u_metric: str | None = None) -> FusionTrace:
+    """Iterate the fusion hop from each vertebra's MC sample mean.
 
-    The initial states default to each vertebra's MC sample mean. The trace
-    holds hops + 1 snapshots, the first being the inputs; argmax ties break
-    toward the smaller class index. A single hop from given states is
-    ``fuse(case, params_with_hops_1, initial_states=states).snapshots[1]``.
+    The trace holds hops + 1 snapshots, the first being the inputs, and the
+    argmax labels of the last; ties break toward the smaller class index. A
+    single hop is ``fuse(case, params_with_hops_1).snapshots[1]``.
 
     With theta = 0, a single vertebra, or a window of 1 there are no
-    messages, and every snapshot is the input states unchanged.
+    messages, and every snapshot is the input states unchanged. A hop whose
+    raw confidences overflow float64 raises ``ValidationError``.
     """
-    if initial_states is None:
-        initial_states = [aggregate_samples(v.mc) for v in case.vertebrae]
-    else:
-        initial_states = list(initial_states)
-        if len(initial_states) != len(case):
-            raise ValidationError(
-                f"got {len(initial_states)} initial states for a case of {len(case)} vertebrae"
-            )
-    snapshots = [tuple(initial_states)]
+    c0 = np.array([sample_mean(v.mc) for v in case.vertebrae])
     if params.theta == 0.0 or len(case) == 1 or params.window == 1:
         # no messages; renormalizing would still move the states by ulps
-        snapshots.extend(tuple(initial_states) for _ in range(params.hops))
+        cs = [c0] * (params.hops + 1)
     else:
         pairs = _fuse_pairs([case], params, u_metric)
-        c0 = np.array([s.probs for s in initial_states], dtype=np.float64)
-        cs, _ = _forward(c0, pairs, params.phi, params.hops)
-        snapshots.extend(tuple(ConfidenceState(row) for row in c) for c in cs[1:])
-    final = snapshots[-1]
-    return FusionTrace(
-        snapshots=tuple(snapshots),
-        final_labels=tuple(int(np.argmax(s.probs)) for s in final),
-    )
+        with np.errstate(over="ignore", invalid="ignore"):
+            cs, sums = _forward(c0, pairs, params.phi, params.hops)
+        bad = ~np.isfinite(sums)
+        if bad.any():
+            hop, i = np.argwhere(bad)[0]
+            raise ValidationError(f"fusion overflowed at hop {hop + 1}: the raw confidences of vertebra {i} "
+                                  "do not sum to a finite number")
+    snapshots = np.stack(cs)
+    snapshots.flags.writeable = False
+    return FusionTrace(snapshots=snapshots, final_labels=tuple(snapshots[-1].argmax(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +196,7 @@ class _Unrolled:
             if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
         self.pairs = _fuse_pairs(cases, params, u_metric)
-        self.c0 = np.array(
-            [aggregate_samples(v.mc).probs for case in cases for v in case.vertebrae], dtype=np.float64
-        )
+        self.c0 = np.array([sample_mean(v.mc) for case in cases for v in case.vertebrae])
         self.truth = np.array([t.index for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
 

@@ -1,4 +1,4 @@
-"""File formats: detections (JSON Lines), cases, fusion parameters, batches.
+"""File formats: detections (JSON Lines), cases, fusion parameters, labels, batches.
 
 Numbers are written with Python's shortest round-trip float repr, so
 ``load(save(x)) == x`` bit exactly for every numeric field, and identical
@@ -27,10 +27,11 @@ from .domain import (
     VertebraCenter,
 )
 from .errors import ParseError, ValidationError
-from .labels import VertebraLabel
+from .labels import CANONICAL_NAMES, VertebraLabel
 
 
-def _dump(obj: Any, path: str | Path) -> None:
+def save_json(obj: Any, path: str | Path) -> None:
+    """Write ``obj`` as 2-space indented JSON plus a newline, the layout of every JSON file spineid writes."""
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
 
@@ -145,7 +146,7 @@ def center_from_dict(rec: dict, path: str | Path = "<memory>") -> VertebraCenter
 
 
 def save_centers(centers: list[VertebraCenter], path: str | Path) -> None:
-    _dump([center_to_dict(c) for c in centers], path)
+    save_json([center_to_dict(c) for c in centers], path)
 
 
 def load_centers(path: str | Path) -> list[VertebraCenter]:
@@ -215,7 +216,7 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
 
 
 def save_case(case: SpineCase, path: str | Path) -> None:
-    _dump(case_to_dict(case), path)
+    save_json(case_to_dict(case), path)
 
 
 def load_case(path: str | Path) -> SpineCase:
@@ -261,11 +262,25 @@ def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
 
 
 def save_fusion_params(p: FusionParams, path: str | Path) -> None:
-    _dump(params_to_dict(p), path)
+    save_json(params_to_dict(p), path)
 
 
 def load_fusion_params(path: str | Path) -> FusionParams:
     return params_from_dict(_read_json(path), path)
+
+
+# ---------------------------------------------------------------------------
+# predicted labels: {"case_id", "labels", "names"}, one file per case
+
+
+def save_labels(case_id: str, labels: list[int], path: str | Path) -> None:
+    save_json({"case_id": case_id, "labels": labels, "names": [CANONICAL_NAMES[i] for i in labels]}, path)
+
+
+def load_labels(path: str | Path) -> list[int]:
+    """The label indices of a labels file; ``case_id`` and ``names`` are not read."""
+    labels = _get(_read_json(path), "labels", path)
+    return _convert(lambda v: [int(x) for x in v], labels, "labels", path)
 
 
 # ---------------------------------------------------------------------------

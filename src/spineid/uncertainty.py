@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import MAX_ENTROPY, ConfidenceState, McSampleSet, UncertaintyReport
+from .errors import ValidationError
 
 __all__ = [
     "UncertaintyReport",
@@ -19,6 +20,8 @@ __all__ = [
     "entropy",
     "report",
     "certainty_from_variance",
+    "fusion_weight",
+    "sample_mean",
 ]
 
 # Largest possible variance of a [0, 1]-valued variable; normalizes the
@@ -26,10 +29,15 @@ __all__ = [
 _VAR_CEILING = 0.25
 
 
-def aggregate_samples(mc: McSampleSet) -> ConfidenceState:
-    """Element-wise mean of the sample rows, renormalized to sum to 1."""
+def sample_mean(mc: McSampleSet) -> np.ndarray:
+    """Element-wise mean of the sample rows, renormalized to sum to 1, as a (24,) array."""
     mean = mc.samples.mean(axis=0)
-    return ConfidenceState(mean / mean.sum())
+    return mean / mean.sum()
+
+
+def aggregate_samples(mc: McSampleSet) -> ConfidenceState:
+    """``sample_mean`` as a validated confidence state."""
+    return ConfidenceState(sample_mean(mc))
 
 
 def entropy(p: ConfidenceState) -> float:
@@ -63,3 +71,12 @@ def report(mc: McSampleSet) -> UncertaintyReport:
 def certainty_from_variance(rep: UncertaintyReport) -> float:
     """Alternative fusion weight 1 - variance/0.25, clipped into [0, 1]."""
     return float(np.clip(1.0 - rep.variance / _VAR_CEILING, 0.0, 1.0))
+
+
+def fusion_weight(rep: UncertaintyReport, metric: str) -> float:
+    """One vertebra's fusion weight u under ``metric``: 'entropy' or 'variance'."""
+    if metric == "entropy":
+        return rep.certainty_weight
+    if metric == "variance":
+        return certainty_from_variance(rep)
+    raise ValidationError(f"u_metric must be 'entropy' or 'variance', got {metric!r}")

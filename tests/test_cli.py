@@ -1,5 +1,6 @@
 """CLI behavior: every subcommand, file outputs, and exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -310,6 +311,33 @@ class TestExitCodes:
         assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("label", [-1, 99, "truth-24"])
+    def test_out_of_range_label_is_validation_error(self, corpus, tmp_path, capsys, label):
+        labels_dir = tmp_path / "labels"
+        labels_dir.mkdir()
+        for case_path in sorted(corpus.glob("case_*.json")):
+            case = io.load_case(case_path)
+            labels = [t.index for t in case.truths]
+            if case_path.stem == "case_0001":
+                labels[1] = labels[1] - 24 if label == "truth-24" else label
+            (labels_dir / f"{case_path.stem}.labels.json").write_text(json.dumps({"labels": labels}))
+        assert main(["eval", "--cases-dir", str(corpus), "--labels-dir", str(labels_dir),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: case 'case_0001': predicted label") and "position 1" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
+    def test_overflowing_fusion_is_validation_error(self, corpus, tmp_path, capsys):
+        data = io.params_to_dict(identity_params(window=3))
+        data["phi"] = {key: [1e308] * len(flat) for key, flat in data["phi"].items()}
+        params_path = tmp_path / "phi.json"
+        params_path.write_text(json.dumps(data))
+        assert main(["fuse", "--case", str(corpus / "case_0000.json"), "--params", str(params_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: fusion overflowed at hop 1") and err.count("\n") == 1
+
     def test_non_integer_score_sequence_is_validation_error(self, capsys):
         assert main(["score", "--seq", "1,a"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -326,3 +354,121 @@ class TestExitCodes:
             (labels_dir / f"{case_path.stem}.labels.json").write_text(content)
         assert main(["eval", "--cases-dir", str(corpus), "--labels-dir", str(labels_dir)]) == code
         assert capsys.readouterr().err.startswith("error:")
+
+
+
+# sha256 of every output file of test_golden_cli_outputs. A different hash is
+# an output change, which is made on purpose and on its own.
+GOLDEN_CLI = {
+    "c10/argmax/case_0000.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "c10/argmax/case_0000.trace.json": "082f84c251561713d519beb00441df302608e2702661d20c843623a2601fbf36",
+    "c10/argmax/case_0001.labels.json": "46e7f695f59fae633e36998970b0aad4087cab5a16ff360b8bfade13c66336e8",
+    "c10/argmax/case_0001.trace.json": "56863d194e114b0d27608d0a62818607be13585521c64d8ad816bc45091f37a4",
+    "c10/argmax/eval_baseline.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/argmax/eval_baseline.json": "608f80e2b0d6269cda2b9dc4655bd7669d55a88970afea756d68b6bffa3d9b23",
+    "c10/argmax/eval_fused.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/argmax/eval_fused.json": "608f80e2b0d6269cda2b9dc4655bd7669d55a88970afea756d68b6bffa3d9b23",
+    "c10/argmax/eval_wrong.csv": "940ea3cfb6c59e7b8a1d159467fd15cbe9f6a26a6b350de1ef391b2213491831",
+    "c10/argmax/eval_wrong.json": "484b928c70cc08e9b9c7c0b78ca30125b077a0e910f0fe2e469b5c98213ee8ce",
+    "c10/argmax/pipeline.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/argmax/pipeline.json": "38abe616874fb8b5b5064998d6a92dc312051ff787b1d961cce20daea60c1151",
+    "c10/case_u_entropy.json": "fbf4cbfecb578a7ba76d12f3bdc41a9609670040706d6690a8f82312aebc371a",
+    "c10/case_u_variance.json": "d33fc68b3c9edd302c9b6d9a23b4b2086849e2787947f6ad8bc91e4e727f1817",
+    "c10/constrained/case_0000.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "c10/constrained/case_0000.trace.json": "082f84c251561713d519beb00441df302608e2702661d20c843623a2601fbf36",
+    "c10/constrained/case_0001.labels.json": "46e7f695f59fae633e36998970b0aad4087cab5a16ff360b8bfade13c66336e8",
+    "c10/constrained/case_0001.trace.json": "56863d194e114b0d27608d0a62818607be13585521c64d8ad816bc45091f37a4",
+    "c10/constrained/eval_baseline.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/constrained/eval_baseline.json": "608f80e2b0d6269cda2b9dc4655bd7669d55a88970afea756d68b6bffa3d9b23",
+    "c10/constrained/eval_fused.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/constrained/eval_fused.json": "608f80e2b0d6269cda2b9dc4655bd7669d55a88970afea756d68b6bffa3d9b23",
+    "c10/constrained/eval_wrong.csv": "940ea3cfb6c59e7b8a1d159467fd15cbe9f6a26a6b350de1ef391b2213491831",
+    "c10/constrained/eval_wrong.json": "484b928c70cc08e9b9c7c0b78ca30125b077a0e910f0fe2e469b5c98213ee8ce",
+    "c10/constrained/pipeline.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
+    "c10/constrained/pipeline.json": "38abe616874fb8b5b5064998d6a92dc312051ff787b1d961cce20daea60c1151",
+    "c10/pipeline_variance.json": "38abe616874fb8b5b5064998d6a92dc312051ff787b1d961cce20daea60c1151",
+    "c10/stored.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "c10/stored.trace.json": "3efe3a7c5aed959097463b9bbf4cebc028d15204c5444ecf80022a9aaef63cd2",
+    "confused/argmax/case_0000.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "confused/argmax/case_0000.trace.json": "5474a11e1239b1227875b9e04bb89bf4cd70be08b449313a118a5c2d64b1ee94",
+    "confused/argmax/case_0001.labels.json": "ed8f42e67dc14308591f2babd7cd08a1e2a3d3f440e513b532f3731a98cb8442",
+    "confused/argmax/case_0001.trace.json": "347f1a5203727262dcf4d916e49717568af9bd964ca7cc36f66ac39177f9da50",
+    "confused/argmax/case_0002.labels.json": "fec35b2a6ad466fe1147c8cd1bb62f92f93bde186661af7cae82cfb8d96fcffd",
+    "confused/argmax/case_0002.trace.json": "ef3b5c631306934bd9b61b5300743000feef5d39ff83d02df1441b0c7c32660c",
+    "confused/argmax/eval_baseline.csv": "e0a7798da272d7aabfb07482fac4fd2f97942a45d167566991eeff3d7abc342c",
+    "confused/argmax/eval_baseline.json": "2b40d70b4f015a03e6e60c36db85899790ef72a37e3534b8108d2d40f2c1017c",
+    "confused/argmax/eval_fused.csv": "9c64c91db84df8c239d0545a09adee18b918dcc2adfd3be03a809b4bf6652d31",
+    "confused/argmax/eval_fused.json": "28f2781435570b2ae01f8e38cbf7b80c10f72108e276e15376d0f03e0775c323",
+    "confused/argmax/eval_wrong.csv": "d3c7f034d7f0ed0209d37c3c52a325b7fdc3ae16d9f8c64371389d3281817002",
+    "confused/argmax/eval_wrong.json": "0d4958aca411c595212cd48567c215d198ed4a9549e051d528f2eef256d2922d",
+    "confused/argmax/pipeline.csv": "82b32cdb6d06edf8b627d06388803612f5eefe6cd966d6d8336c0ed3369c246b",
+    "confused/argmax/pipeline.json": "29ecc5c23c2e2f2d0ae5a42ee38bca9581cf24509123abc79308605ddbe8a4b9",
+    "confused/case_u_entropy.json": "ed5cc8ea8e9edbfd20786812b6e6802bfd101adb4a5fa13a5577ba209f5cd334",
+    "confused/case_u_variance.json": "45c190ed84828968168d4204643e93fe7390819fe300f4f15910fb78ba2b37c2",
+    "confused/constrained/case_0000.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "confused/constrained/case_0000.trace.json": "5474a11e1239b1227875b9e04bb89bf4cd70be08b449313a118a5c2d64b1ee94",
+    "confused/constrained/case_0001.labels.json": "719949b18a4661166ff37f9f8c33f8d50d3c1f005252fef532f698d04c08b380",
+    "confused/constrained/case_0001.trace.json": "347f1a5203727262dcf4d916e49717568af9bd964ca7cc36f66ac39177f9da50",
+    "confused/constrained/case_0002.labels.json": "13a5ce6a8d5055e8196ac85859e4574ec94338579b4cd2a7b72682e593abb509",
+    "confused/constrained/case_0002.trace.json": "ef3b5c631306934bd9b61b5300743000feef5d39ff83d02df1441b0c7c32660c",
+    "confused/constrained/eval_baseline.csv": "b006752ce3997bbf9341027b45cc078cfd08a36fc45fcc9b12294be4f68993f5",
+    "confused/constrained/eval_baseline.json": "a568da9371da7409eac9bd9cbe3473fb1d2e2ec67ff617e4e2358d450cd7757f",
+    "confused/constrained/eval_fused.csv": "b006752ce3997bbf9341027b45cc078cfd08a36fc45fcc9b12294be4f68993f5",
+    "confused/constrained/eval_fused.json": "a568da9371da7409eac9bd9cbe3473fb1d2e2ec67ff617e4e2358d450cd7757f",
+    "confused/constrained/eval_wrong.csv": "d3c7f034d7f0ed0209d37c3c52a325b7fdc3ae16d9f8c64371389d3281817002",
+    "confused/constrained/eval_wrong.json": "0d4958aca411c595212cd48567c215d198ed4a9549e051d528f2eef256d2922d",
+    "confused/constrained/pipeline.csv": "b006752ce3997bbf9341027b45cc078cfd08a36fc45fcc9b12294be4f68993f5",
+    "confused/constrained/pipeline.json": "055369eda42d6db978736dea09e1ceeced9c0d62c938e435596d2ebda8f8a51d",
+    "confused/pipeline_variance.json": "09824f3f754f5bc373856b290e4488efcf21a794c7eddfddc37ce6d1d93f2c1b",
+    "confused/stored.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
+    "confused/stored.trace.json": "226d0a2efc2cd49aba5cf00b49de62223b65260242d38c6c2a534a4f79d84481",
+}
+
+
+def test_golden_cli_outputs(tmp_path):
+    """Byte pins on criterion 10's gen corpus and on a confused one from the same seed.
+
+    Covers ``uncertainty`` (both metrics), ``fuse --trace`` (argmax and
+    constrained decoding, computed and stored weights), ``eval --out
+    --dump-csv`` on fused, baseline and wrong labels, and ``pipeline``.
+    """
+    gen = ["gen", "--seed", "5", "--n-cases", "2", "--k", "60", "--vmin", "3", "--vmax", "4",
+           "--boxes-per-vertebra", "10"]
+    confused = ["--n-cases", "3", "--vmax", "6", "--true-mass", "0.4", "--adjacent1", "0.29",
+                "--adjacent2", "0.03", "--floor", "0.004", "--kappa", "5"]
+    cluster_flags = ["--eps-pos", "6", "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]
+    out = tmp_path / "out"
+    runs = []
+    for name, extra in (("c10", []), ("confused", confused)):
+        corpus = tmp_path / name
+        assert main([*gen, *extra, "--out-dir", str(corpus)]) == 0
+        stems = sorted(p.stem for p in corpus.glob("case_*.json"))
+        runs += [["uncertainty", "--in", str(corpus / "case_0000.json"), "--metric", metric,
+                  "--out", str(out / name / f"case_u_{metric}.json")] for metric in ("entropy", "variance")]
+        runs.append(["fuse", "--case", str(out / name / "case_u_variance.json"),
+                     "--trace", str(out / name / "stored.trace.json"), "--out", str(out / name / "stored.labels.json")])
+        wrong = out / name / "wrong"
+        wrong.mkdir(parents=True)
+        for i, stem in enumerate(stems):
+            truth = [t.index for t in io.load_case(corpus / f"{stem}.json").truths]
+            labels = [(t + i + j) % 24 for j, t in enumerate(truth)]
+            (wrong / f"{stem}.labels.json").write_text(json.dumps({"labels": labels}))
+        for decode in ("argmax", "constrained"):
+            d = out / name / decode
+            d.mkdir()
+            runs += [["fuse", "--case", str(corpus / f"{stem}.json"), "--decode", decode,
+                      "--trace", str(d / f"{stem}.trace.json"), "--out", str(d / f"{stem}.labels.json")]
+                     for stem in stems]
+            for labels_dir, tag in ((None, "baseline"), (d, "fused"), (wrong, "wrong")):
+                runs.append(["eval", "--cases-dir", str(corpus), "--decode", decode,
+                             *(["--labels-dir", str(labels_dir)] if labels_dir else []),
+                             "--out", str(d / f"eval_{tag}.json"), "--dump-csv", str(d / f"eval_{tag}.csv")])
+            runs.append(["pipeline", "--dir", str(corpus), "--decode", decode, *cluster_flags, "--window", "3",
+                         "--out", str(d / "pipeline.json"), "--dump-csv", str(d / "pipeline.csv")])
+        runs.append(["pipeline", "--dir", str(corpus), "--u-metric", "variance", *cluster_flags,
+                     "--out", str(out / name / "pipeline_variance.json")])
+    for args in runs:
+        assert main(args) == 0, args
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*")) if p.is_file() and p.parent.name != "wrong"}
+    assert got == GOLDEN_CLI

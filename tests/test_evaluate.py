@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_case, one_hot, random_probs
+from conftest import make_case, one_hot, random_case, random_probs
 from spineid.domain import ConfidenceState
 from spineid.errors import ValidationError
-from spineid.evaluate import constrained_decode, decode_states, evaluate, id_rate, label_mse
+from spineid.evaluate import EvalReport, constrained_decode, decode_states, evaluate, id_rate, label_mse
 from spineid.labels import N_CLASSES
 
 
@@ -17,10 +19,41 @@ def oracle_best_window(states) -> list[int]:
     for start in range(N_CLASSES - k + 1):
         score = np.longdouble(1.0)
         for i, s in enumerate(states):
-            score *= np.longdouble(s.probs[start + i])
+            score *= np.longdouble(s[start + i])
         if score > best_score:
             best_start, best_score = start, score
     return list(range(best_start, best_start + k))
+
+
+def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
+    """The per-vertebra booking loop ``evaluate`` ran on ConfidenceState lists or label indices."""
+    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    per_case = []
+    correct = 0
+    sq_err = 0.0
+    total = 0
+    for case, preds in zip(cases, predictions):
+        truths = case.truths
+        preds = list(preds)
+        if preds and isinstance(preds[0], ConfidenceState):
+            labels = decode_states(preds, decode)
+        else:
+            labels = [int(v) for v in preds]
+        case_correct = 0
+        for pred, truth in zip(labels, truths):
+            confusion[truth.index, pred] += 1
+            case_correct += pred == truth.index
+            sq_err += (pred - truth.index) ** 2
+        correct += case_correct
+        total += len(case)
+        per_case.append(case_correct / len(case))
+    return EvalReport(
+        id_rate=correct / total,
+        mse=sq_err / total,
+        per_class_confusion=confusion,
+        n_vertebrae=total,
+        per_case_id_rate=tuple(per_case),
+    )
 
 
 class TestIdRate:
@@ -56,17 +89,17 @@ class TestLabelMse:
 
 class TestConstrainedDecode:
     def test_one_hot_consecutive_recovered(self):
-        states = [ConfidenceState(one_hot(i)) for i in range(9, 13)]
+        states = np.array([one_hot(i) for i in range(9, 13)])
         assert constrained_decode(states) == [9, 10, 11, 12]
 
     def test_full_spine_forced_to_identity_window(self):
         rng = np.random.default_rng(1)
-        states = [ConfidenceState(p) for p in random_probs(rng, 24)]
+        states = random_probs(rng, 24)
         assert constrained_decode(states) == list(range(24))
 
     def test_too_many_vertebrae_rejected(self):
         rng = np.random.default_rng(2)
-        states = [ConfidenceState(p) for p in random_probs(rng, 25)]
+        states = random_probs(rng, 25)
         with pytest.raises(ValidationError):
             constrained_decode(states)
 
@@ -74,23 +107,37 @@ class TestConstrainedDecode:
         rng = np.random.default_rng(3)
         for _ in range(200):
             k = int(rng.integers(1, 7))
-            states = [ConfidenceState(p) for p in random_probs(rng, k)]
+            states = random_probs(rng, k)
             assert constrained_decode(states) == oracle_best_window(states)
 
     def test_output_always_consecutive(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             k = int(rng.integers(1, 15))
-            states = [ConfidenceState(p) for p in random_probs(rng, k)]
+            states = random_probs(rng, k)
             out = constrained_decode(states)
             assert out == list(range(out[0], out[0] + k))
 
     def test_decode_states_modes(self):
-        states = [ConfidenceState(one_hot(3)), ConfidenceState(one_hot(7))]
+        states = np.array([one_hot(3), one_hot(7)])
         assert decode_states(states, "argmax") == [3, 7]
         assert decode_states(states, "constrained") != [3, 7]
         with pytest.raises(ValidationError):
             decode_states(states, "viterbi")
+
+    @pytest.mark.parametrize("mode", ["argmax", "constrained"])
+    def test_matrix_rows_and_states_decode_alike(self, mode):
+        rng = np.random.default_rng(8)
+        mat = random_probs(rng, 6)
+        want = decode_states(mat, mode)
+        assert decode_states(list(mat), mode) == want
+        assert decode_states([ConfidenceState(r) for r in mat], mode) == want
+
+    @pytest.mark.parametrize("bad", [np.full((2, 23), 1 / 23), np.full(24, 1 / 24), -np.eye(24)[:2],
+                                     np.full((2, 24), np.nan)], ids=["23-classes", "one-row", "negative", "nan"])
+    def test_non_probability_matrix_rejected(self, bad):
+        with pytest.raises(ValidationError, match="confidences"):
+            decode_states(bad, "constrained")
 
 
 class TestEvaluate:
@@ -133,6 +180,20 @@ class TestEvaluate:
         assert rep.per_class_confusion[:7].sum() == 0
         assert rep.per_class_confusion[19:].sum() == 0
 
+    def test_accepts_matrices_and_rows(self):
+        cases = [make_case([one_hot(5), one_hot(6)], truths=[5, 6])]
+        mat = np.array([one_hot(5), one_hot(7)])
+        for preds in (mat, list(mat)):
+            rep = evaluate(cases, [preds])
+            assert rep.id_rate == 0.5
+            assert rep.per_class_confusion[6, 7] == 1
+
+    @pytest.mark.parametrize("label", [-1, 24, 99, -24], ids=["minus-1", "24", "99", "minus-24"])
+    def test_out_of_range_labels_rejected(self, label):
+        cases = [make_case([one_hot(t) for t in (17, 18, 19)], truths=[17, 18, 19], case_id="spine")]
+        with pytest.raises(ValidationError, match=r"case 'spine'.* position 1 .*outside \[0, 24\)"):
+            evaluate(cases, [[17, label, 19]])
+
     def test_constrained_per_case_all_or_nothing(self):
         rng = np.random.default_rng(6)
         cases, preds = [], []
@@ -161,3 +222,34 @@ class TestEvaluate:
             evaluate(cases, [[5, 6]])
         with pytest.raises(ValidationError, match="prediction lists"):
             evaluate(cases, [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_cases=st.integers(1, 5),
+    kinds=st.lists(st.sampled_from(["matrix", "states", "labels"]), min_size=5, max_size=5),
+    decode=st.sampled_from(["argmax", "constrained"]),
+    sharp=st.sampled_from([1.0, 4.0, 12.0]),
+)
+def test_matches_per_vertebra_oracle(seed, n_cases, kinds, decode, sharp):
+    """Random cases, confidence matrices and label lists: every EvalReport field equals the oracle's."""
+    rng = np.random.default_rng(seed)
+    cases = [random_case(rng, k=int(rng.integers(1, 13))) for _ in range(n_cases)]
+    given_preds, oracle_preds = [], []
+    for case, kind in zip(cases, kinds):
+        if kind == "labels":
+            labels = rng.integers(0, N_CLASSES, size=len(case))
+            given_preds.append(labels if rng.integers(2) else labels.tolist())
+            oracle_preds.append(labels.tolist())
+        else:
+            mat = random_probs(rng, len(case), sharp)
+            given_preds.append(mat if kind == "matrix" else [ConfidenceState(r) for r in mat])
+            oracle_preds.append([ConfidenceState(r) for r in mat])
+    got = evaluate(cases, given_preds, decode)
+    want = oracle_evaluate(cases, oracle_preds, decode)
+    assert got.id_rate == want.id_rate
+    assert got.mse == want.mse
+    assert got.n_vertebrae == want.n_vertebrae
+    assert got.per_case_id_rate == want.per_case_id_rate
+    assert np.array_equal(got.per_class_confusion, want.per_class_confusion)

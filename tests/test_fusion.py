@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, shift_phi
-from spineid.domain import ConfidenceState, FusionParams, phi_offsets
+from spineid.domain import FusionParams, phi_offsets
 from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
 from spineid.fusion import (
     TrainConfig,
@@ -18,7 +18,7 @@ from spineid.fusion import (
     resolve_certainty,
     train_phi,
 )
-from spineid.uncertainty import aggregate_samples
+from spineid.uncertainty import sample_mean
 
 
 def oracle_step(states, u, theta, window, phi, dis=None):
@@ -39,41 +39,43 @@ def oracle_step(states, u, theta, window, phi, dis=None):
     return out
 
 
-def one_hop(states, case, params):
-    """One fusion hop from ``states``: ``fuse`` with hops = 1, second snapshot."""
+def input_states(case) -> np.ndarray:
+    """Each vertebra's MC sample mean, the (k, 24) states fusion starts from."""
+    return np.array([sample_mean(v.mc) for v in case.vertebrae])
+
+
+def one_hop(case, params) -> np.ndarray:
+    """One fusion hop from the input states: ``fuse`` with hops = 1, second snapshot."""
     params = FusionParams(params.theta, 1, params.window, params.distance_mode, params.phi)
-    return list(fuse(case, params, initial_states=states).snapshots[1])
+    return fuse(case, params).snapshots[1]
 
 
 class TestFuseStep:
-    """A single hop, run through ``fuse`` with hops = 1 and given initial states."""
+    """A single hop, run through ``fuse`` with hops = 1."""
 
     def test_theta_zero_is_exact_identity(self):
         case = make_case([one_hot(3), one_hot(4), one_hot(5)], truths=[3, 4, 5])
-        states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = one_hop(states, case, identity_params(theta=0.0))
-        assert all(a == b for a, b in zip(out, states))
+        out = one_hop(case, identity_params(theta=0.0))
+        assert np.array_equal(out, input_states(case))
 
     def test_single_vertebra_identity(self):
         case = make_case([one_hot(9)], truths=[9])
-        states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = one_hop(states, case, identity_params(theta=0.7))
-        assert out[0] == states[0]
+        out = one_hop(case, identity_params(theta=0.7))
+        assert np.array_equal(out[0], input_states(case)[0])
 
     def test_three_vertebrae_hand_computed(self):
         # one-hot inputs, identity phi, u = 1 everywhere, index distances
         case = make_case([one_hot(0), one_hot(1), one_hot(2)], truths=[0, 1, 2])
         params = identity_params(theta=0.1, hops=1, window=3)
-        states = [aggregate_samples(v.mc) for v in case.vertebrae]
-        out = one_hop(states, case, params)
+        out = one_hop(case, params)
         middle = np.zeros(24)
         middle[0] = middle[2] = 0.1 / 1.2
         middle[1] = 1.0 / 1.2
-        assert np.allclose(out[1].probs, middle, atol=1e-15)
+        assert np.allclose(out[1], middle, atol=1e-15)
         first = np.zeros(24)
         first[0] = 1.0 / 1.1
         first[1] = 0.1 / 1.1
-        assert np.allclose(out[0].probs, first, atol=1e-15)
+        assert np.allclose(out[0], first, atol=1e-15)
 
     @pytest.mark.parametrize("distance", ["index", "physical"])
     @pytest.mark.parametrize("hops", [1, 3])
@@ -87,24 +89,18 @@ class TestFuseStep:
         u = resolve_certainty(case)
         trace = fuse(case, params)
         assert len(trace.snapshots) == hops + 1
-        expected = [s.probs for s in trace.snapshots[0]]
+        expected = list(trace.snapshots[0])
         for snap in trace.snapshots[1:]:
             expected = oracle_step(expected, u, 0.15, 5, params.phi, dis)
-            for g, e in zip(snap, expected):
-                assert np.abs(g.probs - e).max() <= 1e-12
-
-    def test_state_count_mismatch(self):
-        case = make_case([one_hot(1), one_hot(2)], truths=[1, 2])
-        with pytest.raises(ValidationError, match="states"):
-            one_hop([ConfidenceState(one_hot(1))], case, identity_params())
+            for g, e in zip(snap, expected, strict=True):
+                assert np.abs(g - e).max() <= 1e-12
 
     def test_coincident_centers_in_physical_mode(self):
         case = make_case([one_hot(1), one_hot(2)], truths=[1, 2],
                          positions=[(5.0, 5.0, 10.0), (5.0, 5.0, 10.0)])
         params = identity_params(theta=0.1, window=3, distance_mode="physical")
-        states = [aggregate_samples(v.mc) for v in case.vertebrae]
         with pytest.raises(DegenerateGeometryError):
-            one_hop(states, case, params)
+            one_hop(case, params)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,8 +127,8 @@ def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, dis
         # which numpy hands to a different BLAS routine than a many-row
         # product; that row may then differ by an ulp from the stacked pass.
         single_pair = len(case) <= (window + 1) // 2
-        for c, snap in zip(cs, trace.snapshots, strict=True):
-            got, want = c[start:start + len(case)], np.array([s.probs for s in snap])
+        for c, want in zip(cs, trace.snapshots, strict=True):
+            got = c[start:start + len(case)]
             if single_pair:
                 assert np.abs(got - want).max() <= 1e-15
             else:
@@ -148,17 +144,36 @@ class TestFuse:
         rng = np.random.default_rng(22)
         case = random_case(rng, k=5)
         trace = fuse(case, identity_params(theta=0.1, hops=0))
-        inputs = [aggregate_samples(v.mc) for v in case.vertebrae]
-        assert list(trace.final_labels) == [int(np.argmax(s.probs)) for s in inputs]
+        assert list(trace.final_labels) == [int(np.argmax(s)) for s in input_states(case)]
         assert len(trace.snapshots) == 1
 
     def test_snapshot_zero_is_input(self):
         rng = np.random.default_rng(23)
         case = random_case(rng, k=4)
         trace = fuse(case, identity_params(theta=0.1, hops=3))
-        inputs = [aggregate_samples(v.mc) for v in case.vertebrae]
-        assert all(a == b for a, b in zip(trace.snapshots[0], inputs))
+        assert np.array_equal(trace.snapshots[0], input_states(case))
         assert len(trace.snapshots) == 4
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1], ids=["no-messages", "messages"])
+    def test_snapshots_are_one_read_only_array(self, theta):
+        rng = np.random.default_rng(29)
+        case = random_case(rng, k=5)
+        trace = fuse(case, identity_params(theta=theta, hops=2))
+        assert isinstance(trace.snapshots, np.ndarray)
+        assert trace.snapshots.shape == (3, 5, 24) and trace.snapshots.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            trace.snapshots[0, 0, 0] = 0.5
+        assert trace.final_labels == tuple(np.argmax(trace.snapshots[-1], axis=1).tolist())
+        assert all(type(label) is int for label in trace.final_labels)
+
+    def test_overflowing_hop_rejected_without_warning(self):
+        # every message is ~1e307 per class, so a row's raw sum overflows float64;
+        # the suite turns an escaping RuntimeWarning into a failure
+        rng = np.random.default_rng(30)
+        case = random_case(rng, k=4)
+        params = FusionParams(0.1, 3, 3, "index", {d: np.full((24, 24), 1e308) for d in phi_offsets(3)})
+        with pytest.raises(ValidationError, match="overflowed at hop 1"):
+            fuse(case, params)
 
     def test_confident_neighbors_fix_off_by_one_middle(self):
         # middle vertebra leans to truth+1; neighbors are confidently correct
@@ -175,7 +190,7 @@ class TestFuse:
         case = make_case(rows, truths=list(range(start, start + 5)))
         params = FusionParams(0.1, 3, 5, "index", shift_phi(5))
         trace = fuse(case, params)
-        before = [int(np.argmax(s.probs)) for s in trace.snapshots[0]]
+        before = [int(np.argmax(s)) for s in trace.snapshots[0]]
         assert before[2] == start + 3  # wrong at the start
         assert list(trace.final_labels) == list(range(start, start + 5))
 
@@ -187,15 +202,15 @@ class TestFuse:
         trace = fuse(case, params)
         for snap in trace.snapshots:
             for s in snap:
-                assert abs(float(s.probs.sum()) - 1.0) <= 1e-9
-                assert np.all(s.probs >= 0)
+                assert abs(float(s.sum()) - 1.0) <= 1e-9
+                assert np.all(s >= 0)
 
     def test_theta_zero_fixed_point_any_hops(self):
         rng = np.random.default_rng(25)
         case = random_case(rng, k=6)
         trace = fuse(case, identity_params(theta=0.0, hops=7))
         for snap in trace.snapshots[1:]:
-            assert all(a == b for a, b in zip(snap, trace.snapshots[0]))
+            assert np.array_equal(snap, trace.snapshots[0])
 
     def test_locality_bound(self):
         rng = np.random.default_rng(26)
@@ -217,7 +232,7 @@ class TestFuse:
             radius = hops * (window - 1) // 2
             for i in range(k):
                 if abs(i - m) > radius:
-                    assert np.array_equal(a.snapshots[-1][i].probs, b.snapshots[-1][i].probs)
+                    assert np.array_equal(a.snapshots[-1][i], b.snapshots[-1][i])
 
     def test_case_id_and_translation_equivariance(self):
         rng = np.random.default_rng(27)
@@ -234,14 +249,14 @@ class TestFuse:
         )
         a = fuse(case, params)
         b = fuse(moved, params)
-        for x, y in zip(a.snapshots[-1], b.snapshots[-1]):
-            assert np.array_equal(x.probs, y.probs)
+        for x, y in zip(a.snapshots[-1], b.snapshots[-1], strict=True):
+            assert np.array_equal(x, y)
         # index mode ignores geometry entirely
         params_idx = FusionParams(0.1, 3, 5, "index", params.phi)
         ai = fuse(case, params_idx)
         bi = fuse(moved, params_idx)
-        for x, y in zip(ai.snapshots[-1], bi.snapshots[-1]):
-            assert np.array_equal(x.probs, y.probs)
+        for x, y in zip(ai.snapshots[-1], bi.snapshots[-1], strict=True):
+            assert np.array_equal(x, y)
 
     def test_shifted_phi_improves_on_confused_corpus(self):
         # statistical direction: fusion with ideal shift matrices never hurts
@@ -263,7 +278,7 @@ class TestFuse:
             case = make_case(rows, truths=list(range(start, start + k)))
             trace = fuse(case, params)
             truth_idx = [t.index for t in case.truths]
-            before = [int(np.argmax(s.probs)) for s in trace.snapshots[0]]
+            before = [int(np.argmax(s)) for s in trace.snapshots[0]]
             base_rates.append(np.mean([p == t for p, t in zip(before, truth_idx)]))
             fused_rates.append(np.mean([p == t for p, t in zip(trace.final_labels, truth_idx)]))
         assert np.mean(fused_rates) >= np.mean(base_rates)

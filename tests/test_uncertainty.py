@@ -7,7 +7,8 @@ import pytest
 
 from conftest import one_hot, random_probs
 from spineid.domain import MAX_ENTROPY, ConfidenceState, McSampleSet
-from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, report
+from spineid.errors import ValidationError
+from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report, sample_mean
 
 
 def oracle_report(samples: np.ndarray):
@@ -146,3 +147,19 @@ class TestVarianceWeight:
         for _ in range(100):
             rep = report(McSampleSet(random_probs(rng, 6)))
             assert 0.0 <= certainty_from_variance(rep) <= 1.0
+
+
+class TestFusionWeight:
+    def test_metrics_pick_entropy_or_variance_weight(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            mc = McSampleSet(random_probs(rng, 5))
+            rep = report(mc)
+            assert fusion_weight(rep, "entropy") == rep.certainty_weight
+            assert fusion_weight(rep, "variance") == certainty_from_variance(rep)
+            assert np.array_equal(sample_mean(mc), aggregate_samples(mc).probs)
+
+    def test_unknown_metric_rejected(self):
+        rep = report(McSampleSet(one_hot(3)[None, :]))
+        with pytest.raises(ValidationError, match="u_metric"):
+            fusion_weight(rep, "mutual_information")
