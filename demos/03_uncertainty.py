@@ -49,4 +49,4 @@ print(f"all samples uniform : entropy {rep.entropy:.4f} (= ln 24 = {np.log(24):.
       f"certainty {rep.certainty_weight:.4f}")
 
 mean = aggregate_samples(McSampleSet(one_hot))
-print(f"\nmean of the one-hot set puts {mean.probs[truth]:.0%} on class {truth}")
+print(f"\nmean of the one-hot set puts {mean[truth]:.0%} on class {truth}")

@@ -10,7 +10,6 @@ testable end to end without any trained network.
 
 from .clustering import ClusterConfig, box_density, cluster_centers, embed_detections
 from .domain import (
-    ConfidenceState,
     DetectionSet,
     FusionParams,
     McSampleSet,
@@ -28,7 +27,7 @@ from .errors import (
     SpineError,
     ValidationError,
 )
-from .evaluate import EvalReport, constrained_decode, decode_states, evaluate, id_rate, label_mse
+from .evaluate import EvalReport, constrained_decode, decode_states, evaluate
 from .fusion import FusionTrace, TrainConfig, fuse, identity_params, initial_phi, train_phi
 from .io import (
     load_case,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CANONICAL_NAMES",
     "ClusterConfig",
-    "ConfidenceState",
     "ConfusionModel",
     "DegenerateGeometryError",
     "DetectConfig",
@@ -88,11 +86,9 @@ __all__ = [
     "fuse",
     "gen_cases",
     "generate_case",
-    "id_rate",
     "identity_params",
     "initial_phi",
     "label_from_name",
-    "label_mse",
     "load_case",
     "load_centers",
     "load_detections",

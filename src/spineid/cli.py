@@ -28,7 +28,7 @@ from .fusion import TrainConfig, fuse, identity_params, train_phi
 from .labels import CANONICAL_NAMES
 from .losses import sequence_loss, supcon_grad, supcon_loss
 from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
-from .uncertainty import fusion_weight, report, sample_mean
+from .uncertainty import aggregate_samples, fusion_weight, report
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def _cmd_eval(args) -> int:
     if args.labels_dir:
         predictions = [io.load_labels(Path(args.labels_dir) / f"{path.stem}.labels.json") for path, _ in pairs]
     else:
-        predictions = [np.array([sample_mean(v.mc) for v in case.vertebrae]) for case in cases]
+        predictions = [np.array([aggregate_samples(v.mc) for v in case.vertebrae]) for case in cases]
     rep = evaluate(cases, predictions, decode=args.decode)
     if args.out:
         io.save_json(_report_dict(rep), args.out)

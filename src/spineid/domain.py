@@ -43,10 +43,32 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _frozen_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if shape is not None and arr.shape != shape:
-        raise ValidationError(f"expected array of shape {shape}, got {arr.shape}")
+def _probabilities(values, ndim: int, tol: float, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, checked as probabilities.
+
+    ``ndim`` 1 asks for one (24,) vector, ``ndim`` 2 for a non-empty matrix
+    with one vector per row. Values must be finite and non-negative, and
+    each vector must sum to 1 within ``tol``.
+    """
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim or arr.shape[-1] != N_CLASSES or arr.size == 0:
+        want = f"({N_CLASSES},)" if ndim == 1 else f"(n, {N_CLASSES}) with n >= 1"
+        raise ValidationError(f"{name} must have shape {want}, got {arr.shape}")
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValidationError(f"{name} must be finite")
+    if lo < 0:
+        raise ValidationError(f"{name} must be non-negative")
+    # a value above 1 rules its vector out before the sum can overflow; one
+    # vector's sum stays a numpy scalar, which keeps the common case cheap
+    over = hi > 1.0 + tol
+    sums = None if over else arr.sum(axis=-1)
+    off = arr.max(axis=-1) - 1.0 if over else abs(sums - 1.0)
+    if over or (off if ndim == 1 else off.max()) > tol:
+        row = int(np.argmax(np.atleast_1d(off) > tol))
+        where = f" row {row}" if ndim == 2 else ""
+        got = "but a value exceeds 1" if over else f"got {float(np.atleast_1d(sums)[row])!r}"
+        raise ValidationError(f"{name}{where} must sum to 1 within {tol}, {got}")
     arr.flags.writeable = False
     return arr
 
@@ -157,84 +179,13 @@ class VertebraCenter:
 
 
 @dataclass(frozen=True, eq=False)
-class ConfidenceState:
-    """A per-vertebra probability vector over the 24 classes."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.probs, (N_CLASSES,))
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError("probabilities must be finite")
-        if lo < 0:
-            raise ValidationError("probabilities must be non-negative")
-        # a value above 1 rules the vector out before its sum can overflow
-        if hi > 1.0 + SUM_TOL_INTERNAL:
-            raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL_INTERNAL}, but one exceeds 1")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL_INTERNAL:
-            raise ValidationError(f"probabilities must sum to 1 within {SUM_TOL_INTERNAL}, got {total!r}")
-        object.__setattr__(self, "probs", arr)
-
-    @classmethod
-    def from_ingest(cls, values) -> "ConfidenceState":
-        """Accept externally produced vectors at 1e-6 precision, renormalizing.
-
-        Vectors already within the internal tolerance pass through untouched so
-        save/load round-trips are bit exact.
-        """
-        arr = np.array(values, dtype=np.float64)
-        if arr.shape != (N_CLASSES,):
-            raise ValidationError(f"expected {N_CLASSES} probabilities, got shape {arr.shape}")
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0:
-            raise ValidationError("ingested probabilities must be finite and non-negative")
-        if hi > 1.0 + SUM_TOL_INGEST:
-            raise ValidationError(f"ingested probabilities must sum to 1 within {SUM_TOL_INGEST}, but one exceeds 1")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL_INGEST:
-            raise ValidationError(f"ingested probabilities must sum to 1 within {SUM_TOL_INGEST}, got {total!r}")
-        if abs(total - 1.0) > SUM_TOL_INTERNAL:
-            arr = arr / total
-        return cls(arr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfidenceState):
-            return NotImplemented
-        return np.array_equal(self.probs, other.probs)
-
-
-@dataclass(frozen=True, eq=False)
 class McSampleSet:
     """N stochastic forward-pass probability vectors for one vertebra."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
-            raise ValidationError(f"samples must be an N x {N_CLASSES} matrix, got shape {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValidationError("at least one sample is required")
-        lo, hi = float(arr.min()), float(arr.max())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValidationError("samples must be finite")
-        if lo < 0:
-            raise ValidationError("samples must be non-negative")
-        # a value above 1 rules a row out before its sum can overflow
-        if hi > 1.0 + SUM_TOL_INGEST:
-            row = int(np.argmax(arr.max(axis=1) > 1.0 + SUM_TOL_INGEST))
-            raise ValidationError(f"sample row {row} must sum to 1 within {SUM_TOL_INGEST}, but a value exceeds 1")
-        sums = arr.sum(axis=1)
-        bad = np.abs(sums - 1.0) > SUM_TOL_INGEST
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise ValidationError(
-                f"sample row {row} must sum to 1 within {SUM_TOL_INGEST}, got {sums[row]!r}"
-            )
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _probabilities(self.samples, 2, SUM_TOL_INGEST, "samples"))
 
     @property
     def n(self) -> int:
@@ -246,20 +197,22 @@ class McSampleSet:
         return np.array_equal(self.samples, other.samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UncertaintyReport:
     """Aggregated Monte Carlo statistics for one vertebra.
 
+    ``mean_probs`` is the read-only (24,) mean distribution.
     ``certainty_weight`` is the entropy-complement weight used by message
     fusion: 1 for a one-hot mean distribution, 0 for a uniform one.
     """
 
-    mean_probs: ConfidenceState
+    mean_probs: np.ndarray
     entropy: float
     variance: float
     certainty_weight: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mean_probs", _probabilities(self.mean_probs, 1, SUM_TOL_INTERNAL, "mean_probs"))
         ent = _require_finite("entropy", self.entropy)
         if not -1e-12 <= ent <= MAX_ENTROPY + 1e-12:
             raise ValidationError(f"entropy {ent} outside [0, ln {N_CLASSES}]")
@@ -272,6 +225,11 @@ class UncertaintyReport:
         if abs(cw - (1.0 - ent / MAX_ENTROPY)) > 1e-12:
             raise ValidationError("certainty_weight must equal 1 - entropy/ln(24)")
         object.__setattr__(self, "certainty_weight", cw)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UncertaintyReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -381,11 +339,14 @@ class FusionParams:
                                   f"(expected {sorted(expected)})")
         frozen: dict[int, np.ndarray] = {}
         for offset in sorted(self.phi, key=int):
-            mat = _frozen_array(self.phi[int(offset)], (N_CLASSES, N_CLASSES))
+            mat = np.array(self.phi[int(offset)], dtype=np.float64)
+            if mat.shape != (N_CLASSES, N_CLASSES):
+                raise ValidationError(f"phi[{offset}] must have shape ({N_CLASSES}, {N_CLASSES}), got {mat.shape}")
             if not np.all(np.isfinite(mat)):
                 raise ValidationError(f"phi[{offset}] must be finite")
             if np.any(mat < 0):
                 raise ValidationError(f"phi[{offset}] must be non-negative")
+            mat.flags.writeable = False
             frozen[int(offset)] = mat
         object.__setattr__(self, "phi", frozen)
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import ConfidenceState, SpineCase
+from .domain import SpineCase
 from .errors import ValidationError
 from .labels import N_CLASSES, VertebraLabel
 
@@ -18,26 +18,8 @@ def _as_indices(labels: Sequence) -> list[int]:
     return [v.index if isinstance(v, VertebraLabel) else int(v) for v in labels]
 
 
-def id_rate(pred: Sequence, truth: Sequence) -> float:
-    """Fraction of vertebrae whose predicted label matches the truth."""
-    p, t = _as_indices(pred), _as_indices(truth)
-    if len(p) != len(t) or len(p) == 0:
-        raise ValidationError(f"prediction/truth lengths differ or are empty: {len(p)} vs {len(t)}")
-    return sum(a == b for a, b in zip(p, t)) / len(p)
-
-
-def label_mse(pred: Sequence, truth: Sequence) -> float:
-    """Mean squared error between predicted and true label indices."""
-    p, t = _as_indices(pred), _as_indices(truth)
-    if len(p) != len(t) or len(p) == 0:
-        raise ValidationError(f"prediction/truth lengths differ or are empty: {len(p)} vs {len(t)}")
-    return float(np.mean([(a - b) ** 2 for a, b in zip(p, t)]))
-
-
 def _as_matrix(states) -> np.ndarray:
-    """One case's confidences, given as a matrix, rows or ``ConfidenceState`` objects, as a (k, 24) matrix."""
-    if len(states) and isinstance(states[0], ConfidenceState):
-        states = [s.probs for s in states]
+    """One case's confidences, given as a matrix or a list of rows, as a (k, 24) matrix."""
     mat = np.asarray(states, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != N_CLASSES:
         raise ValidationError(f"confidences must form a k x {N_CLASSES} matrix, got shape {mat.shape}")
@@ -110,10 +92,9 @@ def evaluate(
 ) -> EvalReport:
     """Score per-case predictions against the cases' ground truth.
 
-    ``predictions`` holds, per case, either confidences (a (k, 24) matrix,
-    a list of rows or a list of ``ConfidenceState``, decoded with the chosen
-    mode) or k label indices in [0, 24). Every case must carry full ground
-    truth.
+    ``predictions`` holds, per case, either confidences (a (k, 24) matrix or
+    a list of rows, decoded with the chosen mode) or k label indices in
+    [0, 24). Every case must carry full ground truth.
     """
     if len(cases) != len(predictions):
         raise ValidationError(f"{len(predictions)} prediction lists for {len(cases)} cases")
@@ -125,7 +106,7 @@ def evaluate(
             raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
         if len(case_preds) != len(case):
             raise ValidationError(f"case {case.case_id!r}: {len(case_preds)} predictions for {len(case)} vertebrae")
-        if isinstance(case_preds[0], ConfidenceState) or np.ndim(case_preds[0]) == 1:
+        if np.ndim(case_preds[0]) == 1:
             labels = decode_states(case_preds, decode)
         else:
             labels = _as_indices(case_preds)

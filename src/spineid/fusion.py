@@ -27,7 +27,7 @@ import numpy as np
 from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import DegenerateGeometryError, DivergenceError, ValidationError
 from .labels import N_CLASSES
-from .uncertainty import fusion_weight, report, sample_mean
+from .uncertainty import aggregate_samples, fusion_weight, report
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,12 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams, u_metric: str | No
             if params.distance_mode == "index":
                 dis = np.full(len(dst), float(abs(delta)))
             else:
-                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+                with np.errstate(over="ignore"):  # an overflowing distance is rejected below
+                    dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+                if np.any(np.isinf(dis)):
+                    i = int(dst[np.argmax(np.isinf(dis))])
+                    raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
+                                          "their physical distance overflows float64")
                 if np.any(dis == 0.0):
                     i = int(dst[np.argmax(dis == 0.0)])
                     raise DegenerateGeometryError(
@@ -166,7 +171,7 @@ def fuse(case: SpineCase, params: FusionParams, u_metric: str | None = None) -> 
     messages, and every snapshot is the input states unchanged. A hop whose
     raw confidences overflow float64 raises ``ValidationError``.
     """
-    c0 = np.array([sample_mean(v.mc) for v in case.vertebrae])
+    c0 = np.array([aggregate_samples(v.mc) for v in case.vertebrae])
     if params.theta == 0.0 or len(case) == 1 or params.window == 1:
         # no messages; renormalizing would still move the states by ulps
         cs = [c0] * (params.hops + 1)
@@ -196,7 +201,7 @@ class _Unrolled:
             if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
         self.pairs = _fuse_pairs(cases, params, u_metric)
-        self.c0 = np.array([sample_mean(v.mc) for case in cases for v in case.vertebrae])
+        self.c0 = np.array([aggregate_samples(v.mc) for case in cases for v in case.vertebrae])
         self.truth = np.array([t.index for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
 

@@ -17,7 +17,8 @@ import numpy as np
 from .domain import (
     DETECTION_COLUMNS,
     PLANES,
-    ConfidenceState,
+    SUM_TOL_INGEST,
+    SUM_TOL_INTERNAL,
     DetectionSet,
     FusionParams,
     McSampleSet,
@@ -48,6 +49,8 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", path=str(path)) from None
 
 
 def _get(record: dict, key: str, path: str | Path, line: int | None = None) -> Any:
@@ -108,6 +111,8 @@ def load_detections(path: str | Path) -> DetectionSet:
             records.append((lineno, json.loads(raw)))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON record: {exc.msg}", path=str(path), line=lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON record: nested too deeply", path=str(path), line=lineno) from None
     if not records:
         raise ParseError("detections file is empty", path=str(path), line=1)
     (header_line, header), boxes = records[0], records[1:]
@@ -162,7 +167,7 @@ def load_centers(path: str | Path) -> list[VertebraCenter]:
 
 def report_to_dict(r: UncertaintyReport) -> dict:
     return {
-        "mean_probs": [float(v) for v in r.mean_probs.probs],
+        "mean_probs": r.mean_probs.tolist(),
         "entropy": float(r.entropy),
         "variance": float(r.variance),
         "certainty_weight": float(r.certainty_weight),
@@ -170,9 +175,19 @@ def report_to_dict(r: UncertaintyReport) -> dict:
 
 
 def report_from_dict(rec: dict, path: str | Path = "<memory>") -> UncertaintyReport:
+    """An uncertainty report whose ``mean_probs`` may come from another tool.
+
+    A vector that sums to 1 within 1e-6 is accepted. It is divided by its sum
+    when that is off by more than 1e-9, else kept as written, so round trips
+    are bit exact.
+    """
+    probs = _convert(_float_array, _get(rec, "mean_probs", path), "mean_probs", path)
+    with np.errstate(over="ignore", invalid="ignore"):  # UncertaintyReport rejects what overflows
+        total = float(probs.sum())
+    if SUM_TOL_INTERNAL < abs(total - 1.0) <= SUM_TOL_INGEST:
+        probs = probs / total
     return UncertaintyReport(
-        mean_probs=ConfidenceState.from_ingest(
-            _convert(_float_array, _get(rec, "mean_probs", path), "mean_probs", path)),
+        mean_probs=probs,
         entropy=_get(rec, "entropy", path),
         variance=_get(rec, "variance", path),
         certainty_weight=_get(rec, "certainty_weight", path),
@@ -277,10 +292,15 @@ def save_labels(case_id: str, labels: list[int], path: str | Path) -> None:
     save_json({"case_id": case_id, "labels": labels, "names": [CANONICAL_NAMES[i] for i in labels]}, path)
 
 
+def _int_list(value: Any) -> list[int]:
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise TypeError("expected a list of integers")
+    return value
+
+
 def load_labels(path: str | Path) -> list[int]:
-    """The label indices of a labels file; ``case_id`` and ``names`` are not read."""
-    labels = _get(_read_json(path), "labels", path)
-    return _convert(lambda v: [int(x) for x in v], labels, "labels", path)
+    """The label indices of a labels file, a JSON list of integers; ``case_id`` and ``names`` are not read."""
+    return _convert(_int_list, _get(_read_json(path), "labels", path), "labels", path)
 
 
 # ---------------------------------------------------------------------------

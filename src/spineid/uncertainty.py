@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import MAX_ENTROPY, ConfidenceState, McSampleSet, UncertaintyReport
+from .domain import MAX_ENTROPY, SUM_TOL_INTERNAL, McSampleSet, UncertaintyReport, _probabilities
 from .errors import ValidationError
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "report",
     "certainty_from_variance",
     "fusion_weight",
-    "sample_mean",
 ]
 
 # Largest possible variance of a [0, 1]-valued variable; normalizes the
@@ -29,22 +28,22 @@ __all__ = [
 _VAR_CEILING = 0.25
 
 
-def sample_mean(mc: McSampleSet) -> np.ndarray:
-    """Element-wise mean of the sample rows, renormalized to sum to 1, as a (24,) array."""
+def aggregate_samples(mc: McSampleSet) -> np.ndarray:
+    """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array."""
     mean = mc.samples.mean(axis=0)
-    return mean / mean.sum()
+    mean /= mean.sum()
+    mean.flags.writeable = False
+    return mean
 
 
-def aggregate_samples(mc: McSampleSet) -> ConfidenceState:
-    """``sample_mean`` as a validated confidence state."""
-    return ConfidenceState(sample_mean(mc))
-
-
-def entropy(p: ConfidenceState) -> float:
-    """Shannon entropy of a confidence vector in nats; zero terms contribute 0."""
-    probs = p.probs
+def _entropy(probs: np.ndarray) -> float:
     nz = probs > 0.0
     return float(-(probs[nz] * np.log(probs[nz])).sum()) + 0.0  # avoid -0.0
+
+
+def entropy(p) -> float:
+    """Shannon entropy of a (24,) probability vector in nats; zero terms contribute 0."""
+    return _entropy(_probabilities(p, 1, SUM_TOL_INTERNAL, "probabilities"))
 
 
 def report(mc: McSampleSet) -> UncertaintyReport:
@@ -55,7 +54,7 @@ def report(mc: McSampleSet) -> UncertaintyReport:
     per-class sample variance, 0 when only one sample exists.
     """
     mean_probs = aggregate_samples(mc)
-    ent = entropy(mean_probs)
+    ent = _entropy(mean_probs)
     if mc.n > 1:
         var = float(mc.samples.var(axis=0, ddof=1).mean())
     else:

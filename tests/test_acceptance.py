@@ -21,7 +21,7 @@ import numpy as np
 import spineid
 from conftest import make_case, one_hot, random_case
 from spineid.clustering import ClusterConfig, box_density, cluster_centers
-from spineid.domain import ConfidenceState, FusionParams, McSampleSet, phi_offsets
+from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.evaluate import evaluate
 from spineid.fusion import TrainConfig, _Unrolled, fuse, identity_params, train_phi
 from spineid.labels import N_CLASSES
@@ -143,8 +143,8 @@ def test_criterion_4_sequence_loss_oracle():
 
 def test_criterion_5_uncertainty_oracle():
     with criterion(5, "entropy bounds and MC aggregation vs 1e-10 oracle on 1000 sets", 10.0):
-        assert entropy(ConfidenceState(one_hot(7))) == 0.0
-        uniform = ConfidenceState(np.full(N_CLASSES, 1.0 / N_CLASSES))
+        assert entropy(one_hot(7)) == 0.0
+        uniform = np.full(N_CLASSES, 1.0 / N_CLASSES)
         assert abs(entropy(uniform) - math.log(N_CLASSES)) <= 1e-12
 
         rng = np.random.default_rng(5005)
@@ -162,7 +162,7 @@ def test_criterion_5_uncertainty_oracle():
             nz = mean > 0
             ent = float(-(mean[nz] * np.log(mean[nz])).sum())
             var = float(((s - s.mean(axis=0)) ** 2).sum(axis=0).mean() / (len(s) - 1))
-            assert np.abs(rep.mean_probs.probs - np.asarray(mean, dtype=np.float64)).max() <= 1e-10
+            assert np.abs(rep.mean_probs - np.asarray(mean, dtype=np.float64)).max() <= 1e-10
             assert abs(rep.entropy - ent) <= 1e-10
             assert abs(rep.variance - var) <= 1e-10
             assert abs(rep.certainty_weight - (1 - ent / math.log(N_CLASSES))) <= 1e-10

@@ -275,7 +275,10 @@ class TestExitCodes:
         ("cluster", "d.detections.jsonl", b'{"case_id": "c", "volume_shape": [10, 10, 10], "k": 5}\n'
                                           b'{"plane": "sagittal", "slice_index": 1, "cx": "x", "cy": 1, "w": 1, '
                                           b'"h": 1, "confidence": 1}\n', 2),
-    ], ids=["case-not-utf8", "detections-not-utf8", "volume-shape-scalar", "volume-shape-str", "cx-str"])
+        ("fuse", "case.json", b"[" * 200_000, 4),
+        ("cluster", "d.detections.jsonl", b"[" * 200_000, 4),
+    ], ids=["case-not-utf8", "detections-not-utf8", "volume-shape-scalar", "volume-shape-str", "cx-str",
+            "case-nested-too-deep", "detections-nested-too-deep"])
     def test_bad_input_file(self, tmp_path, capsys, subcommand, name, content, code):
         path = tmp_path / name
         path.write_bytes(content)
@@ -354,6 +357,28 @@ class TestExitCodes:
             (labels_dir / f"{case_path.stem}.labels.json").write_text(content)
         assert main(["eval", "--cases-dir", str(corpus), "--labels-dir", str(labels_dir)]) == code
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("labels", ['"123"', "[1.9, 2.9, 3.9]", "[true, 2, 3]"],
+                             ids=["digit-string", "floats", "bool"])
+    def test_labels_must_be_a_list_of_integers(self, tmp_path, capsys, labels):
+        # each of these once read as [1, 2, 3], the case's truths
+        cases_dir, labels_dir = tmp_path / "cases", tmp_path / "labels"
+        cases_dir.mkdir()
+        labels_dir.mkdir()
+        io.save_case(make_case([one_hot(t) for t in (1, 2, 3)], truths=[1, 2, 3]), cases_dir / "case_0000.json")
+        (labels_dir / "case_0000.labels.json").write_text('{"labels": %s}' % labels)
+        assert main(["eval", "--cases-dir", str(cases_dir), "--labels-dir", str(labels_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'labels' has an invalid value") and err.count("\n") == 1
+
+    def test_overflowing_physical_distance_is_validation_error(self, tmp_path, capsys):
+        case = make_case([one_hot(t) for t in (4, 5, 6)], truths=[4, 5, 6],
+                         positions=[(0.0, 0.0, 1e200), (0.0, 0.0, 0.0), (0.0, 0.0, -1e200)])
+        io.save_case(case, tmp_path / "case.json")
+        assert main(["fuse", "--case", str(tmp_path / "case.json"), "--distance", "physical",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertebrae 2 and 0 lie too far apart") and err.count("\n") == 1
 
 
 

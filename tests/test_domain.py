@@ -9,17 +9,17 @@ from conftest import make_case, one_hot, random_case, random_probs
 from spineid import io
 from spineid.domain import (
     PLANES,
-    ConfidenceState,
     DetectionSet,
     FusionParams,
     McSampleSet,
     SpineCase,
     SpineVertebra,
+    UncertaintyReport,
     VertebraCenter,
     phi_offsets,
 )
 from spineid.errors import ParseError, ValidationError
-from spineid.uncertainty import report
+from spineid.uncertainty import aggregate_samples, entropy, report
 
 
 def det(plane=0, slice_index=5, cx=10.0, cy=20.0, w=30.0, h=20.0, confidence=0.9,
@@ -83,17 +83,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.cx[0] = 0.0
 
+    @staticmethod
+    def _vector_checks():
+        """Every public way to hand in one probability vector."""
+        return (entropy, lambda v: UncertaintyReport(v, 0.0, 0.0, 1.0),
+                lambda v: io.report_from_dict(_report_dict(v)))
+
     def test_non_normalized_probs(self):
         bad = one_hot(3) * 1.01
-        with pytest.raises(ValidationError, match="sum to 1"):
-            ConfidenceState(bad)
+        for check in self._vector_checks():
+            with pytest.raises(ValidationError, match="sum to 1"):
+                check(bad)
 
     def test_negative_probs(self):
         v = one_hot(0)
         v[0] = 1 + 1e-3
         v[1] = -1e-3  # sum still exactly 1
-        with pytest.raises(ValidationError, match="non-negative"):
-            ConfidenceState(v)
+        for check in self._vector_checks():
+            with pytest.raises(ValidationError, match="non-negative"):
+                check(v)
 
     def test_mc_row_tolerance(self):
         rows = np.stack([one_hot(2), one_hot(2) * (1 + 2e-6)])
@@ -106,10 +114,9 @@ class TestValidation:
         # summing 24 values of 1e308 would overflow; the range check comes first
         with pytest.raises(ValidationError, match="row 1 must sum to 1.*exceeds 1"):
             McSampleSet(np.stack([one_hot(2), np.full(24, 1e308)]))
-        with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
-            ConfidenceState.from_ingest(np.full(24, 1e308))
-        with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
-            ConfidenceState(np.full(24, 1e308))
+        for check in self._vector_checks():
+            with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
+                check(np.full(24, 1e308))
 
     def test_empty_case(self):
         with pytest.raises(ValidationError, match="at least one vertebra"):
@@ -163,12 +170,17 @@ class TestValidation:
 
 class TestImmutability:
     def test_arrays_read_only(self):
-        state = ConfidenceState(one_hot(4))
+        probs = one_hot(4)
+        rep = UncertaintyReport(probs, 0.0, 0.0, 1.0)
+        probs[4] = 0.5
+        assert rep.mean_probs[4] == 1.0
         with pytest.raises(ValueError):
-            state.probs[0] = 0.5
+            rep.mean_probs[0] = 0.5
         mc = McSampleSet(random_probs(np.random.default_rng(0), 3))
         with pytest.raises(ValueError):
             mc.samples[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            aggregate_samples(mc)[0] = 1.0
 
     def test_frozen_fields(self):
         d = det()
@@ -176,21 +188,28 @@ class TestImmutability:
             d.cx = 0.0
 
 
+def _report_dict(probs) -> dict:
+    """A report record holding ``probs``; its other fields are those of a one-hot mean."""
+    return {"mean_probs": list(probs), "entropy": 0.0, "variance": 0.0, "certainty_weight": 1.0}
+
+
 class TestIngestTolerance:
+    """``mean_probs`` read from a file is accepted at 1e-6 and renormalized."""
+
     def test_ingest_renormalizes_loose_vectors(self):
         loose = one_hot(5) * (1 + 5e-7)
-        state = ConfidenceState.from_ingest(loose)
-        assert abs(state.probs.sum() - 1.0) <= 1e-9
+        rep = io.report_from_dict(_report_dict(loose))
+        assert abs(rep.mean_probs.sum() - 1.0) <= 1e-9
 
     def test_ingest_rejects_worse_than_1e6(self):
         with pytest.raises(ValidationError):
-            ConfidenceState.from_ingest(one_hot(5) * (1 + 5e-6))
+            io.report_from_dict(_report_dict(one_hot(5) * (1 + 5e-6)))
 
     def test_ingest_preserves_exact_vectors(self):
         rng = np.random.default_rng(1)
         probs = random_probs(rng)[0]
-        state = ConfidenceState.from_ingest(probs)
-        assert np.array_equal(state.probs, probs)
+        rep = io.report_from_dict(json.loads(json.dumps(_report_dict(probs))))
+        assert np.array_equal(rep.mean_probs, probs)
 
 
 def _random_detections(rng, n: int) -> dict[str, np.ndarray]:

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, random_probs
-from spineid.domain import ConfidenceState
+from spineid.domain import McSampleSet
 from spineid.errors import ValidationError
-from spineid.evaluate import EvalReport, constrained_decode, decode_states, evaluate, id_rate, label_mse
+from spineid.evaluate import EvalReport, constrained_decode, decode_states, evaluate
 from spineid.labels import N_CLASSES
+from spineid.uncertainty import aggregate_samples
 
 
 def oracle_best_window(states) -> list[int]:
@@ -26,7 +27,7 @@ def oracle_best_window(states) -> list[int]:
 
 
 def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
-    """The per-vertebra booking loop ``evaluate`` ran on ConfidenceState lists or label indices."""
+    """The per-vertebra booking loop ``evaluate`` ran on lists of confidence rows or label indices."""
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     per_case = []
     correct = 0
@@ -35,7 +36,7 @@ def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
     for case, preds in zip(cases, predictions):
         truths = case.truths
         preds = list(preds)
-        if preds and isinstance(preds[0], ConfidenceState):
+        if preds and np.ndim(preds[0]) == 1:
             labels = decode_states(preds, decode)
         else:
             labels = [int(v) for v in preds]
@@ -56,35 +57,40 @@ def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
     )
 
 
+def _metrics(pred: list[int], truth: list[int]):
+    """``evaluate`` on one case whose truths are ``truth``, predicted as ``pred``."""
+    return evaluate([make_case([one_hot(t) for t in truth], truths=truth)], [pred])
+
+
 class TestIdRate:
     def test_perfect(self):
-        assert id_rate([7, 8, 9], [7, 8, 9]) == 1.0
+        assert _metrics([7, 8, 9], [7, 8, 9]).id_rate == 1.0
 
     def test_one_wrong_of_four(self):
-        assert id_rate([1, 2, 3, 5], [1, 2, 3, 4]) == 0.75
+        assert _metrics([1, 2, 3, 5], [1, 2, 3, 4]).id_rate == 0.75
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            id_rate([1], [1, 2])
+            _metrics([1], [1, 2])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            id_rate([], [])
+            evaluate([], [])
 
 
 class TestLabelMse:
     def test_identical(self):
-        assert label_mse([4, 5, 6], [4, 5, 6]) == 0.0
+        assert _metrics([4, 5, 6], [4, 5, 6]).mse == 0.0
 
     def test_all_off_by_one(self):
-        assert label_mse([5, 6, 7], [4, 5, 6]) == 1.0
+        assert _metrics([5, 6, 7], [4, 5, 6]).mse == 1.0
 
     def test_third(self):
-        assert label_mse([7, 9, 9], [7, 8, 9]) == pytest.approx(1 / 3)
+        assert _metrics([7, 9, 9], [7, 8, 9]).mse == pytest.approx(1 / 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            label_mse([1, 2], [1])
+            _metrics([1, 2], [1])
 
 
 class TestConstrainedDecode:
@@ -131,7 +137,7 @@ class TestConstrainedDecode:
         mat = random_probs(rng, 6)
         want = decode_states(mat, mode)
         assert decode_states(list(mat), mode) == want
-        assert decode_states([ConfidenceState(r) for r in mat], mode) == want
+        assert decode_states([aggregate_samples(McSampleSet(r[None, :])) for r in mat], mode) == want
 
     @pytest.mark.parametrize("bad", [np.full((2, 23), 1 / 23), np.full(24, 1 / 24), -np.eye(24)[:2],
                                      np.full((2, 24), np.nan)], ids=["23-classes", "one-row", "negative", "nan"])
@@ -152,7 +158,7 @@ class TestEvaluate:
 
     def test_accepts_confidence_states(self):
         cases = [make_case([one_hot(5), one_hot(6)], truths=[5, 6])]
-        rep = evaluate(cases, [[ConfidenceState(one_hot(5)), ConfidenceState(one_hot(7))]])
+        rep = evaluate(cases, [[aggregate_samples(McSampleSet(one_hot(t)[None, :])) for t in (5, 7)]])
         assert rep.id_rate == 0.5
         assert rep.per_class_confusion[6, 7] == 1
 
@@ -206,7 +212,7 @@ class TestEvaluate:
                 base[t] = 0.5
                 rows.append(base / base.sum())
             cases.append(make_case(rows, truths=list(range(start, start + k)), case_id=f"c{i}"))
-            preds.append([ConfidenceState(r) for r in rows])
+            preds.append(rows)
         rep = evaluate(cases, preds, decode="constrained")
         assert set(rep.per_case_id_rate) <= {0.0, 1.0}
 
@@ -244,8 +250,8 @@ def test_matches_per_vertebra_oracle(seed, n_cases, kinds, decode, sharp):
             oracle_preds.append(labels.tolist())
         else:
             mat = random_probs(rng, len(case), sharp)
-            given_preds.append(mat if kind == "matrix" else [ConfidenceState(r) for r in mat])
-            oracle_preds.append([ConfidenceState(r) for r in mat])
+            given_preds.append(mat if kind == "matrix" else list(mat))
+            oracle_preds.append(list(mat))
     got = evaluate(cases, given_preds, decode)
     want = oracle_evaluate(cases, oracle_preds, decode)
     assert got.id_rate == want.id_rate

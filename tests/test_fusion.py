@@ -18,7 +18,7 @@ from spineid.fusion import (
     resolve_certainty,
     train_phi,
 )
-from spineid.uncertainty import sample_mean
+from spineid.uncertainty import aggregate_samples
 
 
 def oracle_step(states, u, theta, window, phi, dis=None):
@@ -41,7 +41,7 @@ def oracle_step(states, u, theta, window, phi, dis=None):
 
 def input_states(case) -> np.ndarray:
     """Each vertebra's MC sample mean, the (k, 24) states fusion starts from."""
-    return np.array([sample_mean(v.mc) for v in case.vertebrae])
+    return np.array([aggregate_samples(v.mc) for v in case.vertebrae])
 
 
 def one_hop(case, params) -> np.ndarray:
@@ -101,6 +101,16 @@ class TestFuseStep:
         params = identity_params(theta=0.1, window=3, distance_mode="physical")
         with pytest.raises(DegenerateGeometryError):
             one_hop(case, params)
+
+    def test_overflowing_physical_distance_rejected(self):
+        # |z| of 1e200 squares past float64; fuse and train_phi share the pair builder
+        case = make_case([one_hot(t) for t in (4, 5, 6)], truths=[4, 5, 6],
+                         positions=[(0.0, 0.0, 1e200), (0.0, 0.0, 0.0), (0.0, 0.0, -1e200)])
+        params = identity_params(theta=0.1, window=3, distance_mode="physical")
+        with pytest.raises(ValidationError, match="vertebrae 1 and 0 lie too far apart"):
+            fuse(case, params)
+        with pytest.raises(ValidationError, match="too far apart"):
+            train_phi([case], params, TrainConfig(0.1, 1))
 
 
 @settings(max_examples=40, deadline=None)

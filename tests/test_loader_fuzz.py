@@ -1,6 +1,7 @@
-"""Loader robustness: a valid file with one field replaced by any JSON value.
+"""Loader robustness: a valid file with one field replaced by any JSON value,
+arbitrary bytes, a truncated valid file, and JSON nested too deeply to parse.
 
-Whatever the replacement, each loader either returns or raises a SpineError
+Whatever the input, each loader either returns or raises a SpineError
 (exit 2 or 4 from the command line), never another exception or a warning.
 """
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import make_case, random_probs
 from spineid import io
 from spineid.domain import SpineCase, SpineVertebra
-from spineid.errors import SpineError
+from spineid.errors import ParseError, SpineError
 from spineid.fusion import identity_params
 from spineid.synthetic import DetectConfig, GenConfig, generate_case
 from spineid.uncertainty import report
@@ -71,6 +72,13 @@ def _field_paths(doc, prefix=()) -> list[tuple]:
     return paths
 
 
+def _load_only_spine_errors(load, path) -> None:
+    try:
+        load(path)
+    except SpineError:
+        pass
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -84,7 +92,35 @@ def test_one_bad_field_raises_only_spine_errors(tmp_path_factory, kind, data):
         target = target[key]
     target[path[-1]] = data.draw(JSON_VALUES, label="value")
     write(doc, tmp_path / "input")
-    try:
-        load(tmp_path / "input")
-    except SpineError:
-        pass
+    _load_only_spine_errors(load, tmp_path / "input")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=60, deadline=None)
+@given(content=st.binary(max_size=64) | st.text(alphabet='[]{}",:0123456789.-eE truefalsn\n', max_size=64)
+       .map(str.encode))
+def test_arbitrary_bytes_raise_only_spine_errors(tmp_path_factory, kind, content):
+    path = tmp_path_factory.mktemp(kind) / "input"
+    path.write_bytes(content)
+    _load_only_spine_errors(LOADERS[kind][0], path)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_files_raise_only_spine_errors(tmp_path_factory, kind, data):
+    load, build, write = LOADERS[kind]
+    tmp_path = tmp_path_factory.mktemp(kind)
+    write(build(tmp_path), tmp_path / "valid")
+    valid = (tmp_path / "valid").read_bytes()
+    cut = data.draw(st.integers(0, len(valid)), label="cut")
+    (tmp_path / "input").write_bytes(valid[:cut])
+    _load_only_spine_errors(load, tmp_path / "input")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_deeply_nested_json_is_a_parse_error(tmp_path, kind):
+    path = tmp_path / "input"
+    path.write_text("[" * 200_000)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        LOADERS[kind][0](path)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import one_hot, random_probs
-from spineid.domain import MAX_ENTROPY, ConfidenceState, McSampleSet
+from spineid.domain import MAX_ENTROPY, McSampleSet
 from spineid.errors import ValidationError
-from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report, sample_mean
+from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report
 
 
 def oracle_report(samples: np.ndarray):
@@ -31,11 +31,11 @@ class TestAggregate:
         rng = np.random.default_rng(0)
         row = random_probs(rng)[0]
         mc = McSampleSet(row[None, :])
-        assert np.allclose(aggregate_samples(mc).probs, row, atol=1e-15)
+        assert np.allclose(aggregate_samples(mc), row, atol=1e-15)
 
     def test_two_one_hot_rows(self):
         mc = McSampleSet(np.stack([one_hot(0), one_hot(1)]))
-        mean = aggregate_samples(mc).probs
+        mean = aggregate_samples(mc)
         assert mean[0] == 0.5 and mean[1] == 0.5 and mean[2:].sum() == 0.0
 
     def test_dirichlet_mean_matches_oracle(self):
@@ -45,44 +45,44 @@ class TestAggregate:
         samples /= samples.sum(axis=1, keepdims=True)
         mc = McSampleSet(samples)
         oracle_mean, _, _, _ = oracle_report(samples)
-        assert np.abs(aggregate_samples(mc).probs - oracle_mean).max() <= 1e-12
+        assert np.abs(aggregate_samples(mc) - oracle_mean).max() <= 1e-12
 
     def test_sample_order_invariance(self):
         rng = np.random.default_rng(4)
         samples = random_probs(rng, 10)
         a = aggregate_samples(McSampleSet(samples))
         b = aggregate_samples(McSampleSet(samples[::-1]))
-        assert np.abs(a.probs - b.probs).max() <= 1e-15
+        assert np.abs(a - b).max() <= 1e-15
 
 
 class TestEntropy:
     def test_one_hot_is_zero(self):
-        assert entropy(ConfidenceState(one_hot(5))) == 0.0
+        assert entropy(one_hot(5)) == 0.0
 
     def test_uniform_is_ln24(self):
-        uniform = ConfidenceState(np.full(24, 1 / 24))
+        uniform = np.full(24, 1 / 24)
         assert entropy(uniform) == pytest.approx(math.log(24), abs=1e-12)
 
     def test_two_point_uniform(self):
         v = np.zeros(24)
         v[0] = v[1] = 0.5
-        assert entropy(ConfidenceState(v)) == pytest.approx(math.log(2), abs=1e-12)
+        assert entropy(v) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_bounds_and_permutation_invariance(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             p = random_probs(rng)[0]
-            h = entropy(ConfidenceState(p))
+            h = entropy(p)
             assert 0.0 <= h <= MAX_ENTROPY + 1e-12
             perm = rng.permutation(24)
-            assert entropy(ConfidenceState(p[perm])) == pytest.approx(h, abs=1e-12)
+            assert entropy(p[perm]) == pytest.approx(h, abs=1e-12)
 
     def test_concavity(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
             p, q = random_probs(rng, 2)
-            mid = ConfidenceState((p + q) / 2)
-            assert entropy(mid) >= (entropy(ConfidenceState(p)) + entropy(ConfidenceState(q))) / 2 - 1e-12
+            mid = (p + q) / 2
+            assert entropy(mid) >= (entropy(p) + entropy(q)) / 2 - 1e-12
 
 
 class TestReport:
@@ -91,7 +91,7 @@ class TestReport:
         row = random_probs(rng)[0]
         rep = report(McSampleSet(np.tile(row, (8, 1))))
         assert rep.variance == pytest.approx(0.0, abs=1e-30)
-        assert rep.certainty_weight == pytest.approx(1 - entropy(ConfidenceState(row)) / MAX_ENTROPY, abs=1e-15)
+        assert rep.certainty_weight == pytest.approx(1 - entropy(row) / MAX_ENTROPY, abs=1e-15)
 
     def test_uniform_rows_zero_certainty(self):
         rep = report(McSampleSet(np.tile(np.full(24, 1 / 24), (5, 1))))
@@ -116,7 +116,7 @@ class TestReport:
             samples /= samples.sum(axis=1, keepdims=True)
             rep = report(McSampleSet(samples))
             mean, ent, var, cw = oracle_report(samples)
-            assert np.abs(rep.mean_probs.probs - mean).max() <= 1e-10
+            assert np.abs(rep.mean_probs - mean).max() <= 1e-10
             assert rep.entropy == pytest.approx(ent, abs=1e-10)
             assert rep.variance == pytest.approx(var, abs=1e-10)
             assert rep.certainty_weight == pytest.approx(cw, abs=1e-10)
@@ -157,7 +157,7 @@ class TestFusionWeight:
             rep = report(mc)
             assert fusion_weight(rep, "entropy") == rep.certainty_weight
             assert fusion_weight(rep, "variance") == certainty_from_variance(rep)
-            assert np.array_equal(sample_mean(mc), aggregate_samples(mc).probs)
+            assert np.array_equal(rep.mean_probs, aggregate_samples(mc))
 
     def test_unknown_metric_rejected(self):
         rep = report(McSampleSet(one_hot(3)[None, :]))
