@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .domain import PLANES, DetectionSet, VertebraCenter
 from .errors import EmptyClusterError, ValidationError
@@ -110,12 +109,17 @@ def box_density(i: int, dets: np.ndarray, eps: float, l_i: int) -> float:
     return (len(neighbors) - 1) / l_i
 
 
-def _kdtree(pts: np.ndarray, what: str) -> cKDTree:
+def _kdtree(pts: np.ndarray, what: str):
     """A KD-tree over ``pts``, refusing clouds it cannot measure.
 
     cKDTree fails with a bare ValueError once the squared extent of its points
     overflows float64; that case, and non-finite points, are rejected here.
+    scipy.spatial is imported here, on first use, because loading it costs
+    more than most commands spend on their own work, and only clustering
+    needs it.
     """
+    from scipy.spatial import cKDTree
+
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.sum(np.ptp(pts, axis=0) ** 2)
     if not np.isfinite(reach):

@@ -308,8 +308,10 @@ def load_labels(path: str | Path) -> list[int]:
 
 
 def _labels(values: Any) -> tuple[VertebraLabel, ...]:
-    """Labels given as canonical names or as integer indices."""
-    return tuple(VertebraLabel.from_name(v) if isinstance(v, str) else VertebraLabel(int(v)) for v in values)
+    """Labels given as a JSON list of canonical names or integer indices."""
+    if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
+        raise TypeError("expected a list of vertebra names or integers")
+    return tuple(VertebraLabel.from_name(v) if isinstance(v, str) else VertebraLabel(v) for v in values)
 
 
 def load_embedding_batch(path: str | Path, tau_override: float | None = None):

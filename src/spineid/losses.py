@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DivergenceError, ValidationError
 from .labels import N_CLASSES, VertebraLabel
 
 NORM_TOL = 1e-9
@@ -69,15 +69,26 @@ class EmbeddingBatch:
         return np.array([lab.index for lab in self.labels], dtype=np.int64)
 
 
-def _logit_matrices(batch: EmbeddingBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise logits with the diagonal removed, plus positive/valid masks."""
+def _shifted_exp(batch: EmbeddingBatch) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the temperature-scaled dot products shifted by each row's largest
+    off-diagonal logit, plus the positive-pair mask. The diagonal is set to
+    -inf before exponentiating (exp gives 0), since at a small tau the
+    self-similarity can exceed the row maximum by more than exp can hold."""
     z = batch.vectors
     s = (z @ z.T) / batch.tau
-    n = batch.size
     labels = batch.label_indices()
-    valid = ~np.eye(n, dtype=bool)
+    valid = ~np.eye(batch.size, dtype=bool)
     positive = (labels[:, None] == labels[None, :]) & valid
-    return s, positive, valid
+    s = np.where(valid, s, -np.inf)
+    return np.exp(s - s.max(axis=1, keepdims=True)), positive
+
+
+def _raise_if_diverged(values: np.ndarray, what: str, tau: float) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DivergenceError(
+            f"supervised contrastive {what} is not finite at tau {tau!r}: "
+            "the shifted logits under- or overflow float64, so use a larger tau"
+        )
 
 
 def supcon_loss(batch: EmbeddingBatch) -> float:
@@ -86,16 +97,18 @@ def supcon_loss(batch: EmbeddingBatch) -> float:
     For each anchor v the contribution is
     -log( mean over positives g of exp(s_vg) / sum over a != v of exp(s_va) )
     with s the temperature-scaled dot products. Exponents are shifted by the
-    per-anchor row maximum before exponentiation.
+    per-anchor row maximum before exponentiation. Raises DivergenceError when
+    the result is not finite.
     """
-    s, positive, valid = _logit_matrices(batch)
-    row_max = np.max(np.where(valid, s, -np.inf), axis=1, keepdims=True)
-    e = np.exp(s - row_max) * valid
-    denom = e.sum(axis=1)
-    pos_sum = (e * positive).sum(axis=1)
-    pos_count = positive.sum(axis=1)
-    per_anchor = -(np.log(pos_sum / pos_count) - np.log(denom))
-    return float(per_anchor.sum())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e, positive = _shifted_exp(batch)
+        denom = e.sum(axis=1)
+        pos_sum = (e * positive).sum(axis=1)
+        pos_count = positive.sum(axis=1)
+        per_anchor = -(np.log(pos_sum / pos_count) - np.log(denom))
+        loss = float(per_anchor.sum())
+    _raise_if_diverged(loss, "loss", batch.tau)
+    return loss
 
 
 def supcon_grad(batch: EmbeddingBatch) -> np.ndarray:
@@ -105,15 +118,17 @@ def supcon_grad(batch: EmbeddingBatch) -> np.ndarray:
     back-propagated. Closed form: with q the per-anchor softmax over the
     non-self logits and p the positive-restricted normalization, the
     gradient is ((W + W^T) @ Z) / tau where W = q - p on valid entries.
+    Raises DivergenceError when the result is not finite.
     """
-    s, positive, valid = _logit_matrices(batch)
-    row_max = np.max(np.where(valid, s, -np.inf), axis=1, keepdims=True)
-    e = np.exp(s - row_max) * valid
-    q = e / e.sum(axis=1, keepdims=True)
-    pos_sum = (e * positive).sum(axis=1, keepdims=True)
-    p = np.where(positive, e / pos_sum, 0.0)
-    w = q - p
-    return (w + w.T) @ batch.vectors / batch.tau
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e, positive = _shifted_exp(batch)
+        q = e / e.sum(axis=1, keepdims=True)
+        pos_sum = (e * positive).sum(axis=1, keepdims=True)
+        p = np.where(positive, e / pos_sum, 0.0)
+        w = q - p
+        grad = (w + w.T) @ batch.vectors / batch.tau
+    _raise_if_diverged(grad, "gradient", batch.tau)
+    return grad
 
 
 @dataclass(frozen=True)

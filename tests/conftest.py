@@ -20,6 +20,15 @@ def one_hot(index: int) -> np.ndarray:
     return v
 
 
+def unit_vector_batch() -> dict:
+    """An embedding-batch file body: 16 random unit vectors in 8-D, four labels of four rows each, tau 0.5."""
+    rng = np.random.default_rng(0)
+    vectors = rng.normal(size=(16, 8))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    labels = np.repeat(rng.choice(N_CLASSES, size=4, replace=False), 4)
+    return {"tau": 0.5, "labels": labels.tolist(), "vectors": vectors.tolist()}
+
+
 def random_probs(rng: np.random.Generator, n_rows: int = 1, sharp: float = 1.0) -> np.ndarray:
     """Random valid probability rows via normalized positive draws."""
     raw = rng.uniform(0.01, 1.0, size=(n_rows, N_CLASSES)) ** sharp

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import make_case, one_hot
+from conftest import make_case, one_hot, unit_vector_batch
+from test_acceptance import _child_env
 from spineid import io
 from spineid.cli import main
 from spineid.domain import phi_offsets
@@ -379,6 +382,55 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: vertebrae 2 and 0 lie too far apart") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("labels", [[True, True, False, False], [1.0, 1.9, 0.2, 0.0], "L1L1L2L2"],
+                             ids=["bools", "floats", "string"])
+    def test_batch_labels_must_be_names_or_integers(self, tmp_path, capsys, labels):
+        # the bools and floats once read as [1, 1, 0, 0]
+        batch = {"tau": 0.5, "labels": labels, "vectors": np.eye(4).tolist()}
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(batch))
+        assert main(["supcon", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'labels' has an invalid value") and err.count("\n") == 1
+
+    def test_small_tau_is_divergence(self, tmp_path, capsys):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps(unit_vector_batch()))
+        assert main(["supcon", "--in", str(path), "--tau", "0.001"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: supervised contrastive loss is not finite") and err.count("\n") == 1
+
+
+COLD_PATH = """
+import json, sys
+from spineid.cli import main
+
+def run(*args):
+    assert main(list(args)) == 0, args
+
+run("gen", "--out-dir", "corpus", "--seed", "3", "--n-cases", "1", "--k", "60", "--vmin", "3", "--vmax", "4",
+    "--boxes-per-vertebra", "12")
+run("score", "--seq", "3,4,6,5")
+run("supcon", "--in", "batch.json", "--grad")
+run("uncertainty", "--in", "corpus/case_0000.json", "--out", "u.json")
+run("fuse", "--case", "u.json", "--out", "labels.json")
+run("eval", "--cases-dir", "corpus")
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+run("cluster", "--in", "corpus/case_0000.detections.jsonl", "--out", "centers.json", "--eps-pos", "6",
+    "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1")
+print(json.dumps({"before": before, "after": "scipy.spatial" in sys.modules}))
+"""
+
+
+def test_only_clustering_loads_scipy(tmp_path):
+    """A fresh process that never clusters leaves scipy unloaded; clustering loads it on first use."""
+    (tmp_path / "batch.json").write_text(json.dumps(unit_vector_batch()))
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH], capture_output=True, cwd=tmp_path, env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    loaded = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert loaded == {"before": [], "after": True}
+    assert len(io.load_centers(tmp_path / "centers.json")) == len(io.load_case(tmp_path / "corpus" / "case_0000.json"))
 
 
 

@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, random_probs
 from spineid import io
 from spineid.domain import (
+    DETECTION_COLUMNS,
     PLANES,
     DetectionSet,
     FusionParams,
@@ -19,6 +22,7 @@ from spineid.domain import (
     phi_offsets,
 )
 from spineid.errors import ParseError, ValidationError
+from spineid.labels import N_CLASSES, VertebraLabel
 from spineid.uncertainty import aggregate_samples, entropy, report
 
 
@@ -245,8 +249,68 @@ def _random_params(rng) -> FusionParams:
     )
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def spine_cases(draw) -> SpineCase:
+    """Any valid case: 1-8 vertebrae, 1-7 MC samples each, any finite geometry,
+    no, some or all truths, and optional reports and fusion weights."""
+    k = draw(st.integers(1, 8), label="vertebrae")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="probability seed"))
+    zs = sorted(draw(st.lists(FINITE, min_size=k, max_size=k), label="z"), reverse=True)
+    truths = draw(st.sampled_from(["none", "some", "all"]), label="truths")
+    start = draw(st.integers(0, N_CLASSES - k), label="first truth")
+    verts = []
+    for i, z in enumerate(zs):
+        center = VertebraCenter((draw(FINITE), draw(FINITE), z), (draw(POSITIVE), draw(POSITIVE)),
+                                draw(st.integers(1, 10**6)), i)
+        mc = McSampleSet(random_probs(rng, draw(st.integers(1, 7), label="mc samples"), sharp=draw(st.floats(0.5, 8.0))))
+        known = truths == "all" or (truths == "some" and draw(st.booleans()))
+        verts.append(SpineVertebra(center, mc, VertebraLabel(start + i) if known else None,
+                                   report(mc) if draw(st.booleans(), label="report") else None,
+                                   draw(st.none() | UNIT, label="fusion weight")))
+    return SpineCase(draw(st.text(max_size=8), label="case_id"), tuple(verts))
+
+
+@st.composite
+def detection_sets(draw) -> DetectionSet:
+    """Any valid detection set of 0-30 boxes with any finite box geometry."""
+    shape = draw(st.tuples(*[st.integers(1, 10**6)] * 3), label="volume_shape")
+    rows = []
+    for _ in range(draw(st.integers(0, 30), label="boxes")):
+        plane = draw(st.integers(0, len(PLANES) - 1))
+        extent = shape[2] if PLANES[plane] == "sagittal" else shape[1]
+        rows.append((plane, draw(st.integers(0, extent - 1)), draw(FINITE), draw(FINITE),
+                     draw(POSITIVE), draw(POSITIVE), draw(UNIT)))
+    columns = zip(*rows) if rows else ([],) * 7
+    return DetectionSet(draw(st.text(max_size=8), label="case_id"), shape, draw(st.integers(1, 10**6)),
+                        *(list(c) for c in columns))
+
+
 class TestRoundTrip:
     """save(load(x)) == x bit exactly, over seeded random instances."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=spine_cases())
+    def test_case_file_roundtrip_property(self, tmp_path_factory, case):
+        path = tmp_path_factory.mktemp("case") / "case.json"
+        io.save_case(case, path)
+        assert io.load_case(path) == case
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=detection_sets())
+    def test_detections_file_roundtrip_property(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("detections") / "d.jsonl"
+        io.save_detections(ds, path)
+        loaded = io.load_detections(path)
+        assert (loaded.case_id, loaded.volume_shape, loaded.slice_count_per_plane) == \
+            (ds.case_id, ds.volume_shape, ds.slice_count_per_plane)
+        for name in DETECTION_COLUMNS:
+            got, want = getattr(loaded, name), getattr(ds, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_detections_1000(self, tmp_path):
         ds = DetectionSet("c", (64, 64, 64), 64, **_random_detections(np.random.default_rng(42), 1000))

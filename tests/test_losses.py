@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spineid.errors import ValidationError
+from conftest import unit_vector_batch
+from spineid.errors import DivergenceError, ValidationError
 from spineid.labels import VertebraLabel
 from spineid.losses import EmbeddingBatch, LabelSequence, sequence_loss, supcon_grad, supcon_loss, total_loss
 
@@ -153,6 +154,26 @@ class TestSupconLoss:
         vecs = np.eye(2) * 1.5
         with pytest.raises(ValidationError, match="norm"):
             EmbeddingBatch(vecs, (VertebraLabel(0), VertebraLabel(0)), 0.1)
+
+    def test_self_similarity_never_overflows(self):
+        # the corners of a regular tetrahedron: every off-diagonal logit is
+        # -1/(3 tau), so the loss is 4 log 3 and the gradient scales as 1/tau
+        # at any tau, while exp of the self-similarity 1/tau would overflow
+        vecs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+        labels = tuple(VertebraLabel(i) for i in (0, 0, 1, 1))
+        small, unit = EmbeddingBatch(vecs, labels, 1e-3), EmbeddingBatch(vecs, labels, 1.0)
+        assert supcon_loss(small) == pytest.approx(4 * math.log(3), rel=1e-12)
+        assert supcon_loss(unit) == pytest.approx(4 * math.log(3), rel=1e-12)
+        assert np.allclose(supcon_grad(small) * 1e-3, supcon_grad(unit), rtol=1e-12, atol=0)
+
+    def test_underflowing_positives_raise_divergence(self):
+        # every positive of some anchor lies over 745 below the row maximum
+        data = unit_vector_batch()
+        batch = EmbeddingBatch(np.array(data["vectors"]), tuple(VertebraLabel(i) for i in data["labels"]), 1e-3)
+        with pytest.raises(DivergenceError, match="loss is not finite at tau 0.001"):
+            supcon_loss(batch)
+        with pytest.raises(DivergenceError, match="gradient is not finite at tau 0.001"):
+            supcon_grad(batch)
 
 
 class TestSupconGrad:
