@@ -40,7 +40,7 @@ from .io import (
     save_detections,
     save_fusion_params,
 )
-from .labels import CANONICAL_NAMES, N_CLASSES, VertebraLabel, label_from_name
+from .labels import CANONICAL_NAMES, N_CLASSES, VertebraLabel
 from .losses import EmbeddingBatch, LabelSequence, sequence_loss, supcon_grad, supcon_loss, total_loss
 from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases, generate_case
 from .uncertainty import aggregate_samples, certainty_from_variance, entropy, report
@@ -88,7 +88,6 @@ __all__ = [
     "generate_case",
     "identity_params",
     "initial_phi",
-    "label_from_name",
     "load_case",
     "load_centers",
     "load_detections",

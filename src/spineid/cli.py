@@ -21,14 +21,14 @@ import numpy as np
 
 from . import io
 from .clustering import ClusterConfig, cluster_centers
-from .domain import FusionParams, SpineCase, SpineVertebra, phi_offsets
+from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import SpineError, ValidationError
 from .evaluate import EvalReport, decode_states, evaluate
 from .fusion import TrainConfig, fuse, identity_params, train_phi
 from .labels import CANONICAL_NAMES
 from .losses import sequence_loss, supcon_grad, supcon_loss
 from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
-from .uncertainty import aggregate_samples, fusion_weight, report
+from .uncertainty import aggregate_samples, with_reports
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +73,9 @@ def _cmd_cluster(args) -> int:
     return 0
 
 
-def _with_uncertainty(case: SpineCase, metric: str) -> SpineCase:
-    verts = []
-    for v in case.vertebrae:
-        rep = report(v.mc)
-        verts.append(SpineVertebra(center=v.center, mc=v.mc, truth=v.truth,
-                                   uncertainty=rep, fusion_weight=fusion_weight(rep, metric)))
-    return SpineCase(case_id=case.case_id, vertebrae=tuple(verts))
-
-
 def _cmd_uncertainty(args) -> int:
     case = io.load_case(args.infile)
-    io.save_case(_with_uncertainty(case, args.metric), args.out)
+    io.save_case(with_reports(case, args.metric), args.out)
     print(f"{case.case_id}: wrote uncertainty reports for {len(case)} vertebrae")
     return 0
 
@@ -108,7 +99,7 @@ def _cmd_fuse(args) -> int:
     case = io.load_case(args.case)
     params = io.load_fusion_params(args.params) if args.params else identity_params()
     params = _override_params(params, args)
-    trace = fuse(case, params, u_metric=args.u_metric)
+    trace = fuse(case, params)
     labels = decode_states(trace.snapshots[-1], args.decode)
     io.save_labels(case.case_id, labels, args.out)
     if args.trace:
@@ -130,7 +121,7 @@ def _cmd_train_phi(args) -> int:
     cases = [case for _, case in _load_case_dir(args.train)]
     params_init = identity_params(args.theta, args.hops, args.window, args.distance)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, init=args.init)
-    trained = train_phi(cases, params_init, cfg, u_metric=args.u_metric)
+    trained = train_phi(cases, params_init, cfg)
     io.save_fusion_params(trained, args.out)
     print(f"trained phi on {len(cases)} cases -> {args.out}")
     return 0
@@ -207,7 +198,7 @@ def _cmd_pipeline(args) -> int:
             truth_pos = np.array([v.center.position for v in case.vertebrae])
             for c in centers:
                 center_errors.append(float(np.min(np.linalg.norm(truth_pos - np.array(c.position), axis=1))))
-        case = _with_uncertainty(case, args.u_metric or "entropy")
+        case = with_reports(case, args.u_metric)
         trace = fuse(case, params)
         cases.append(case)
         baseline_states.append(trace.snapshots[0])
@@ -248,8 +239,6 @@ def _add_fusion_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hops", type=int, default=None, help="number of fusion hops")
     p.add_argument("--window", type=int, default=None, choices=(1, 3, 5, 7), help="neighbor window size")
     p.add_argument("--distance", choices=("index", "physical"), default=None, help="distance mode")
-    p.add_argument("--u-metric", choices=("entropy", "variance"), default=None,
-                   help="certainty weight source (default: stored weights, else entropy)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hops", type=int, default=3)
     p.add_argument("--window", type=int, default=5, choices=(1, 3, 5, 7))
     p.add_argument("--distance", choices=("index", "physical"), default="index")
-    p.add_argument("--u-metric", choices=("entropy", "variance"), default=None)
     p.set_defaults(func=_cmd_train_phi)
 
     p = sub.add_parser("score", help="sequence-consistency penalty of a label sequence")
@@ -336,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--decode", choices=("argmax", "constrained"), default="argmax")
     p.add_argument("--dump-csv", default=None)
+    p.add_argument("--u-metric", choices=("entropy", "variance"), default="entropy",
+                   help="certainty metric of the fusion weights")
     _add_fusion_flags(p)
     _add_cluster_flags(p)
     p.set_defaults(func=_cmd_pipeline)

@@ -350,10 +350,6 @@ class FusionParams:
             frozen[int(offset)] = mat
         object.__setattr__(self, "phi", frozen)
 
-    @property
-    def half_window(self) -> int:
-        return (self.window - 1) // 2
-
     def with_phi(self, phi: dict[int, np.ndarray]) -> "FusionParams":
         return FusionParams(self.theta, self.hops, self.window, self.distance_mode, phi)
 

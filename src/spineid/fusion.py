@@ -27,7 +27,7 @@ import numpy as np
 from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import DegenerateGeometryError, DivergenceError, ValidationError
 from .labels import N_CLASSES
-from .uncertainty import aggregate_samples, fusion_weight, report
+from .uncertainty import aggregate_samples, report
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +82,19 @@ def identity_params(
     return FusionParams(theta, hops, window, distance_mode, initial_phi(window))
 
 
-def resolve_certainty(case: SpineCase, u_metric: str | None = None) -> np.ndarray:
+def resolve_certainty(case: SpineCase) -> np.ndarray:
     """Per-vertebra fusion weights u.
 
-    ``entropy`` and ``variance`` recompute from the MC samples; None prefers
-    weights stored on the case (written by the uncertainty stage) and falls
-    back to the entropy metric.
+    The weights stored on the case (by ``uncertainty.with_reports``) when
+    every vertebra has one, else each vertebra's entropy certainty weight.
     """
-    if u_metric is None:
-        stored = [v.fusion_weight for v in case.vertebrae]
-        if all(w is not None for w in stored):
-            return np.array(stored, dtype=np.float64)
-        u_metric = "entropy"
-    return np.array([fusion_weight(report(v.mc), u_metric) for v in case.vertebrae])
+    stored = [v.fusion_weight for v in case.vertebrae]
+    if all(w is not None for w in stored):
+        return np.array(stored, dtype=np.float64)
+    return np.array([report(v.mc).certainty_weight for v in case.vertebrae])
 
 
-def _fuse_pairs(cases: list[SpineCase], params: FusionParams, u_metric: str | None):
+def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
     """(dst, src, coeff) index arrays per offset over the stacked rows of ``cases``.
 
     coeff folds theta, the source's certainty u and 1/dis. Rows are numbered
@@ -109,7 +106,7 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams, u_metric: str | No
     start = 0
     for case in cases:
         k = len(case)
-        u = resolve_certainty(case, u_metric)
+        u = resolve_certainty(case)
         positions = np.array([v.center.position for v in case.vertebrae], dtype=np.float64)
         for delta in offsets:
             dst = np.arange(max(0, -delta), k - max(0, delta), dtype=np.int64)
@@ -160,7 +157,7 @@ def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     return cs, sums
 
 
-def fuse(case: SpineCase, params: FusionParams, u_metric: str | None = None) -> FusionTrace:
+def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
     """Iterate the fusion hop from each vertebra's MC sample mean.
 
     The trace holds hops + 1 snapshots, the first being the inputs, and the
@@ -176,7 +173,7 @@ def fuse(case: SpineCase, params: FusionParams, u_metric: str | None = None) -> 
         # no messages; renormalizing would still move the states by ulps
         cs = [c0] * (params.hops + 1)
     else:
-        pairs = _fuse_pairs([case], params, u_metric)
+        pairs = _fuse_pairs([case], params)
         with np.errstate(over="ignore", invalid="ignore"):
             cs, sums = _forward(c0, pairs, params.phi, params.hops)
         bad = ~np.isfinite(sums)
@@ -196,11 +193,11 @@ def fuse(case: SpineCase, params: FusionParams, u_metric: str | None = None) -> 
 class _Unrolled:
     """All training cases stacked into one matrix, with their fusion pairs."""
 
-    def __init__(self, cases: list[SpineCase], params: FusionParams, u_metric: str | None):
+    def __init__(self, cases: list[SpineCase], params: FusionParams):
         for case in cases:
             if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
-        self.pairs = _fuse_pairs(cases, params, u_metric)
+        self.pairs = _fuse_pairs(cases, params)
         self.c0 = np.array([aggregate_samples(v.mc) for case in cases for v in case.vertebrae])
         self.truth = np.array([t.index for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
@@ -236,12 +233,7 @@ class _Unrolled:
         return loss, grad
 
 
-def train_phi(
-    train_cases: list[SpineCase],
-    params_init: FusionParams,
-    cfg: TrainConfig,
-    u_metric: str | None = None,
-) -> FusionParams:
+def train_phi(train_cases: list[SpineCase], params_init: FusionParams, cfg: TrainConfig) -> FusionParams:
     """Fit phi by projected full-batch gradient descent.
 
     The starting point comes from ``cfg.init``; ``params_init`` supplies
@@ -251,7 +243,7 @@ def train_phi(
     """
     if not train_cases:
         raise ValidationError("training requires at least one case")
-    unrolled = _Unrolled(list(train_cases), params_init, u_metric)
+    unrolled = _Unrolled(list(train_cases), params_init)
     phi = initial_phi(params_init.window, cfg.init, cfg.seed)
     best_phi = {d: m.copy() for d, m in phi.items()}
     best_loss = unrolled.loss(phi)

@@ -73,12 +73,25 @@ def _float_array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
+def _int(value: Any) -> int:
+    """A JSON integer as it is; a float, a string or a bool is rejected, never truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError("expected an integer")
+    return value
+
+
+def _int_list(value: Any) -> list[int]:
+    if not isinstance(value, list):
+        raise TypeError("expected a list of integers")
+    return [_int(v) for v in value]
+
+
 # ---------------------------------------------------------------------------
 # detections: JSON Lines, one header then one box per line
 
 
 def _int_array(value: Any) -> np.ndarray:
-    return np.array(value, dtype=np.int64)
+    return np.array(_int_list(value), dtype=np.int64)
 
 
 def _plane_codes(names: list) -> np.ndarray:
@@ -119,9 +132,9 @@ def load_detections(path: str | Path) -> DetectionSet:
     columns = {key: [_get(rec, key, path, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
     return DetectionSet(
         case_id=str(_get(header, "case_id", path, header_line)),
-        volume_shape=_convert(tuple, _get(header, "volume_shape", path, header_line),
-                              "volume_shape", path, header_line),
-        slice_count_per_plane=_convert(int, _get(header, "k", path, header_line), "k", path, header_line),
+        volume_shape=tuple(_convert(_int_list, _get(header, "volume_shape", path, header_line),
+                                    "volume_shape", path, header_line)),
+        slice_count_per_plane=_convert(_int, _get(header, "k", path, header_line), "k", path, header_line),
         plane=_convert(_plane_codes, columns["plane"], "plane", path),
         slice_index=_convert(_int_array, columns["slice_index"], "slice_index", path),
         **{key: _convert(_float_array, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
@@ -145,8 +158,8 @@ def center_from_dict(rec: dict, path: str | Path = "<memory>") -> VertebraCenter
     return VertebraCenter(
         position=_convert(tuple, _get(rec, "position", path), "position", path),
         mean_dims=_convert(tuple, _get(rec, "mean_dims", path), "mean_dims", path),
-        member_count=_convert(int, _get(rec, "member_count", path), "member_count", path),
-        z_rank=_convert(int, _get(rec, "z_rank", path), "z_rank", path),
+        member_count=_convert(_int, _get(rec, "member_count", path), "member_count", path),
+        z_rank=_convert(_int, _get(rec, "z_rank", path), "z_rank", path),
     )
 
 
@@ -222,7 +235,7 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
             SpineVertebra(
                 center=center_from_dict(_get(rec, "center", path), path),
                 mc=McSampleSet(_convert(_float_array, _get(mc_rec, "samples", path), "samples", path)),
-                truth=None if truth is None else VertebraLabel(_convert(int, truth, "truth", path)),
+                truth=None if truth is None else VertebraLabel(_convert(_int, truth, "truth", path)),
                 uncertainty=None if report is None else report_from_dict(report, path),
                 fusion_weight=rec.get("fusion_weight"),
             )
@@ -269,8 +282,8 @@ def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
         phi[offset] = flat.reshape(24, 24)
     return FusionParams(
         theta=_get(data, "theta", path),
-        hops=_convert(int, _get(data, "hops", path), "hops", path),
-        window=_convert(int, _get(data, "window", path), "window", path),
+        hops=_convert(_int, _get(data, "hops", path), "hops", path),
+        window=_convert(_int, _get(data, "window", path), "window", path),
         distance_mode=_get(data, "distance_mode", path),
         phi=phi,
     )
@@ -290,12 +303,6 @@ def load_fusion_params(path: str | Path) -> FusionParams:
 
 def save_labels(case_id: str, labels: list[int], path: str | Path) -> None:
     save_json({"case_id": case_id, "labels": labels, "names": [CANONICAL_NAMES[i] for i in labels]}, path)
-
-
-def _int_list(value: Any) -> list[int]:
-    if not isinstance(value, list) or not all(type(v) is int for v in value):
-        raise TypeError("expected a list of integers")
-    return value
 
 
 def load_labels(path: str | Path) -> list[int]:

@@ -48,8 +48,3 @@ class VertebraLabel:
 
     def __str__(self) -> str:
         return self.name
-
-
-def label_from_name(name: str) -> VertebraLabel:
-    """Resolve a canonical vertebra name (case-insensitive) to its label."""
-    return VertebraLabel.from_name(name)

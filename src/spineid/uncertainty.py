@@ -9,9 +9,11 @@ sample variance is reported alongside as an alternative dispersion measure.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .domain import MAX_ENTROPY, SUM_TOL_INTERNAL, McSampleSet, UncertaintyReport, _probabilities
+from .domain import MAX_ENTROPY, SUM_TOL_INTERNAL, McSampleSet, SpineCase, UncertaintyReport, _probabilities
 from .errors import ValidationError
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "report",
     "certainty_from_variance",
     "fusion_weight",
+    "with_reports",
 ]
 
 # Largest possible variance of a [0, 1]-valued variable; normalizes the
@@ -79,3 +82,16 @@ def fusion_weight(rep: UncertaintyReport, metric: str) -> float:
     if metric == "variance":
         return certainty_from_variance(rep)
     raise ValidationError(f"u_metric must be 'entropy' or 'variance', got {metric!r}")
+
+
+def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:
+    """``case`` with each vertebra's uncertainty report and its fusion weight under ``metric`` stored.
+
+    The only code that turns MC samples into stored fusion weights; ``fuse``
+    and ``train_phi`` read them back.
+    """
+    verts = []
+    for v in case.vertebrae:
+        rep = report(v.mc)
+        verts.append(replace(v, uncertainty=rep, fusion_weight=fusion_weight(rep, metric)))
+    return replace(case, vertebrae=tuple(verts))

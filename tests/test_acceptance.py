@@ -231,7 +231,7 @@ def test_criterion_7_unrolled_gradient():
         h = 1e-5
         for hops in (1, 2, 3):
             params = identity_params(theta=0.1, hops=hops, window=3)
-            un = _Unrolled(cases, params, None)
+            un = _Unrolled(cases, params)
             phi = {d: np.eye(N_CLASSES) + 0.05 for d in phi_offsets(3)}
             _, grad = un.loss_and_grad(phi)
             worst = 0.0
@@ -300,7 +300,7 @@ def ablation_bundle() -> dict:
     best = None
     for lr in (4.0, 12.0):
         trained = train_phi(train, params, TrainConfig(learning_rate=lr, epochs=600, seed=42, init="identity"))
-        loss = _Unrolled(train, params, None).loss(trained.phi)
+        loss = _Unrolled(train, params).loss(trained.phi)
         if best is None or loss < best[0]:
             best = (loss, trained)
     _ABLATION.update(

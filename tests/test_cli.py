@@ -235,8 +235,10 @@ class TestExitCodes:
         assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5",
                      "--epochs", "3", "--out", str(tmp_path / "phi.json"), "--window", "3"]) == 3
 
-    @pytest.mark.parametrize("field, value", [("hops", "x"), ("phi", []), ("theta", "x")],
-                             ids=["hops-str", "phi-list", "theta-str"])
+    # hops 2.9, "2" and true, and window 5.0, once ran as the integer they truncate or parse to, with exit 0
+    @pytest.mark.parametrize("field, value", [
+        ("hops", "x"), ("phi", []), ("theta", "x"), ("hops", 2.9), ("hops", "2"), ("hops", True), ("window", 5.0),
+    ], ids=["hops-str", "phi-list", "theta-str", "hops-float", "hops-digit-str", "hops-bool", "window-float"])
     def test_bad_phi_field_is_validation_error(self, corpus, tmp_path, capsys, field, value):
         data = io.params_to_dict(identity_params())
         data[field] = value
@@ -343,6 +345,46 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: fusion overflowed at hop 1") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("vertebra, field, value", [
+        (0, "truth", 17.9), (1, "truth", "18"), (0, "member_count", 7.5), (0, "z_rank", False), (2, "z_rank", 2.0),
+    ], ids=["truth-float", "truth-str", "member-count-float", "z-rank-bool", "z-rank-float"])
+    def test_case_integer_fields_must_be_integers(self, tmp_path, capsys, vertebra, field, value):
+        # each once read as the integer it truncates or parses to, with exit 0
+        data = io.case_to_dict(make_case([one_hot(t) for t in (17, 18, 19)], truths=[17, 18, 19]))
+        record = data["vertebrae"][vertebra]
+        (record if field == "truth" else record["center"])[field] = value
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["k", "volume_shape", "slice_index"])
+    def test_detections_integer_fields_must_be_integers(self, corpus, tmp_path, capsys, field):
+        # each once read as the integer it truncates to and clustered with exit 0
+        header, first, *rest = (corpus / "case_0000.detections.jsonl").read_text().splitlines()
+        header, first = json.loads(header), json.loads(first)
+        if field == "k":
+            header["k"] += 0.9
+        elif field == "volume_shape":
+            header["volume_shape"][0] += 0.5
+        else:
+            first["slice_index"] += 0.5
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join([json.dumps(header), json.dumps(first), *rest]) + "\n")
+        assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o"), "--eps-pos", "6",
+                     "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand, flag", [("fuse", "--case"), ("train-phi", "--train")])
+    def test_u_metric_flag_is_gone(self, tmp_path, capsys, subcommand, flag):
+        # fusion reads the weights the uncertainty stage stored; only pipeline picks a metric
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, flag, str(tmp_path), "--u-metric", "entropy", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u-metric entropy" in capsys.readouterr().err
 
     def test_non_integer_score_sequence_is_validation_error(self, capsys):
         assert main(["score", "--seq", "1,a"]) == 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, shift_phi
@@ -15,10 +15,9 @@ from spineid.fusion import (
     fuse,
     identity_params,
     initial_phi,
-    resolve_certainty,
     train_phi,
 )
-from spineid.uncertainty import aggregate_samples
+from spineid.uncertainty import aggregate_samples, fusion_weight, report, with_reports
 
 
 def oracle_step(states, u, theta, window, phi, dis=None):
@@ -77,16 +76,19 @@ class TestFuseStep:
         first[1] = 0.1 / 1.1
         assert np.allclose(out[0], first, atol=1e-15)
 
-    @pytest.mark.parametrize("distance", ["index", "physical"])
-    @pytest.mark.parametrize("hops", [1, 3])
-    def test_matches_oracle_on_random_case(self, hops, distance):
+    # the entropy runs keep the ids they had before the metric parameter
+    @pytest.mark.parametrize("hops, distance, metric", [
+        pytest.param(hops, distance, metric, id=f"{hops}-{distance}" + ("" if metric == "entropy" else f"-{metric}"))
+        for metric in ("entropy", "variance") for hops in (1, 3) for distance in ("index", "physical")
+    ])
+    def test_matches_oracle_on_random_case(self, hops, distance, metric):
         rng = np.random.default_rng(21)
-        case = random_case(rng, k=7)
+        case = with_reports(random_case(rng, k=7), metric)
         params = FusionParams(0.15, hops, 5, distance,
                               {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(5)})
         pos = np.array([v.center.position for v in case.vertebrae])
         dis = None if distance == "index" else (lambda i, j: np.linalg.norm(pos[i] - pos[j]))
-        u = resolve_certainty(case)
+        u = [fusion_weight(report(v.mc), metric) for v in case.vertebrae]
         trace = fuse(case, params)
         assert len(trace.snapshots) == hops + 1
         expected = list(trace.snapshots[0])
@@ -128,7 +130,7 @@ def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, dis
     cases = [random_case(rng, k=int(rng.integers(2, 7))) for _ in range(n_cases)]
     params = FusionParams(0.1, hops, window, distance,
                           {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(window)})
-    un = _Unrolled(cases, params, None)
+    un = _Unrolled(cases, params)
     cs, _ = _forward(un.c0, un.pairs, params.phi, hops)
     start = 0
     for case in cases:
@@ -147,6 +149,30 @@ def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, dis
     assert start == len(un.c0)
     for c in cs[1:]:
         assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+# Random fusion settings: the case and phi come from ``seed``; the weights are
+# stored under ``metric`` by the uncertainty stage, or left to fusion (None).
+fusion_settings = dict(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+    window=st.sampled_from([1, 3, 5, 7]),
+    hops=st.integers(0, 10),
+    theta=st.floats(0.0, 1.0),
+    distance=st.sampled_from(["index", "physical"]),
+    metric=st.sampled_from([None, "entropy", "variance"]),
+)
+
+
+def seeded_case_and_params(seed, k, window, hops, theta, distance):
+    rng = np.random.default_rng(seed)
+    case = random_case(rng, k=k)
+    phi = {d: rng.uniform(0, 2, (24, 24)) for d in phi_offsets(window)}
+    return case, FusionParams(theta, hops, window, distance, phi)
+
+
+def stored(case, metric):
+    return case if metric is None else with_reports(case, metric)
 
 
 class TestFuse:
@@ -204,16 +230,15 @@ class TestFuse:
         assert before[2] == start + 3  # wrong at the start
         assert list(trace.final_labels) == list(range(start, start + 5))
 
-    def test_deep_iteration_stays_normalized(self):
-        rng = np.random.default_rng(24)
-        case = random_case(rng, k=8)
-        params = FusionParams(0.1, 10, 5, "index",
-                              {d: rng.uniform(0, 2, (24, 24)) for d in phi_offsets(5)})
-        trace = fuse(case, params)
-        for snap in trace.snapshots:
-            for s in snap:
-                assert abs(float(s.sum()) - 1.0) <= 1e-9
-                assert np.all(s >= 0)
+    @settings(max_examples=60, deadline=None)
+    @given(**fusion_settings)
+    @example(seed=24, k=8, window=5, hops=10, theta=0.1, distance="index", metric=None)  # the former fixed inputs
+    def test_deep_iteration_stays_normalized(self, seed, k, window, hops, theta, distance, metric):
+        case, params = seeded_case_and_params(seed, k, window, hops, theta, distance)
+        trace = fuse(stored(case, metric), params)
+        assert trace.snapshots.shape == (hops + 1, k, 24)
+        assert np.all(trace.snapshots >= 0)
+        assert np.abs(trace.snapshots.sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_theta_zero_fixed_point_any_hops(self):
         rng = np.random.default_rng(25)
@@ -222,27 +247,23 @@ class TestFuse:
         for snap in trace.snapshots[1:]:
             assert np.array_equal(snap, trace.snapshots[0])
 
-    def test_locality_bound(self):
-        rng = np.random.default_rng(26)
-        for _ in range(20):
-            k = int(rng.integers(8, 13))
-            case = random_case(rng, k=k)
-            window = int(rng.choice([3, 5]))
-            hops = int(rng.integers(1, 4))
-            params = FusionParams(0.1, hops, window, "index",
-                                  {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(window)})
-            m = int(rng.integers(0, k))
-            perturbed_rows = [np.asarray(v.mc.samples) for v in case.vertebrae]
-            perturbed_rows[m] = np.roll(perturbed_rows[m], 2, axis=1)
-            other = make_case(perturbed_rows,
-                              truths=[t.index for t in case.truths],
-                              case_id=case.case_id)
-            a = fuse(case, params)
-            b = fuse(other, params)
-            radius = hops * (window - 1) // 2
-            for i in range(k):
-                if abs(i - m) > radius:
-                    assert np.array_equal(a.snapshots[-1][i], b.snapshots[-1][i])
+    @settings(max_examples=60, deadline=None)
+    @given(**fusion_settings, perturbed=st.integers(0, 11))
+    # the seed and the extremes of the former fixed example's ranges
+    @example(seed=26, k=12, window=5, hops=3, theta=0.1, distance="index", metric=None, perturbed=6)
+    @example(seed=26, k=8, window=3, hops=1, theta=0.1, distance="index", metric=None, perturbed=0)
+    def test_locality_bound(self, seed, k, window, hops, theta, distance, metric, perturbed):
+        # a vertebra more than hops * half positions from the perturbed one keeps its bits
+        case, params = seeded_case_and_params(seed, k, window, hops, theta, distance)
+        m = perturbed % k
+        rows = [np.asarray(v.mc.samples) for v in case.vertebrae]
+        rows[m] = np.roll(rows[m], 2, axis=1)
+        other = make_case(rows, truths=[t.index for t in case.truths], case_id=case.case_id)
+        a = fuse(stored(case, metric), params).snapshots[-1]
+        b = fuse(stored(other, metric), params).snapshots[-1]
+        radius = hops * ((window - 1) // 2)
+        far = np.abs(np.arange(k) - m) > radius
+        assert np.array_equal(a[far], b[far])
 
     def test_case_id_and_translation_equivariance(self):
         rng = np.random.default_rng(27)
@@ -325,7 +346,7 @@ class TestTrainPhi:
         rng = np.random.default_rng(31)
         cases = self.toy_cases(rng)
         params = identity_params(theta=0.1, hops=3, window=3)
-        un = _Unrolled(cases, params, None)
+        un = _Unrolled(cases, params)
         init_loss = un.loss(initial_phi(3, "identity"))
         out = train_phi(cases, params, TrainConfig(learning_rate=2.0, epochs=50, seed=1, init="identity"))
         assert un.loss(out.phi) <= init_loss
@@ -360,7 +381,7 @@ class TestTrainPhi:
         cases = self.toy_cases(rng)
         for hops in (1, 2, 3):
             params = identity_params(theta=0.1, hops=hops, window=3)
-            un = _Unrolled(cases, params, None)
+            un = _Unrolled(cases, params)
             phi = {d: np.eye(24) + 0.05 for d in phi_offsets(3)}
             _, grad = un.loss_and_grad(phi)
             h = 1e-5

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spineid.errors import ValidationError
-from spineid.labels import CANONICAL_NAMES, N_CLASSES, VertebraLabel, label_from_name
+from spineid.labels import CANONICAL_NAMES, N_CLASSES, VertebraLabel
 
 
 def test_taxonomy_size_and_order():
@@ -14,21 +14,21 @@ def test_taxonomy_size_and_order():
 
 
 def test_known_indices():
-    assert label_from_name("C1").index == 0
-    assert label_from_name("T12").index == 18
-    assert label_from_name("L5").index == 23
+    assert VertebraLabel.from_name("C1").index == 0
+    assert VertebraLabel.from_name("T12").index == 18
+    assert VertebraLabel.from_name("L5").index == 23
 
 
 def test_case_insensitive():
-    assert label_from_name("t3") == VertebraLabel(9)
-    assert label_from_name(" l1 ").name == "L1"
+    assert VertebraLabel.from_name("t3") == VertebraLabel(9)
+    assert VertebraLabel.from_name(" l1 ").name == "L1"
 
 
 def test_unknown_name_rejected():
     with pytest.raises(ValidationError, match="S1"):
-        label_from_name("S1")
+        VertebraLabel.from_name("S1")
     with pytest.raises(ValidationError, match="unknown"):
-        label_from_name("")
+        VertebraLabel.from_name("")
 
 
 def test_index_bounds():
@@ -42,12 +42,12 @@ def test_index_bounds():
 
 @given(st.sampled_from(CANONICAL_NAMES))
 def test_name_roundtrip(name):
-    assert label_from_name(name).name == name
+    assert VertebraLabel.from_name(name).name == name
 
 
 @given(st.integers(min_value=0, max_value=23))
 def test_index_roundtrip(index):
-    assert label_from_name(VertebraLabel(index).name).index == index
+    assert VertebraLabel.from_name(VertebraLabel(index).name).index == index
 
 
 def test_ordering_is_cranial_to_caudal():
