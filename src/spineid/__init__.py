@@ -8,7 +8,7 @@ A seeded synthetic generator and an evaluation harness make every stage
 testable end to end without any trained network.
 """
 
-from .clustering import ClusterConfig, box_density, cluster_centers, embed_detections
+from .clustering import ClusterConfig, box_densities, cluster_centers, embed_detections
 from .domain import (
     DetectionSet,
     FusionParams,
@@ -75,7 +75,7 @@ __all__ = [
     "VertebraCenter",
     "VertebraLabel",
     "aggregate_samples",
-    "box_density",
+    "box_densities",
     "certainty_from_variance",
     "cluster_centers",
     "constrained_decode",

@@ -20,8 +20,10 @@ each cluster lifted onto its own plane along a third axis so no pair crosses
 clusters.
 
 The center of each surviving cluster is the coordinate-wise median of its
-members, which tolerates residual outliers. Output is sorted cranial to
-caudal (descending z, ties broken by x then y) and assigned z ranks.
+members, which tolerates residual outliers; one segmented reduction, with
+one sort per column and no Python loop over clusters, picks every cluster's
+boxes and takes the medians. Output is sorted cranial to caudal (descending
+z, ties broken by x then y) and assigned z ranks.
 
 Every pass runs on a canonical ordering of the input, so the result is
 deterministic and invariant to the order in which detections arrive.
@@ -29,6 +31,8 @@ deterministic and invariant to the order in which detections arrive.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +51,14 @@ class ClusterConfig:
     density_floor: float
 
     def __post_init__(self):
-        for name in ("eps_pos", "eps_dim"):
+        for name in ("eps_pos", "eps_dim", "density_floor"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {v!r}")
+            if name != "density_floor" and not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"{name} must be a positive finite radius, got {v!r}")
-        if self.min_pts < 2:
-            raise ValidationError(f"min_pts must be at least 2, got {self.min_pts}")
+        if isinstance(self.min_pts, bool) or not isinstance(self.min_pts, numbers.Integral) or self.min_pts < 2:
+            raise ValidationError(f"min_pts must be an integer of at least 2, got {self.min_pts!r}")
         if not 0.0 < self.density_floor <= 1.0:
             raise ValidationError(f"density_floor must lie in (0, 1], got {self.density_floor!r}")
 
@@ -89,34 +95,29 @@ def embed_detections(ds: DetectionSet) -> np.ndarray:
     return np.column_stack((x, y, ds.cy))
 
 
-def box_density(i: int, dets: np.ndarray, eps: float, l_i: int) -> float:
-    """Neighborhood box density: neighbors within eps of point i, over l_i.
+def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
+    """Neighborhood box density of every row of the (n, 3) array ``pts``.
 
-    Counts embedded centers at Euclidean distance <= eps from point ``i``,
-    excluding ``i`` itself, and divides by the per-vertebra frame count
-    ``l_i``. ``dets`` is an (n, 3) array of embedded centers.
+    The other rows within Euclidean distance eps, over the per-vertebra frame
+    count ``l``: the pair query and counts the density floor of pass 1 uses.
     """
-    if l_i == 0:
-        raise ValidationError("l_i must be non-zero")
+    if l == 0:
+        raise ValidationError("l must be non-zero")
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps!r}")
-    pts = np.asarray(dets, dtype=np.float64)
+    pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValidationError(f"expected an (n, 3) point array, got shape {pts.shape}")
-    if not 0 <= i < len(pts):
-        raise ValidationError(f"index {i} outside the detection list of length {len(pts)}")
-    neighbors = _kdtree(pts, "points").query_ball_point(pts[i], r=eps)
-    return (len(neighbors) - 1) / l_i
+    return _degrees(len(pts), *_pairs(pts, eps, "points")) / l
 
 
-def _kdtree(pts: np.ndarray, what: str):
-    """A KD-tree over ``pts``, refusing clouds it cannot measure.
+def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of rows of ``pts`` at distance <= eps, listed once, as two contiguous index columns.
 
     cKDTree fails with a bare ValueError once the squared extent of its points
-    overflows float64; that case, and non-finite points, are rejected here.
-    scipy.spatial is imported here, on first use, because loading it costs
-    more than most commands spend on their own work, and only clustering
-    needs it.
+    overflows float64; that case, and non-finite points, are rejected first.
+    scipy.spatial is imported on first use: loading it costs more than most
+    commands spend on their own work, and only clustering needs it.
     """
     from scipy.spatial import cKDTree
 
@@ -124,25 +125,29 @@ def _kdtree(pts: np.ndarray, what: str):
         reach = np.sum(np.ptp(pts, axis=0) ** 2)
     if not np.isfinite(reach):
         raise ValidationError(f"{what} must be finite and close enough that squared distances fit in float64")
-    return cKDTree(pts)
+    return tuple(np.ascontiguousarray(cKDTree(pts).query_pairs(eps, output_type="ndarray").T))
 
 
-def _dbscan(n: int, pairs: np.ndarray, min_pts: int) -> np.ndarray:
+def _degrees(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """How many pairs each of n points is in."""
+    return np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+
+
+def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
     """Deterministic DBSCAN labels for n points; -1 marks noise.
 
-    ``pairs`` is an (m, 2) index array listing once every pair of points at
-    distance <= eps. A point is core when its eps-ball holds at least min_pts
-    points, itself included. Clusters are the connected components of core
-    points joined by a pair, numbered in order of their smallest core index. A
-    border point (not core, but paired with a core point) joins the
-    lowest-numbered cluster it touches. These are the labels a breadth-first
-    DBSCAN grown from each unlabeled core point in index order assigns.
+    Pairs ``(i[k], j[k])`` list once every pair of points at distance <= eps.
+    A point is core when its eps-ball holds at least min_pts points, itself
+    included. Clusters are the connected components of core points joined by a
+    pair, numbered in order of their smallest core index. A border point (not
+    core, but paired with a core point) joins the lowest-numbered cluster it
+    touches. These are the labels a breadth-first DBSCAN grown from each
+    unlabeled core point in index order assigns.
     """
-    core = np.bincount(pairs.ravel(), minlength=n) + 1 >= min_pts
-    i, j = pairs[:, 0], pairs[:, 1]
-    linked = core[i] & core[j]
-    a = np.concatenate((i[linked], j[linked]))
-    b = np.concatenate((j[linked], i[linked]))
+    core = _degrees(n, i, j) + 1 >= min_pts
+    core_i, core_j = core[i], core[j]
+    linked = core_i & core_j
+    a, b = i[linked], j[linked]
     # Min-label propagation with pointer jumping: every root hooks onto the
     # smallest root across a core-core pair, then each point jumps to its
     # root's root. The fixed point gives each core point the smallest index of
@@ -151,19 +156,19 @@ def _dbscan(n: int, pairs: np.ndarray, min_pts: int) -> np.ndarray:
     while True:
         hooked = root.copy()
         np.minimum.at(hooked, root[a], root[b])
+        np.minimum.at(hooked, root[b], root[a])
         hooked = hooked[hooked]
         if np.array_equal(hooked, root):
             break
         root = hooked
     labels = np.full(n, -1, dtype=np.int64)
     labels[core] = np.unique(root[core], return_inverse=True)[1]
-    border = core[i] != core[j]
-    inner = np.where(core[i], i, j)[border]
-    outer = np.where(core[i], j, i)[border]
+    border = core_i != core_j
+    inner = np.where(core_i, i, j)[border]
+    outer = np.where(core_i, j, i)[border]
     lowest = np.full(n, n, dtype=np.int64)
     np.minimum.at(lowest, outer, labels[inner])
-    touched = lowest < n
-    labels[touched] = lowest[touched]
+    np.copyto(labels, lowest, where=lowest < n)
     return labels
 
 
@@ -180,8 +185,22 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
     """
     radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
     lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
-    pairs = _kdtree(lifted, "box dimensions").query_pairs(radius, output_type="ndarray")
-    return _dbscan(len(dims), pairs, 2)
+    return _dbscan(len(dims), *_pairs(lifted, radius, "box dimensions"), 2)
+
+
+def _segment_medians(seg: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.median`` of ``values`` over each group of equal ``seg`` labels, in label order.
+
+    ``counts`` holds the group sizes; one sort orders every group. np.median is
+    the mean of the middle one or two sorted values, and numpy's sum starts
+    from +0.0, so it never returns -0.0; adding 0.0 keeps it bit for bit.
+    """
+    ordered = values[np.lexsort((values, seg))]
+    hi = np.cumsum(counts) - (counts + 1) // 2
+    medians = ordered[hi] + 0.0
+    even = counts % 2 == 0
+    medians[even] = (ordered[hi[even] - 1] + medians[even]) / 2
+    return medians
 
 
 def _median_boxes_per_slice(ds: DetectionSet) -> float:
@@ -209,64 +228,45 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     # Pass 1: density floor. l is the median box count over populated slices,
     # a scale-free stand-in for the per-vertebra frame count. Passes 1 and 2
     # share one radius, so one pair query serves both.
-    l_med = _median_boxes_per_slice(ds)
-    pairs = _kdtree(pts, "box centers").query_pairs(cfg.eps_pos, output_type="ndarray")
-    density = np.bincount(pairs.ravel(), minlength=len(pts)) / l_med
-    keep = density >= cfg.density_floor
+    i, j = _pairs(pts, cfg.eps_pos, "box centers")
+    keep = _degrees(len(pts), i, j) / _median_boxes_per_slice(ds) >= cfg.density_floor
     dropped_density = int(np.count_nonzero(~keep))
 
     # Pass 2: position clustering over the pairs whose ends both survived.
     renumber = np.cumsum(keep) - 1
-    kept_pairs = renumber[pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]]
-    pos_labels = _dbscan(int(np.count_nonzero(keep)), kept_pairs, cfg.min_pts)
+    both = keep[i] & keep[j]
+    pos_labels = _dbscan(int(np.count_nonzero(keep)), renumber[i[both]], renumber[j[both]], cfg.min_pts)
     dropped_position = int(np.count_nonzero(pos_labels == -1))
 
     # Pass 3: dimension clustering inside each position cluster, run as one
     # DBSCAN over the clustered boxes sorted by position label.
-    by_label = np.flatnonzero(pos_labels >= 0)
-    by_label = by_label[np.argsort(pos_labels[by_label], kind="stable")]
+    by_label = np.argsort(pos_labels, kind="stable")[np.count_nonzero(pos_labels < 0):]
     pts3, dims3, labels3 = pts[keep][by_label], dims[keep][by_label], pos_labels[by_label]
-    n_clusters = int(labels3[-1]) + 1 if len(labels3) else 0
-    all_dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if n_clusters else labels3
-    bounds = np.searchsorted(labels3, np.arange(n_clusters + 1))
-    dropped_dimension = 0
-    centers: list[tuple[float, float, float, float, float, int]] = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        member_pts = pts3[start:stop]
-        member_dims = dims3[start:stop]
-        dim_labels = all_dim_labels[start:stop]
-        if dim_labels.max() < 0:
-            dropped_dimension += int(stop - start)
-            continue
-        # Labels run on from earlier clusters; the zero counts below this
-        # cluster's first label never win, and the order of its own is kept.
-        sizes = np.bincount(dim_labels[dim_labels >= 0])
-        # Largest dimension cluster wins; equal sizes resolve to the smaller
-        # median box area, since oversized boxes straddling two vertebrae are
-        # the dominant failure mode being rejected here.
-        candidates = np.flatnonzero(sizes == sizes.max())
-        areas = [float(np.median(np.prod(member_dims[dim_labels == c], axis=1))) for c in candidates]
-        best = int(candidates[int(np.argmin(areas))])
-        kept = dim_labels == best
-        dropped_dimension += int(np.count_nonzero(~kept))
-        if kept.sum() < cfg.min_pts:
-            # a cluster thinned below min_pts no longer counts as a vertebra
-            dropped_dimension += int(kept.sum())
-            continue
-        cx, cy, cz = (float(np.median(member_pts[kept, a])) for a in range(3))
-        mw = float(np.median(member_dims[kept, 0]))
-        mh = float(np.median(member_dims[kept, 1]))
-        centers.append((cx, cy, cz, mw, mh, int(kept.sum())))
+    dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if len(labels3) else labels3
+    # Each dimension cluster lies inside one position cluster, its owner, and
+    # owners number their labels in turn. An owner keeps its largest; equal
+    # sizes go to the smaller median box area, since oversized boxes straddling
+    # two vertebrae are the failure mode rejected here, then to the lower label.
+    # A winner thinned below min_pts no longer counts as a vertebra.
+    member = np.flatnonzero(dim_labels >= 0)
+    d = dim_labels[member]
+    sizes = np.bincount(d)
+    owner = np.empty(len(sizes), dtype=np.int64)
+    owner[d] = labels3[member]
+    area = _segment_medians(d, dims3[member, 0] * dims3[member, 1], sizes)
+    ranked = np.lexsort((area, -sizes, owner))
+    winners = ranked[np.diff(owner[ranked], prepend=-1) != 0]
+    winners = winners[sizes[winners] >= cfg.min_pts]
+    dropped_dimension = len(labels3) - int(sizes[winners].sum())
+    if not len(winners):
+        raise EmptyClusterError(dropped_density=dropped_density, dropped_position=dropped_position,
+                                dropped_dimension=dropped_dimension)
 
-    if not centers:
-        raise EmptyClusterError(
-            dropped_density=dropped_density,
-            dropped_position=dropped_position,
-            dropped_dimension=dropped_dimension,
-        )
-
-    centers.sort(key=lambda c: (-c[2], c[0], c[1]))
+    rows, counts = member[np.isin(d, winners)], sizes[winners]
+    x, y, z, w, h = (_segment_medians(dim_labels[rows], col[rows], counts) for col in (*pts3.T, *dims3.T))
+    ranks = np.lexsort((y, x, -z))  # cranial to caudal: descending z, ties broken by x then y
+    ranked_rows = zip(*(c[ranks].tolist() for c in (x, y, z, w, h, counts)))
     return [
         VertebraCenter(position=(cx, cy, cz), mean_dims=(mw, mh), member_count=m, z_rank=rank)
-        for rank, (cx, cy, cz, mw, mh, m) in enumerate(centers)
+        for rank, (cx, cy, cz, mw, mh, m) in enumerate(ranked_rows)
     ]

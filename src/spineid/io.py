@@ -86,6 +86,20 @@ def _int_list(value: Any) -> list[int]:
     return [_int(v) for v in value]
 
 
+def _float(value: Any) -> float:
+    """A JSON number as a float; a string or a bool is rejected, never parsed."""
+    if type(value) not in (int, float):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+def _float_list(value: Any) -> list:
+    """A JSON list of numbers as it is; a list holding a string, a bool or anything else is rejected."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
+        raise TypeError("expected a list of numbers")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # detections: JSON Lines, one header then one box per line
 
@@ -137,7 +151,7 @@ def load_detections(path: str | Path) -> DetectionSet:
         slice_count_per_plane=_convert(_int, _get(header, "k", path, header_line), "k", path, header_line),
         plane=_convert(_plane_codes, columns["plane"], "plane", path),
         slice_index=_convert(_int_array, columns["slice_index"], "slice_index", path),
-        **{key: _convert(_float_array, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
+        **{key: _convert(_float_list, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
     )
 
 
@@ -156,8 +170,8 @@ def center_to_dict(c: VertebraCenter) -> dict:
 
 def center_from_dict(rec: dict, path: str | Path = "<memory>") -> VertebraCenter:
     return VertebraCenter(
-        position=_convert(tuple, _get(rec, "position", path), "position", path),
-        mean_dims=_convert(tuple, _get(rec, "mean_dims", path), "mean_dims", path),
+        position=_convert(_float_list, _get(rec, "position", path), "position", path),
+        mean_dims=_convert(_float_list, _get(rec, "mean_dims", path), "mean_dims", path),
         member_count=_convert(_int, _get(rec, "member_count", path), "member_count", path),
         z_rank=_convert(_int, _get(rec, "z_rank", path), "z_rank", path),
     )
@@ -201,9 +215,9 @@ def report_from_dict(rec: dict, path: str | Path = "<memory>") -> UncertaintyRep
         probs = probs / total
     return UncertaintyReport(
         mean_probs=probs,
-        entropy=_get(rec, "entropy", path),
-        variance=_get(rec, "variance", path),
-        certainty_weight=_get(rec, "certainty_weight", path),
+        entropy=_convert(_float, _get(rec, "entropy", path), "entropy", path),
+        variance=_convert(_float, _get(rec, "variance", path), "variance", path),
+        certainty_weight=_convert(_float, _get(rec, "certainty_weight", path), "certainty_weight", path),
     )
 
 
@@ -231,13 +245,14 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
         mc_rec = _get(rec, "mc", path)
         truth = rec.get("truth")
         report = rec.get("uncertainty")
+        weight = rec.get("fusion_weight")
         verts.append(
             SpineVertebra(
                 center=center_from_dict(_get(rec, "center", path), path),
                 mc=McSampleSet(_convert(_float_array, _get(mc_rec, "samples", path), "samples", path)),
                 truth=None if truth is None else VertebraLabel(_convert(_int, truth, "truth", path)),
                 uncertainty=None if report is None else report_from_dict(report, path),
-                fusion_weight=rec.get("fusion_weight"),
+                fusion_weight=None if weight is None else _convert(_float, weight, "fusion_weight", path),
             )
         )
     return SpineCase(case_id=str(_get(data, "case_id", path)), vertebrae=tuple(verts))
@@ -281,7 +296,7 @@ def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
             raise ValidationError(f"phi[{key}] must hold 576 values, got {flat.size}")
         phi[offset] = flat.reshape(24, 24)
     return FusionParams(
-        theta=_get(data, "theta", path),
+        theta=_convert(_float, _get(data, "theta", path), "theta", path),
         hops=_convert(_int, _get(data, "hops", path), "hops", path),
         window=_convert(_int, _get(data, "window", path), "window", path),
         distance_mode=_get(data, "distance_mode", path),
@@ -328,5 +343,5 @@ def load_embedding_batch(path: str | Path, tau_override: float | None = None):
     data = _read_json(path)
     vectors = _convert(_float_array, _get(data, "vectors", path), "vectors", path)
     labels = _convert(_labels, _get(data, "labels", path), "labels", path)
-    tau = tau_override if tau_override is not None else _convert(float, data.get("tau", 0.1), "tau", path)
+    tau = tau_override if tau_override is not None else _convert(_float, data.get("tau", 0.1), "tau", path)
     return EmbeddingBatch(vectors=vectors, labels=labels, tau=tau)

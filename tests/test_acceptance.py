@@ -20,7 +20,7 @@ import numpy as np
 
 import spineid
 from conftest import make_case, one_hot, random_case
-from spineid.clustering import ClusterConfig, box_density, cluster_centers
+from spineid.clustering import ClusterConfig, box_densities, cluster_centers
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.evaluate import evaluate
 from spineid.fusion import TrainConfig, _Unrolled, fuse, identity_params, train_phi
@@ -51,7 +51,7 @@ def criterion(n: int, desc: str, budget_s: float):
 
 
 def test_criterion_1_density_oracle():
-    with criterion(1, "box_density equals O(n^2) brute force on 1000 instances", 10.0):
+    with criterion(1, "box_densities equals O(n^2) brute force on 1000 instances", 10.0):
         rng = np.random.default_rng(1001)
         for _ in range(1000):
             n = int(rng.integers(2, 501))
@@ -61,8 +61,9 @@ def test_criterion_1_density_oracle():
             diff = pts[:, None, :] - pts[None, :, :]
             within = (diff**2).sum(axis=2) <= eps * eps
             counts = within.sum(axis=1) - 1
+            densities = box_densities(pts, eps, l_i)
             for i in map(int, rng.integers(0, n, size=3)):
-                assert box_density(i, pts, eps, l_i) == counts[i] / l_i
+                assert densities[i] == counts[i] / l_i
 
 
 # ---------------------------------------------------------------------------

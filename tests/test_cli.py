@@ -15,6 +15,7 @@ from spineid import io
 from spineid.cli import main
 from spineid.domain import phi_offsets
 from spineid.fusion import identity_params
+from spineid.uncertainty import with_reports
 
 
 @pytest.fixture
@@ -238,7 +239,9 @@ class TestExitCodes:
     # hops 2.9, "2" and true, and window 5.0, once ran as the integer they truncate or parse to, with exit 0
     @pytest.mark.parametrize("field, value", [
         ("hops", "x"), ("phi", []), ("theta", "x"), ("hops", 2.9), ("hops", "2"), ("hops", True), ("window", 5.0),
-    ], ids=["hops-str", "phi-list", "theta-str", "hops-float", "hops-digit-str", "hops-bool", "window-float"])
+        ("theta", "0.1"),
+    ], ids=["hops-str", "phi-list", "theta-str", "hops-float", "hops-digit-str", "hops-bool", "window-float",
+            "theta-digit-str"])
     def test_bad_phi_field_is_validation_error(self, corpus, tmp_path, capsys, field, value):
         data = io.params_to_dict(identity_params())
         data[field] = value
@@ -263,7 +266,8 @@ class TestExitCodes:
         ("vectors", [[1e308, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]),
         ("labels", [[0], [0], [1], [1]]),
         ("tau", "x"),
-    ], ids=["vectors-str", "vectors-overflow", "labels-nested", "tau-str"])
+        ("tau", "0.5"),
+    ], ids=["vectors-str", "vectors-overflow", "labels-nested", "tau-str", "tau-digit-str"])
     def test_bad_batch_field_is_validation_error(self, tmp_path, capsys, field, value):
         batch = {"tau": 0.5, "labels": [0, 0, 1, 1], "vectors": [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]}
         batch[field] = value
@@ -357,6 +361,36 @@ class TestExitCodes:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(data))
         assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("cx", "3.5"), ("h", "20"), ("confidence", True)],
+                             ids=["cx-digit-str", "h-digit-str", "confidence-bool"])
+    def test_detections_float_fields_must_be_numbers(self, corpus, tmp_path, capsys, field, value):
+        # each once read as the float it spells or casts to and clustered with exit 0
+        header, first, *rest = (corpus / "case_0000.detections.jsonl").read_text().splitlines()
+        first = json.loads(first) | {field: value}
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join([header, json.dumps(first), *rest]) + "\n")
+        assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, spoil", [
+        ("fusion_weight", lambda v: True), ("fusion_weight", str), ("entropy", str), ("variance", str),
+        ("certainty_weight", lambda v: True), ("position", lambda v: [v[0], True, v[2]]),
+        ("mean_dims", lambda v: [str(v[0]), v[1]]),
+    ], ids=["fusion-weight-bool", "fusion-weight-str", "entropy-str", "variance-str", "certainty-weight-bool",
+            "position-bool", "mean-dims-digit-str"])
+    def test_case_float_fields_must_be_numbers(self, tmp_path, capsys, field, spoil):
+        # each once read as the float it spells or casts to, and fused with exit 0
+        data = io.case_to_dict(with_reports(make_case([one_hot(t) for t in (17, 18, 19)], truths=[17, 18, 19])))
+        record = data["vertebrae"][1]
+        holder = next(r for r in (record, record["uncertainty"], record["center"]) if field in r)
+        holder[field] = spoil(holder[field])
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(data))
+        assert main(["fuse", "--case", str(path), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
 

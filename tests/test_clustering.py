@@ -9,8 +9,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from spineid.clustering import ClusterConfig, _dbscan, box_density, cluster_centers, embed_detections
-from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet
+from spineid.clustering import (
+    ClusterConfig,
+    _dbscan,
+    _degrees,
+    _dimension_labels,
+    _median_boxes_per_slice,
+    _pairs,
+    box_densities,
+    cluster_centers,
+    embed_detections,
+)
+from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet, VertebraCenter
 from spineid.errors import EmptyClusterError, ValidationError
 from spineid.io import load_detections, save_centers, save_detections
 from spineid.synthetic import DetectConfig, GenConfig, generate_case
@@ -99,6 +109,110 @@ def dbscan_clouds(draw):
     return pts[rng.permutation(len(pts))], eps, min_pts
 
 
+def loop_centers(ds: DetectionSet, cfg: ClusterConfig) -> list[VertebraCenter]:
+    """Oracle: cluster_centers with the per-cluster loop it once ended in, one np.median per coordinate.
+
+    Passes 1-3 label boxes as cluster_centers does; the loop then picks each
+    position cluster's dimension cluster and takes its medians one cluster at
+    a time.
+    """
+    pts = embed_detections(ds)
+    order = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], pts[:, 1], pts[:, 0]))
+    pts = pts[order]
+    dims = np.column_stack((ds.w, ds.h))[order]
+    i, j = _pairs(pts, cfg.eps_pos, "box centers")
+    keep = _degrees(len(pts), i, j) / _median_boxes_per_slice(ds) >= cfg.density_floor
+    dropped_density = int(np.count_nonzero(~keep))
+    renumber = np.cumsum(keep) - 1
+    both = keep[i] & keep[j]
+    pos_labels = _dbscan(int(np.count_nonzero(keep)), renumber[i[both]], renumber[j[both]], cfg.min_pts)
+    dropped_position = int(np.count_nonzero(pos_labels == -1))
+    by_label = np.flatnonzero(pos_labels >= 0)
+    by_label = by_label[np.argsort(pos_labels[by_label], kind="stable")]
+    pts3, dims3, labels3 = pts[keep][by_label], dims[keep][by_label], pos_labels[by_label]
+    n_clusters = int(labels3[-1]) + 1 if len(labels3) else 0
+    all_dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if n_clusters else labels3
+    bounds = np.searchsorted(labels3, np.arange(n_clusters + 1))
+    dropped_dimension = 0
+    centers: list[tuple[float, float, float, float, float, int]] = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        member_pts = pts3[start:stop]
+        member_dims = dims3[start:stop]
+        dim_labels = all_dim_labels[start:stop]
+        if dim_labels.max() < 0:
+            dropped_dimension += int(stop - start)
+            continue
+        # Labels run on from earlier clusters; the zero counts below this
+        # cluster's first label never win, and the order of its own is kept.
+        sizes = np.bincount(dim_labels[dim_labels >= 0])
+        # Largest dimension cluster wins; equal sizes resolve to the smaller
+        # median box area, since oversized boxes straddling two vertebrae are
+        # the dominant failure mode being rejected here.
+        candidates = np.flatnonzero(sizes == sizes.max())
+        areas = [float(np.median(np.prod(member_dims[dim_labels == c], axis=1))) for c in candidates]
+        best = int(candidates[int(np.argmin(areas))])
+        if len(candidates) > 1:
+            event("equal-size dimension clusters" + (", equal areas" if len(set(areas)) < len(areas) else ""))
+        kept = dim_labels == best
+        dropped_dimension += int(np.count_nonzero(~kept))
+        if kept.sum() < cfg.min_pts:
+            # a cluster thinned below min_pts no longer counts as a vertebra
+            dropped_dimension += int(kept.sum())
+            continue
+        if np.any((member_pts[kept] == 0) & np.signbit(member_pts[kept])):
+            event("-0.0 among a center's coordinates")
+        cx, cy, cz = (float(np.median(member_pts[kept, a])) for a in range(3))
+        mw = float(np.median(member_dims[kept, 0]))
+        mh = float(np.median(member_dims[kept, 1]))
+        centers.append((cx, cy, cz, mw, mh, int(kept.sum())))
+
+    if not centers:
+        raise EmptyClusterError(
+            dropped_density=dropped_density,
+            dropped_position=dropped_position,
+            dropped_dimension=dropped_dimension,
+        )
+
+    centers.sort(key=lambda c: (-c[2], c[0], c[1]))
+    return [
+        VertebraCenter(position=(cx, cy, cz), mean_dims=(mw, mh), member_count=m, z_rank=rank)
+        for rank, (cx, cy, cz, mw, mh, m) in enumerate(centers)
+    ]
+
+
+# (10, 30) and (30, 10) have equal areas, as do (15, 20) and (20, 15)
+BOX_SIZES = ((10.0, 30.0), (30.0, 10.0), (15.0, 20.0), (20.0, 15.0), (10.0, 10.0), (40.0, 40.0))
+
+
+@st.composite
+def tied_detections(draw):
+    """(DetectionSet, ClusterConfig) built to reach every tie-break of the dimension pass.
+
+    Each planted vertebra gets one to three groups of boxes, every group of one
+    size from BOX_SIZES, so groups of equal count tie on size and often on area
+    too. Box centers sit on a unit grid around the vertebra where a zero
+    coordinate carries either sign, so the middle of a sorted group can be -0.0.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for center in rng.integers(0, 4, size=(draw(st.integers(1, 4)), 3)) * 20.0:
+        for _ in range(draw(st.integers(1, 3))):
+            w, h = BOX_SIZES[draw(st.integers(0, len(BOX_SIZES) - 1))]
+            for _ in range(draw(st.integers(1, 5))):
+                plane = int(rng.integers(0, 2))
+                offset = rng.choice([-1.0, -0.0, 0.0, 1.0], size=3)
+                x, y, z = np.where(center == 0, offset, center + offset)
+                normal, in_plane = (x, y) if plane == SAGITTAL else (y, x)
+                rows.append((plane, int(max(0.0, normal)), in_plane, z, w, h, float(rng.uniform())))
+    for _ in range(draw(st.integers(0, 6))):
+        plane = int(rng.integers(0, 2))
+        rows.append((plane, int(rng.integers(0, 80)), *rng.uniform(0, 80, size=2), *BOX_SIZES[4], 0.5))
+    cfg = ClusterConfig(eps_pos=draw(st.sampled_from((1.5, 2.5, 6.0))), min_pts=draw(st.integers(2, 6)),
+                        eps_dim=draw(st.sampled_from((0.5, 5.0, 15.0, 1e3))),
+                        density_floor=draw(st.sampled_from((0.05, 0.1, 0.3))))
+    return detection_set("tied", (100, 100, 100), 100, rows), cfg
+
+
 def blob_detections(
     rng,
     centers,
@@ -170,24 +284,49 @@ class TestEmbedding:
         assert np.array_equal(embed_detections(ds), embed_detections(ds))
 
 
+class TestClusterConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("eps_pos", "6"), ("eps_dim", None), ("density_floor", True), ("eps_pos", np.True_),
+        ("min_pts", 2.5), ("min_pts", True), ("min_pts", np.float64(4.0)), ("min_pts", "4"),
+    ], ids=["eps-pos-str", "eps-dim-none", "density-floor-bool", "eps-pos-numpy-bool",
+            "min-pts-float", "min-pts-bool", "min-pts-numpy-float", "min-pts-str"])
+    def test_wrong_types_rejected(self, field, value):
+        kw = dict(eps_pos=6.0, min_pts=4, eps_dim=10.0, density_floor=0.1) | {field: value}
+        with pytest.raises(ValidationError, match=field):
+            ClusterConfig(**kw)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = ClusterConfig(eps_pos=np.float64(6.0), min_pts=np.int64(4), eps_dim=np.float32(10.0),
+                            density_floor=np.float64(0.1))
+        assert cfg.min_pts == 4 and cfg.eps_pos == 6.0
+
+    @pytest.mark.parametrize("field, value", [
+        ("eps_pos", 0.0), ("eps_dim", float("inf")), ("min_pts", 1), ("density_floor", 0.0), ("density_floor", 1.5),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        kw = dict(eps_pos=6.0, min_pts=4, eps_dim=10.0, density_floor=0.1) | {field: value}
+        with pytest.raises(ValidationError, match=field):
+            ClusterConfig(**kw)
+
+
 class TestBoxDensity:
     def test_isolated_point(self):
         pts = np.array([[0, 0, 0], [100, 100, 100], [200, 0, 0]], dtype=float)
-        assert box_density(0, pts, eps=5.0, l_i=5) == 0.0
+        assert box_densities(pts, eps=5.0, l=5)[0] == 0.0
 
     def test_four_neighbors(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [50, 50, 50]], dtype=float)
-        assert box_density(0, pts, eps=2.0, l_i=5) == pytest.approx(4 / 5)
+        assert box_densities(pts, eps=2.0, l=5)[0] == pytest.approx(4 / 5)
 
     def test_rejects_non_point_arrays(self):
         for bad in (np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3, 3))):
             with pytest.raises(ValidationError, match=r"\(n, 3\)"):
-                box_density(0, bad, eps=1.5, l_i=2)
+                box_densities(bad, eps=1.5, l=2)
 
     def test_zero_l_rejected(self):
         pts = np.zeros((3, 3))
-        with pytest.raises(ValidationError, match="l_i"):
-            box_density(0, pts, eps=1.0, l_i=0)
+        with pytest.raises(ValidationError, match="l must be non-zero"):
+            box_densities(pts, eps=1.0, l=0)
 
     def test_against_brute_force_random(self):
         rng = np.random.default_rng(7)
@@ -197,8 +336,7 @@ class TestBoxDensity:
             eps = float(rng.uniform(0.5, 15))
             l_i = int(rng.integers(1, 10))
             counts = brute_density_counts(pts, eps)
-            for i in range(n):
-                assert box_density(i, pts, eps, l_i) == counts[i] / l_i
+            assert np.array_equal(box_densities(pts, eps, l_i), counts / l_i)
 
 
 class TestDbscan:
@@ -207,7 +345,7 @@ class TestDbscan:
     def test_matches_breadth_first_oracle(self, cloud):
         pts, eps, min_pts = cloud
         pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray")
-        labels = _dbscan(len(pts), pairs, min_pts)
+        labels = _dbscan(len(pts), *pairs.T, min_pts)
         expected = bfs_dbscan(pts, eps, min_pts)
         core = np.bincount(pairs.ravel(), minlength=len(pts)) + 1 >= min_pts
         event("border points" if np.any(~core & (expected >= 0)) else "no border points")
@@ -217,20 +355,36 @@ class TestDbscan:
         # two core centers, each with three leaves; the last point is a border
         # point at exactly eps from both centers
         pts = np.array([[2, 0], [2, 1], [2, -1], [3, 0], [0, 0], [0, 1], [0, -1], [-1, 0], [1, 0]], dtype=float)
-        labels = _dbscan(len(pts), cKDTree(pts).query_pairs(1.0, output_type="ndarray"), 4)
+        labels = _dbscan(len(pts), *cKDTree(pts).query_pairs(1.0, output_type="ndarray").T, 4)
         assert labels.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 0]
         assert np.array_equal(labels, bfs_dbscan(pts, 1.0, 4))
 
     def test_no_points(self):
-        assert _dbscan(0, np.empty((0, 2), dtype=np.intp), 3).shape == (0,)
+        assert _dbscan(0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), 3).shape == (0,)
 
     def test_pass_one_degrees_match_ball_counts(self):
         gen = GenConfig(seed=2002, n_cases=1, k_slices=200, vertebrae_range=(12, 12),
                         detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
         pts = embed_detections(generate_case(gen, 0)[1])
-        tree = cKDTree(pts)
-        degrees = np.bincount(tree.query_pairs(6.0, output_type="ndarray").ravel(), minlength=len(pts))
-        assert np.array_equal(degrees, tree.query_ball_point(pts, r=6.0, return_length=True) - 1)
+        degrees = _degrees(len(pts), *_pairs(pts, 6.0, "box centers"))
+        assert np.array_equal(degrees, cKDTree(pts).query_ball_point(pts, r=6.0, return_length=True) - 1)
+
+
+class TestCenterReduction:
+    @staticmethod
+    def outcome(cluster, ds, cfg):
+        try:
+            return repr(cluster(ds, cfg))
+        except EmptyClusterError as e:
+            return ("EmptyClusterError", e.dropped_density, e.dropped_position, e.dropped_dimension)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_detections())
+    def test_matches_per_cluster_loop(self, case):
+        ds, cfg = case
+        expected = self.outcome(loop_centers, ds, cfg)
+        event("no center" if isinstance(expected, tuple) else "centers")
+        assert self.outcome(cluster_centers, ds, cfg) == expected
 
 
 class TestClusterCenters:
