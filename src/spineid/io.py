@@ -81,9 +81,17 @@ def _int(value: Any) -> int:
 
 
 def _int_list(value: Any) -> list[int]:
-    if not isinstance(value, list):
+    """A JSON list of integers as it is; a list holding a float, a string, a bool or anything else is rejected."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise TypeError("expected a list of integers")
-    return [_int(v) for v in value]
+    return value
+
+
+def _str(value: Any) -> str:
+    """A JSON string as it is; a number, null, a bool, a list or an object is rejected, never stringified."""
+    if type(value) is not str:
+        raise TypeError("expected a string")
+    return value
 
 
 def _float(value: Any) -> float:
@@ -108,8 +116,18 @@ def _int_array(value: Any) -> np.ndarray:
     return np.array(_int_list(value), dtype=np.int64)
 
 
+_PLANE_CODES = {name: code for code, name in enumerate(PLANES)}
+_PLANE_JSON = [json.dumps(name) for name in PLANES]
+# one box line, the bytes json.dumps gives its dict: repr is json.dumps' text for ints and finite floats
+_BOX_LINE = "{" + ", ".join(f'"{name}": %{"s" if name == "plane" else "r"}' for name in DETECTION_COLUMNS) + "}"
+_DECODER = json.JSONDecoder()
+
+
 def _plane_codes(names: list) -> np.ndarray:
-    return np.array([PLANES.index(name) for name in names], dtype=np.int64)
+    try:
+        return np.array([_PLANE_CODES[name] for name in names], dtype=np.int64)
+    except KeyError:
+        raise ValueError("unknown plane") from None
 
 
 def save_detections(ds: DetectionSet, path: str | Path) -> None:
@@ -122,30 +140,52 @@ def save_detections(ds: DetectionSet, path: str | Path) -> None:
             }
         )
     ]
-    planes = [PLANES[code] for code in ds.plane.tolist()]
+    planes = [_PLANE_JSON[code] for code in ds.plane.tolist()]
     rows = zip(planes, *(getattr(ds, name).tolist() for name in DETECTION_COLUMNS[1:]))
-    lines.extend(json.dumps(dict(zip(DETECTION_COLUMNS, row))) for row in rows)
+    lines.extend(_BOX_LINE % row for row in rows)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_detections(path: str | Path) -> DetectionSet:
-    raw_lines = _read_text(path).splitlines()
+def _records(text: str, path: str | Path) -> list[tuple[int, Any]]:
+    """``(line number, value)`` of every non-blank line, parsed on its own with ``json.loads``'s value or error.
+
+    ``raw_decode`` settles a line that is exactly one JSON value; ``json.loads`` any other line.
+    """
     records = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        if not raw.strip():
-            continue
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            records.append((lineno, json.loads(raw)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON record: {exc.msg}", path=str(path), line=lineno) from None
-        except RecursionError:
-            raise ParseError("invalid JSON record: nested too deeply", path=str(path), line=lineno) from None
+            value, end = _DECODER.raw_decode(raw)
+        except (json.JSONDecodeError, RecursionError):
+            end = -1
+        if end != len(raw):
+            if not raw.strip():
+                continue
+            try:
+                value = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON record: {exc.msg}", path=str(path), line=lineno) from None
+            except RecursionError:
+                raise ParseError("invalid JSON record: nested too deeply", path=str(path), line=lineno) from None
+        records.append((lineno, value))
+    return records
+
+
+def load_detections(path: str | Path) -> DetectionSet:
+    """One DetectionSet from a JSON Lines file; a missing field is named with the first line that lacks it."""
+    records = _records(_read_text(path), path)
     if not records:
         raise ParseError("detections file is empty", path=str(path), line=1)
     (header_line, header), boxes = records[0], records[1:]
-    columns = {key: [_get(rec, key, path, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
+    values = [rec for _, rec in boxes]
+    try:
+        columns = {key: [rec[key] for rec in values] for key in DETECTION_COLUMNS}
+    except (KeyError, TypeError):
+        for key in DETECTION_COLUMNS:  # names the first missing column at the first line without it
+            for lineno, rec in boxes:
+                _get(rec, key, path, lineno)
+        raise
     return DetectionSet(
-        case_id=str(_get(header, "case_id", path, header_line)),
+        case_id=_convert(_str, _get(header, "case_id", path, header_line), "case_id", path, header_line),
         volume_shape=tuple(_convert(_int_list, _get(header, "volume_shape", path, header_line),
                                     "volume_shape", path, header_line)),
         slice_count_per_plane=_convert(_int, _get(header, "k", path, header_line), "k", path, header_line),
@@ -255,7 +295,7 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
                 fusion_weight=None if weight is None else _convert(_float, weight, "fusion_weight", path),
             )
         )
-    return SpineCase(case_id=str(_get(data, "case_id", path)), vertebrae=tuple(verts))
+    return SpineCase(case_id=_convert(_str, _get(data, "case_id", path), "case_id", path), vertebrae=tuple(verts))
 
 
 def save_case(case: SpineCase, path: str | Path) -> None:

@@ -412,6 +412,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["c"], {"id": "c"}],
+                             ids=["null", "int", "float", "bool", "list", "object"])
+    @pytest.mark.parametrize("subcommand", ["cluster", "fuse"])
+    def test_case_id_must_be_a_string(self, corpus, tmp_path, capsys, subcommand, value):
+        # each once read as its str(), so a null case_id clustered as case 'None' with exit 0
+        if subcommand == "cluster":
+            header, *boxes = (corpus / "case_0000.detections.jsonl").read_text().splitlines()
+            path = tmp_path / "d.detections.jsonl"
+            path.write_text("\n".join([json.dumps(json.loads(header) | {"case_id": value}), *boxes]) + "\n")
+            args = ["cluster", "--in", str(path)]
+        else:
+            path = tmp_path / "case.json"
+            path.write_text(json.dumps(json.loads((corpus / "case_0000.json").read_text()) | {"case_id": value}))
+            args = ["fuse", "--case", str(path)]
+        assert main([*args, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'case_id' has an invalid value") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("subcommand, flag", [("fuse", "--case"), ("train-phi", "--train")])
     def test_u_metric_flag_is_gone(self, tmp_path, capsys, subcommand, flag):
         # fusion reads the weights the uncertainty stage stored; only pipeline picks a metric
