@@ -16,26 +16,29 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import io
-from .clustering import ClusterConfig, cluster_centers
-from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import SpineError, ValidationError
-from .evaluate import EvalReport, decode_states, evaluate
-from .fusion import TrainConfig, fuse, identity_params, train_phi
-from .labels import CANONICAL_NAMES
-from .losses import sequence_loss, supcon_grad, supcon_loss
-from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
-from .uncertainty import aggregate_samples, with_reports
+
+if TYPE_CHECKING:
+    from .clustering import ClusterConfig
+    from .domain import FusionParams, SpineCase
+    from .evaluate import EvalReport
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each handler imports the stage modules it calls, so a process loads only
+# the stages of its command.
 
 
 def _cmd_gen(args) -> int:
+    from . import io
+    from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
+
     cfg = GenConfig(
         seed=args.seed,
         n_cases=args.n_cases,
@@ -56,6 +59,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cluster_config(args, ds) -> ClusterConfig:
+    from .clustering import ClusterConfig
+
     base = ClusterConfig.defaults_for(ds)
     return ClusterConfig(
         eps_pos=args.eps_pos if args.eps_pos is not None else base.eps_pos,
@@ -66,6 +71,9 @@ def _cluster_config(args, ds) -> ClusterConfig:
 
 
 def _cmd_cluster(args) -> int:
+    from . import io
+    from .clustering import cluster_centers
+
     ds = io.load_detections(args.infile)
     centers = cluster_centers(ds, _cluster_config(args, ds))
     io.save_centers(centers, args.out)
@@ -74,6 +82,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_uncertainty(args) -> int:
+    from . import io
+    from .uncertainty import with_reports
+
     case = io.load_case(args.infile)
     io.save_case(with_reports(case, args.metric), args.out)
     print(f"{case.case_id}: wrote uncertainty reports for {len(case)} vertebrae")
@@ -81,6 +92,8 @@ def _cmd_uncertainty(args) -> int:
 
 
 def _override_params(params: FusionParams, args) -> FusionParams:
+    from .domain import FusionParams, phi_offsets
+
     theta = args.theta if args.theta is not None else params.theta
     hops = args.hops if args.hops is not None else params.hops
     window = args.window if args.window is not None else params.window
@@ -96,6 +109,11 @@ def _override_params(params: FusionParams, args) -> FusionParams:
 
 
 def _cmd_fuse(args) -> int:
+    from . import io
+    from .evaluate import decode_states
+    from .fusion import fuse, identity_params
+    from .labels import CANONICAL_NAMES
+
     case = io.load_case(args.case)
     params = io.load_fusion_params(args.params) if args.params else identity_params()
     params = _override_params(params, args)
@@ -110,6 +128,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _load_case_dir(path: str) -> list[tuple[Path, SpineCase]]:
+    from . import io
+
     files = sorted(p for p in Path(path).glob("*.json")
                    if not p.name.endswith((".labels.json", ".report.json")))
     if not files:
@@ -118,6 +138,9 @@ def _load_case_dir(path: str) -> list[tuple[Path, SpineCase]]:
 
 
 def _cmd_train_phi(args) -> int:
+    from . import io
+    from .fusion import TrainConfig, identity_params, train_phi
+
     cases = [case for _, case in _load_case_dir(args.train)]
     params_init = identity_params(args.theta, args.hops, args.window, args.distance)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, init=args.init)
@@ -128,6 +151,8 @@ def _cmd_train_phi(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from .losses import sequence_loss
+
     try:
         seq = [int(v) for v in args.seq.split(",") if v.strip() != ""]
     except ValueError:
@@ -137,6 +162,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_supcon(args) -> int:
+    from . import io
+    from .losses import supcon_grad, supcon_loss
+
     batch = io.load_embedding_batch(args.infile, tau_override=args.tau)
     print(f"loss: {supcon_loss(batch)!r}")
     if args.grad:
@@ -156,6 +184,8 @@ def _report_dict(rep: EvalReport) -> dict:
 
 
 def _dump_csv(rep: EvalReport, path: str) -> None:
+    from .labels import CANONICAL_NAMES
+
     lines = ["class_index,class_name,truth_count,correct,id_rate"]
     conf = rep.per_class_confusion
     for i, name in enumerate(CANONICAL_NAMES):
@@ -167,6 +197,10 @@ def _dump_csv(rep: EvalReport, path: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    from . import io
+    from .evaluate import evaluate
+    from .uncertainty import aggregate_samples
+
     pairs = _load_case_dir(args.cases_dir)
     cases = [case for _, case in pairs]
     if args.labels_dir:
@@ -183,6 +217,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from . import io
+    from .clustering import cluster_centers
+    from .evaluate import evaluate
+    from .fusion import fuse, identity_params
+    from .uncertainty import with_reports
+
     case_files = _load_case_dir(args.dir)
     params = io.load_fusion_params(args.params) if args.params else identity_params()
     params = _override_params(params, args)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -190,6 +191,17 @@ class McSampleSet:
     @property
     def n(self) -> int:
         return self.samples.shape[0]
+
+    @cached_property
+    def mean_probs(self) -> np.ndarray:
+        """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array.
+
+        Computed on first use; uncertainty reports and fusion share it.
+        """
+        mean = self.samples.mean(axis=0)
+        mean /= mean.sum()
+        mean.flags.writeable = False
+        return mean
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, McSampleSet):

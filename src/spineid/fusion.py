@@ -20,6 +20,7 @@ onto [0, inf) after every step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class TrainConfig:
     init: str = "identity"
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
             raise ValidationError(f"learning_rate must be finite and non-negative, got {self.learning_rate!r}")
         if not 1 <= self.epochs <= 100_000:

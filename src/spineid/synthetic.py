@@ -12,6 +12,7 @@ produce byte-identical corpora.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,8 @@ class GenConfig:
     detect: DetectConfig = field(default_factory=DetectConfig)
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.n_cases < 1:
             raise ValidationError(f"n_cases must be at least 1, got {self.n_cases}")
         if self.k_slices < 1:

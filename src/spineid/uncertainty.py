@@ -32,11 +32,11 @@ _VAR_CEILING = 0.25
 
 
 def aggregate_samples(mc: McSampleSet) -> np.ndarray:
-    """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array."""
-    mean = mc.samples.mean(axis=0)
-    mean /= mean.sum()
-    mean.flags.writeable = False
-    return mean
+    """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array.
+
+    Computed once per sample set and cached there (``McSampleSet.mean_probs``).
+    """
+    return mc.mean_probs
 
 
 def _entropy(probs: np.ndarray) -> float:

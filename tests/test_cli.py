@@ -236,6 +236,21 @@ class TestExitCodes:
         assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5",
                      "--epochs", "3", "--out", str(tmp_path / "phi.json"), "--window", "3"]) == 3
 
+    @pytest.mark.parametrize("init", ["identity", "uniform_small"])
+    def test_negative_train_seed_is_validation_error(self, corpus, tmp_path, capsys, init):
+        # uniform_small ended in numpy's traceback; identity ignored the seed and exited 0
+        assert main(["train-phi", "--train", str(corpus), "--epochs", "1", "--seed", "-1", "--init", init,
+                     "--out", str(tmp_path / "phi.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "phi.json").exists()
+
+    def test_negative_gen_seed_is_validation_error(self, tmp_path, capsys):
+        # once numpy's "expected non-negative integer" traceback, exit 1
+        assert main(["gen", "--out-dir", str(tmp_path / "out"), "--seed", "-1", "--n-cases", "1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "out").exists()
+
     # hops 2.9, "2" and true, and window 5.0, once ran as the integer they truncate or parse to, with exit 0
     @pytest.mark.parametrize("field, value", [
         ("hops", "x"), ("phi", []), ("theta", "x"), ("hops", 2.9), ("hops", "2"), ("hops", True), ("window", 5.0),
@@ -501,32 +516,60 @@ COLD_PATH = """
 import json, sys
 from spineid.cli import main
 
-def run(*args):
-    assert main(list(args)) == 0, args
+def loaded(root):
+    return sorted(m for m in sys.modules if m.split(".")[0] == root)
 
-run("gen", "--out-dir", "corpus", "--seed", "3", "--n-cases", "1", "--k", "60", "--vmin", "3", "--vmax", "4",
-    "--boxes-per-vertebra", "12")
-run("score", "--seq", "3,4,6,5")
-run("supcon", "--in", "batch.json", "--grad")
-run("uncertainty", "--in", "corpus/case_0000.json", "--out", "u.json")
-run("fuse", "--case", "u.json", "--out", "labels.json")
-run("eval", "--cases-dir", "corpus")
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-run("cluster", "--in", "corpus/case_0000.detections.jsonl", "--out", "centers.json", "--eps-pos", "6",
-    "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1")
-print(json.dumps({"before": before, "after": "scipy.spatial" in sys.modules}))
+scipy_before = loaded("scipy")
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "spineid": loaded("spineid"), "scipy_before": scipy_before,
+                  "scipy_after": "scipy.spatial" in sys.modules}))
 """
+
+# The spineid modules a fresh process holds after one command, besides
+# spineid, spineid.cli and spineid.errors.
+COMMAND_MODULES = {
+    "gen": ["domain", "io", "labels", "synthetic"],
+    "score": ["labels", "losses"],
+    "supcon": ["domain", "io", "labels", "losses"],
+    "uncertainty": ["domain", "io", "labels", "uncertainty"],
+    "fuse": ["domain", "evaluate", "fusion", "io", "labels", "uncertainty"],
+    "eval": ["domain", "evaluate", "io", "labels", "uncertainty"],
+    "train-phi": ["domain", "fusion", "io", "labels", "uncertainty"],
+    "cluster": ["clustering", "domain", "io", "labels"],
+    "pipeline": ["clustering", "domain", "evaluate", "fusion", "io", "labels", "uncertainty"],
+}
 
 
 def test_only_clustering_loads_scipy(tmp_path):
-    """A fresh process that never clusters leaves scipy unloaded; clustering loads it on first use."""
+    """A fresh process loads only the spineid modules its command calls, and scipy only when it clusters."""
     (tmp_path / "batch.json").write_text(json.dumps(unit_vector_batch()))
-    proc = subprocess.run([sys.executable, "-c", COLD_PATH], capture_output=True, cwd=tmp_path, env=_child_env())
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    loaded = json.loads(proc.stdout.decode().splitlines()[-1])
-    assert loaded == {"before": [], "after": True}
+    assert main(["gen", "--out-dir", str(tmp_path / "corpus"), "--seed", "3", "--n-cases", "1", "--k", "60",
+                 "--vmin", "3", "--vmax", "4", "--boxes-per-vertebra", "12"]) == 0
+    cluster_flags = ["--eps-pos", "6", "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]
+    commands = [
+        ["gen", "--out-dir", "gen", "--n-cases", "1", "--k", "20", "--vmin", "1", "--vmax", "1"],
+        ["score", "--seq", "3,4,6,5"],
+        ["supcon", "--in", "batch.json", "--grad"],
+        ["uncertainty", "--in", "corpus/case_0000.json", "--out", "u.json"],
+        ["fuse", "--case", "u.json", "--out", "labels.json"],
+        ["eval", "--cases-dir", "corpus"],
+        ["train-phi", "--train", "corpus", "--epochs", "2", "--window", "3", "--out", "phi.json"],
+        ["cluster", "--in", "corpus/case_0000.detections.jsonl", "--out", "centers.json", *cluster_flags],
+        ["pipeline", "--dir", "corpus", "--out", "pipeline.json", *cluster_flags],
+    ]
+    runs = {}
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", COLD_PATH, *argv], capture_output=True, cwd=tmp_path,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        runs[argv[0]] = json.loads(proc.stdout.decode().splitlines()[-1])
+    base = ["spineid", "spineid.cli", "spineid.errors"]
+    assert {cmd: run["spineid"] for cmd, run in runs.items()} == {
+        cmd: sorted(base + [f"spineid.{m}" for m in mods]) for cmd, mods in COMMAND_MODULES.items()}
+    assert {cmd: run["code"] for cmd, run in runs.items()} == dict.fromkeys(COMMAND_MODULES, 0)
+    assert all(run["scipy_before"] == [] for run in runs.values())
+    assert {cmd for cmd, run in runs.items() if run["scipy_after"]} == {"cluster", "pipeline"}
     assert len(io.load_centers(tmp_path / "centers.json")) == len(io.load_case(tmp_path / "corpus" / "case_0000.json"))
-
 
 
 # sha256 of every output file of test_golden_cli_outputs. A different hash is

@@ -357,6 +357,13 @@ class TestTrainPhi:
         with pytest.raises(ValidationError, match="ground truth"):
             train_phi([case], identity_params(), TrainConfig(0.1, 1))
 
+    @pytest.mark.parametrize("init", ["identity", "uniform_small"])
+    @pytest.mark.parametrize("seed", [-1, 2.0, False, "7"], ids=["negative", "float", "bool", "str"])
+    def test_seed_must_be_a_non_negative_integer(self, seed, init):
+        # the identity init draws nothing, and once ran with any seed
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            TrainConfig(learning_rate=0.1, epochs=1, seed=seed, init=init)
+
     def test_deterministic_under_seed(self):
         rng = np.random.default_rng(33)
         cases = self.toy_cases(rng)

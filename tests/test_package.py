@@ -1,0 +1,66 @@
+"""The package's public names: the same 56, each the object its module defines, loaded on first use."""
+
+import json
+import subprocess
+import sys
+
+from test_acceptance import _child_env
+
+# The public API and the module that defines each name.
+PUBLIC = {
+    "clustering": ["ClusterConfig", "box_densities", "cluster_centers", "embed_detections"],
+    "domain": ["DetectionSet", "FusionParams", "McSampleSet", "SpineCase", "SpineVertebra", "UncertaintyReport",
+               "VertebraCenter", "phi_offsets"],
+    "errors": ["DegenerateGeometryError", "DivergenceError", "EmptyClusterError", "ParseError", "SpineError",
+               "ValidationError"],
+    "evaluate": ["EvalReport", "constrained_decode", "decode_states", "evaluate"],
+    "fusion": ["FusionTrace", "TrainConfig", "fuse", "identity_params", "initial_phi", "train_phi"],
+    "io": ["load_case", "load_centers", "load_detections", "load_embedding_batch", "load_fusion_params",
+           "save_case", "save_centers", "save_detections", "save_fusion_params"],
+    "labels": ["CANONICAL_NAMES", "N_CLASSES", "VertebraLabel"],
+    "losses": ["EmbeddingBatch", "LabelSequence", "sequence_loss", "supcon_grad", "supcon_loss", "total_loss"],
+    "synthetic": ["ConfusionModel", "DetectConfig", "GenConfig", "McConfig", "gen_cases", "generate_case"],
+    "uncertainty": ["aggregate_samples", "certainty_from_variance", "entropy", "report"],
+}
+
+# Runs in a fresh interpreter, since the test session has imported every module.
+API_PROBE = """
+import importlib, json, sys
+public = json.loads(sys.argv[1])
+out = {}
+import spineid
+out["loaded_on_import"] = sorted(m for m in sys.modules if m.startswith("spineid"))
+out["all"] = spineid.__all__
+out["dir"] = sorted(set(dir(spineid)) & {n for names in public.values() for n in names})
+out["submodule"] = spineid.labels is sys.modules["spineid.labels"]
+try:
+    spineid.no_such_name
+except AttributeError as exc:
+    out["unknown"] = str(exc)
+star = {}
+exec("from spineid import *", star)
+out["star"] = sorted(set(star) - {"__builtins__"})
+out["wrong_object"] = [
+    name for module, names in public.items() for name in names
+    if not (getattr(spineid, name) is star[name] is getattr(importlib.import_module("spineid." + module), name))
+]
+out["evaluate_is_function"] = callable(spineid.evaluate) and spineid.evaluate.__module__ == "spineid.evaluate"
+print(json.dumps(out))
+"""
+
+
+def test_public_api_is_unchanged_and_lazy():
+    proc = subprocess.run([sys.executable, "-c", API_PROBE, json.dumps(PUBLIC)], capture_output=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    out = json.loads(proc.stdout)
+    names = sorted(n for names in PUBLIC.values() for n in names)
+    assert len(names) == 56
+    assert out["loaded_on_import"] == ["spineid"]
+    assert out["all"] == names
+    assert out["dir"] == names
+    assert out["submodule"] is True
+    assert out["unknown"] == "module 'spineid' has no attribute 'no_such_name'"
+    assert out["star"] == names
+    assert out["wrong_object"] == []
+    assert out["evaluate_is_function"] is True

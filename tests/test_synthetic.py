@@ -71,6 +71,16 @@ def test_infeasible_mass_rejected():
         ConfusionModel(0.5, -0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None], ids=["negative", "float", "bool", "str", "none"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        GenConfig(seed=seed)
+
+
+def test_numpy_integer_seed_equals_python_int():
+    assert generate_case(GenConfig(seed=np.int64(5)), 0) == generate_case(GenConfig(seed=5), 0)
+
+
 def test_base_vector_edges_renormalize():
     model = ConfusionModel(0.6, 0.15, 0.03, 0.004)
     for truth in (0, 1, 22, 23, 11):
