@@ -127,11 +127,14 @@ def _cmd_fuse(args) -> int:
     return 0
 
 
+# the per-case outputs spineid writes (labels, reports, fuse traces), never read as cases
+_OUTPUT_SUFFIXES = (".labels.json", ".report.json", ".trace.json")
+
+
 def _load_case_dir(path: str) -> list[tuple[Path, SpineCase]]:
     from . import io
 
-    files = sorted(p for p in Path(path).glob("*.json")
-                   if not p.name.endswith((".labels.json", ".report.json")))
+    files = sorted(p for p in Path(path).glob("*.json") if not p.name.endswith(_OUTPUT_SUFFIXES))
     if not files:
         raise ValidationError(f"no case files found in {path!r}")
     return [(p, io.load_case(p)) for p in files]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -31,9 +32,60 @@ from .errors import ParseError, ValidationError
 from .labels import CANONICAL_NAMES, VertebraLabel
 
 
+def _finite(text: str) -> str:
+    """``text`` of one or more float reprs, if none is ``nan``, ``inf`` or ``-inf``: finite reprs hold no "n"."""
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+def _render(obj: Any, pad: str) -> str:
+    """The text ``json.dumps(obj, indent=2)`` gives ``obj`` when it starts at indentation ``pad``.
+
+    Only the types spineid writes: ``str``-keyed dicts, lists, ``str``,
+    ``int``, ``float`` (finite), ``bool`` and ``None``. Anything else is a
+    ``TypeError``; a non-finite float a ``ValueError``, as ``allow_nan=False``.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _finite(float.__repr__(obj))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        try:  # the bulk of every file: a row of floats, one repr each
+            body = _finite(sep.join(map(float.__repr__, obj)))
+        except TypeError:
+            body = sep.join([_render(item, inner) for item in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("keys must be str")
+        body = sep.join([f"{encode_basestring_ascii(key)}: {_render(value, inner)}" for key, value in obj.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not written as JSON")
+
+
 def save_json(obj: Any, path: str | Path) -> None:
-    """Write ``obj`` as 2-space indented JSON plus a newline, the layout of every JSON file spineid writes."""
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write ``obj`` as 2-space indented JSON plus a newline, the layout of every JSON file spineid writes.
+
+    The bytes are ``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``: ASCII
+    only, never ``NaN`` or ``Infinity``. The whole text is built before the
+    file is opened, so an object that cannot be written leaves ``path`` as it was.
+    """
+    Path(path).write_text(_render(obj, "") + "\n")
 
 
 def _read_text(path: str | Path) -> str:
@@ -201,8 +253,8 @@ def load_detections(path: str | Path) -> DetectionSet:
 
 def center_to_dict(c: VertebraCenter) -> dict:
     return {
-        "position": [float(v) for v in c.position],
-        "mean_dims": [float(v) for v in c.mean_dims],
+        "position": list(c.position),
+        "mean_dims": list(c.mean_dims),
         "member_count": int(c.member_count),
         "z_rank": int(c.z_rank),
     }
@@ -267,7 +319,7 @@ def case_to_dict(case: SpineCase) -> dict:
         verts.append(
             {
                 "center": center_to_dict(v.center),
-                "mc": {"samples": [[float(x) for x in row] for row in v.mc.samples]},
+                "mc": {"samples": v.mc.samples.tolist()},
                 "truth": None if v.truth is None else int(v.truth.index),
                 "uncertainty": None if v.uncertainty is None else report_to_dict(v.uncertainty),
                 "fusion_weight": None if v.fusion_weight is None else float(v.fusion_weight),
@@ -316,7 +368,7 @@ def params_to_dict(p: FusionParams) -> dict:
         "hops": int(p.hops),
         "window": int(p.window),
         "distance_mode": p.distance_mode,
-        "phi": {f"{offset:+d}": [float(v) for v in p.phi[offset].ravel()] for offset in sorted(p.phi)},
+        "phi": {f"{offset:+d}": p.phi[offset].ravel().tolist() for offset in sorted(p.phi)},
     }
 
 

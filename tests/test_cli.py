@@ -210,6 +210,34 @@ def test_pipeline_command(corpus, tmp_path):
     assert "baseline" in rep and "fused" in rep
 
 
+def test_case_dir_skips_spineid_outputs(corpus, tmp_path, capsys):
+    """eval, train-phi and pipeline read the same cases when the directory also holds spineid's per-case outputs."""
+    commands = [
+        ["eval", "--cases-dir", str(corpus)],
+        ["train-phi", "--train", str(corpus), "--epochs", "2", "--window", "3", "--out", str(tmp_path / "phi.json")],
+        ["pipeline", "--dir", str(corpus), "--out", str(tmp_path / "pipeline.json")],
+    ]
+
+    def printed():
+        out = {}
+        for argv in commands:
+            assert main(argv) == 0, capsys.readouterr().err
+            out[argv[0]] = capsys.readouterr().out
+        return out
+
+    bare = printed()
+    for case_path in sorted(corpus.glob("case_*.json")):
+        stem = case_path.name.removesuffix(".json")
+        assert main(["fuse", "--case", str(case_path), "--trace", str(corpus / f"{stem}.trace.json"),
+                     "--out", str(corpus / f"{stem}.labels.json")]) == 0
+    assert main(["eval", "--cases-dir", str(corpus), "--out", str(corpus / "eval.report.json")]) == 0
+    assert main(["pipeline", "--dir", str(corpus), "--out", str(corpus / "pipeline.report.json")]) == 0
+    capsys.readouterr()
+    assert {p.name.split(".", 1)[1] for p in corpus.glob("*.json")} == \
+        {"json", "trace.json", "labels.json", "report.json"}
+    assert printed() == bare
+
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["cluster", "--in", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 4

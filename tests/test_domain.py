@@ -1,6 +1,7 @@
 """Type invariants and serialization round-trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -252,6 +253,15 @@ def _random_params(rng) -> FusionParams:
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
+# every code point, lone surrogates and control characters included
+ANY_TEXT = st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]) | st.sampled_from('"\\/\x00\x1f\x7f'))
+PY_FLOATS = FINITE | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+JSON_FLOATS = PY_FLOATS | PY_FLOATS.map(np.float64)
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_FLOATS | ANY_TEXT,
+    lambda kids: st.lists(JSON_FLOATS) | st.lists(kids) | st.dictionaries(ANY_TEXT, kids),
+    max_leaves=40,
+)
 
 
 @st.composite
@@ -299,6 +309,33 @@ class TestRoundTrip:
         path = tmp_path_factory.mktemp("case") / "case.json"
         io.save_case(case, path)
         assert io.load_case(path) == case
+        assert path.read_bytes() == (json.dumps(io.case_to_dict(case), indent=2, allow_nan=False) + "\n").encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_TREES)
+    def test_save_json_is_json_dumps_property(self, tmp_path_factory, obj):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        io.save_json(obj, path)
+        assert path.read_bytes() == (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("nest", [lambda v: v, lambda v: {"vertebrae": [{"mc": v}]}], ids=["top", "nested"])
+    @pytest.mark.parametrize("bad, error", [
+        *[(v, ValueError) for v in (math.nan, math.inf, -math.inf)],
+        *[([0.25, v, 0.75], ValueError) for v in (math.nan, math.inf, -math.inf)],
+        ({1: 0.5}, TypeError),
+        ((0.25, 0.75), TypeError),
+        ({0.25}, TypeError),
+        (b"case", TypeError),
+        (np.int64(3), TypeError),
+    ])
+    def test_save_json_rejection_writes_nothing(self, tmp_path, bad, error, nest, existing):
+        path = tmp_path / "doc.json"
+        if existing:
+            path.write_bytes(b'{"before": 1}\n')
+        with pytest.raises(error):
+            io.save_json(nest(bad), path)
+        assert (path.read_bytes() == b'{"before": 1}\n') if existing else not path.exists()
 
     @settings(max_examples=40, deadline=None)
     @given(ds=detection_sets())
