@@ -131,10 +131,18 @@ def _cmd_fuse(args) -> int:
 _OUTPUT_SUFFIXES = (".labels.json", ".report.json", ".trace.json")
 
 
-def _load_case_dir(path: str) -> list[tuple[Path, SpineCase]]:
+def _is_case_file(p: Path) -> bool:
+    return p.name.endswith(".json") and not p.name.endswith(_OUTPUT_SUFFIXES)
+
+
+def _load_case_dir(path: str, out: str | None) -> list[tuple[Path, SpineCase]]:
+    """Every case of directory ``path``, after rejecting an ``out`` that a later run would read as one."""
     from . import io
 
-    files = sorted(p for p in Path(path).glob("*.json") if not p.name.endswith(_OUTPUT_SUFFIXES))
+    if out is not None and _is_case_file(Path(out)) and Path(out).parent.resolve() == Path(path).resolve():
+        raise ValidationError(f"--out {out!r} would be read as a case of {path!r} on the next run; "
+                              f"end its name in .report.json or write it outside the directory")
+    files = sorted(p for p in Path(path).glob("*.json") if _is_case_file(p))
     if not files:
         raise ValidationError(f"no case files found in {path!r}")
     return [(p, io.load_case(p)) for p in files]
@@ -144,7 +152,7 @@ def _cmd_train_phi(args) -> int:
     from . import io
     from .fusion import TrainConfig, identity_params, train_phi
 
-    cases = [case for _, case in _load_case_dir(args.train)]
+    cases = [case for _, case in _load_case_dir(args.train, args.out)]
     params_init = identity_params(args.theta, args.hops, args.window, args.distance)
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, init=args.init)
     trained = train_phi(cases, params_init, cfg)
@@ -204,7 +212,7 @@ def _cmd_eval(args) -> int:
     from .evaluate import evaluate
     from .uncertainty import aggregate_samples
 
-    pairs = _load_case_dir(args.cases_dir)
+    pairs = _load_case_dir(args.cases_dir, args.out)
     cases = [case for _, case in pairs]
     if args.labels_dir:
         predictions = [io.load_labels(Path(args.labels_dir) / f"{path.stem}.labels.json") for path, _ in pairs]
@@ -226,7 +234,7 @@ def _cmd_pipeline(args) -> int:
     from .fusion import fuse, identity_params
     from .uncertainty import with_reports
 
-    case_files = _load_case_dir(args.dir)
+    case_files = _load_case_dir(args.dir, args.out)
     params = io.load_fusion_params(args.params) if args.params else identity_params()
     params = _override_params(params, args)
     cases, baseline_states, fused_states = [], [], []

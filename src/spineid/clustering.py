@@ -15,9 +15,17 @@ Passes 1 and 2 share one radius, so one KD-tree pair query serves both.
 DBSCAN works on that pair list as array code: clusters are the connected
 components of core points, and each border point joins the lowest-numbered
 cluster it touches, which are the labels of a breadth-first DBSCAN grown in
-index order. The dimension pass runs once for all position clusters, with
-each cluster lifted onto its own plane along a third axis so no pair crosses
-clusters.
+index order. Label propagation stops as soon as every linked pair shares a
+root, without a last round that would change nothing.
+
+The dimension pass runs once for all position clusters, and most clusters
+need no pair query there: when the (w, h) extent of two or more boxes fits
+inside one eps-ball, every pair lies within eps, so they form one dimension
+cluster. On criterion-2 detections (30 boxes per vertebra, 10% noise, eps
+10) that holds for 294 of the 297 clusters of the benchmark's seed-1
+cluster_dense corpus and for 2,804 of the 2,831 of criterion 2's 200 scans.
+Only the other clusters' boxes go through one pair query, each cluster
+lifted onto its own plane along a third axis so no pair crosses clusters.
 
 The center of each surviving cluster is the coordinate-wise median of its
 members, which tolerates residual outliers; one segmented reduction, with
@@ -111,26 +119,58 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
     return _degrees(len(pts), *_pairs(pts, eps, "points")) / l
 
 
+def _require_measurable(pts: np.ndarray, what: str) -> None:
+    """Reject a point array whose squared extent overflows float64, or that holds a non-finite point.
+
+    cKDTree fails with a bare ValueError on such points.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.sum(np.ptp(pts, axis=0) ** 2)
+    if not np.isfinite(reach):
+        raise ValidationError(f"{what} must be finite and close enough that squared distances fit in float64")
+
+
 def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of rows of ``pts`` at distance <= eps, listed once, as two contiguous index columns.
 
-    cKDTree fails with a bare ValueError once the squared extent of its points
-    overflows float64; that case, and non-finite points, are rejected first.
+    Points cKDTree cannot measure are rejected first (``_require_measurable``).
     scipy.spatial is imported on first use: loading it costs more than most
     commands spend on their own work, and only clustering needs it.
     """
     from scipy.spatial import cKDTree
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.sum(np.ptp(pts, axis=0) ** 2)
-    if not np.isfinite(reach):
-        raise ValidationError(f"{what} must be finite and close enough that squared distances fit in float64")
+    _require_measurable(pts, what)
     return tuple(np.ascontiguousarray(cKDTree(pts).query_pairs(eps, output_type="ndarray").T))
 
 
 def _degrees(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """How many pairs each of n points is in."""
     return np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+
+
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest index in each point's connected component, over n points joined by pairs ``(a[k], b[k])``.
+
+    Min-label propagation with pointer jumping: every root hooks onto the
+    smallest root across a pair, then each point jumps to its root's root. A
+    point's root always lies in its own component, so once every pair shares
+    a root, each component has one root, which is its own root, and a further
+    round would change nothing; until then every round lowers some entry. The
+    loop stops there, without that round. The two per-pair columns of roots
+    are refreshed in place and freed on return, so no round allocates new
+    ones (``mode="clip"`` only spares ``np.take`` a buffered output; every
+    index is in range).
+    """
+    root = np.arange(n)
+    root_a, root_b = root[a], root[b]
+    while not np.array_equal(root_a, root_b):
+        hooked = root.copy()
+        np.minimum.at(hooked, root_a, root_b)
+        np.minimum.at(hooked, root_b, root_a)
+        root = hooked[hooked]
+        np.take(root, a, out=root_a, mode="clip")
+        np.take(root, b, out=root_b, mode="clip")
+    return root
 
 
 def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
@@ -148,19 +188,7 @@ def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
     core_i, core_j = core[i], core[j]
     linked = core_i & core_j
     a, b = i[linked], j[linked]
-    # Min-label propagation with pointer jumping: every root hooks onto the
-    # smallest root across a core-core pair, then each point jumps to its
-    # root's root. The fixed point gives each core point the smallest index of
-    # its component.
-    root = np.arange(n)
-    while True:
-        hooked = root.copy()
-        np.minimum.at(hooked, root[a], root[b])
-        np.minimum.at(hooked, root[b], root[a])
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, root):
-            break
-        root = hooked
+    root = _component_roots(n, a, b)
     labels = np.full(n, -1, dtype=np.int64)
     labels[core] = np.unique(root[core], return_inverse=True)[1]
     border = core_i != core_j
@@ -175,17 +203,44 @@ def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
 def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> np.ndarray:
     """One DBSCAN (min_pts 2) over (w, h) for every position cluster at once.
 
-    ``pos_labels`` must be sorted. Each box is lifted to (w, h, label * 2r):
-    boxes of one position cluster share the third coordinate exactly, so their
-    distances are unchanged, while boxes of different clusters lie more than r
-    apart. No (w, h) distance reaches 2 * (max w + max h), so capping the radius
-    r there keeps every pair and keeps the lift finite for any eps. The labels
-    of each position cluster form one contiguous run in the order a separate
+    ``pos_labels`` must be sorted. A cluster of two or more boxes whose (w, h)
+    extent has a squared diagonal within eps**2 (less a 1e-9 relative margin)
+    is one dimension cluster, found without a pair query: |a - b| <= max - min
+    for every pair, and rounding is monotone, so no pair's squared distance,
+    as cKDTree computes it, exceeds the extent's. The margin leaves clusters
+    near the threshold to the query. A single box is noise.
+
+    The other clusters' boxes go through one query, each lifted to
+    (w, h, label * 2r): boxes of one position cluster share the third
+    coordinate exactly, so their distances are unchanged, while boxes of
+    different clusters lie more than r apart. No (w, h) distance reaches
+    2 * (max w + max h), so capping the radius r there keeps every pair and
+    keeps the lift finite for any eps. Lifted boxes cKDTree could not measure
+    are rejected whether or not their cluster needs the query.
+
+    Dimension clusters are numbered by their smallest index, so the labels of
+    each position cluster form one contiguous run in the order a separate
     DBSCAN of that cluster alone would number them.
     """
     radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
     lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
-    return _dbscan(len(dims), *_pairs(lifted, radius, "box dimensions"), 2)
+    _require_measurable(lifted, "box dimensions")
+    starts = np.flatnonzero(np.diff(pos_labels, prepend=-1))
+    sizes = np.diff(starts, append=len(dims))
+    span = np.maximum.reduceat(dims, starts) - np.minimum.reduceat(dims, starts)
+    eps = float(eps)  # a Python float squares to inf, not to an overflow warning
+    whole = np.repeat((sizes >= 2) & (span[:, 0] ** 2 + span[:, 1] ** 2 <= eps * eps * (1 - 1e-9)), sizes)
+    # first: the smallest index in each box's dimension cluster, -1 for noise
+    first = np.where(whole, np.repeat(starts, sizes), -1)
+    split = np.flatnonzero(~whole)
+    if len(split):
+        sub = _dbscan(len(split), *_pairs(lifted[split], radius, "box dimensions"), 2)
+        _, sub_first, sub_inverse = np.unique(sub, return_index=True, return_inverse=True)
+        first[split] = np.where(sub >= 0, split[sub_first][sub_inverse], -1)
+    labels = np.full(len(dims), -1, dtype=np.int64)
+    member = first >= 0
+    labels[member] = np.unique(first[member], return_inverse=True)[1]
+    return labels
 
 
 def _segment_medians(seg: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -238,6 +238,36 @@ def test_case_dir_skips_spineid_outputs(corpus, tmp_path, capsys):
     assert printed() == bare
 
 
+
+_CASE_DIR_COMMANDS = {
+    "eval": lambda corpus, out: ["eval", "--cases-dir", str(corpus), "--out", str(out)],
+    "pipeline": lambda corpus, out: ["pipeline", "--dir", str(corpus), "--out", str(out)],
+    "train-phi": lambda corpus, out: ["train-phi", "--train", str(corpus), "--epochs", "2", "--window", "3",
+                                      "--out", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CASE_DIR_COMMANDS))
+@pytest.mark.parametrize("name", ["out.json", "case_0003.json", ".json"])
+def test_out_read_as_a_case_is_rejected(corpus, capsys, command, name):
+    """An --out the next run would read as a case of the directory is refused before anything is written."""
+    before = sorted(p.name for p in corpus.iterdir())
+    assert main(_CASE_DIR_COMMANDS[command](corpus, corpus / name)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and "would be read as a case" in err and err.count("\n") == 1
+    assert sorted(p.name for p in corpus.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(_CASE_DIR_COMMANDS))
+def test_out_beside_the_cases_reruns(corpus, command):
+    """A .report.json, or a name that is not *.json, inside the directory is not read back: reruns give the same bytes."""
+    out = corpus / ("phi.bin" if command == "train-phi" else "run.report.json")
+    argv = _CASE_DIR_COMMANDS[command](corpus, out)
+    assert main(argv) == 0
+    first = out.read_bytes()
+    assert main(argv) == 0
+    assert out.read_bytes() == first
+
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["cluster", "--in", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")]) == 4

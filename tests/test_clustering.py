@@ -81,6 +81,44 @@ def bfs_dbscan(pts: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
+def looped_dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> tuple[np.ndarray, int]:
+    """Oracle: _dbscan with the loop it had before the early stop, and the number of hooking rounds it ran.
+
+    The loop ends only on a round that changes nothing, so it always runs one
+    round more than _dbscan needs.
+    """
+    core = _degrees(n, i, j) + 1 >= min_pts
+    core_i, core_j = core[i], core[j]
+    linked = core_i & core_j
+    a, b = i[linked], j[linked]
+    root = np.arange(n)
+    rounds = 0
+    while True:
+        rounds += 1
+        hooked = root.copy()
+        np.minimum.at(hooked, root[a], root[b])
+        np.minimum.at(hooked, root[b], root[a])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            break
+        root = hooked
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[core] = np.unique(root[core], return_inverse=True)[1]
+    border = core_i != core_j
+    inner = np.where(core_i, i, j)[border]
+    outer = np.where(core_i, j, i)[border]
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, outer, labels[inner])
+    np.copyto(labels, lowest, where=lowest < n)
+    return labels, rounds
+
+
+def all_pairs_dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> np.ndarray:
+    """Oracle: the dimension pass before the one-ball shortcut, one lifted pair query over every clustered box."""
+    radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
+    lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
+    return _dbscan(len(dims), *_pairs(lifted, radius, "box dimensions"), 2)
+
 @st.composite
 def dbscan_clouds(draw):
     """(points, eps, min_pts) in 2-D or 3-D, uniform or on an integer grid.
@@ -108,6 +146,50 @@ def dbscan_clouds(draw):
     pts = np.vstack([pts] + stars)
     return pts[rng.permutation(len(pts))], eps, min_pts
 
+
+@st.composite
+def dimension_clusters(draw):
+    """(dims, pos_labels, eps) for the dimension pass, one position cluster of each drawn kind in turn.
+
+    - single: one box, which is noise;
+    - ball: boxes whose (w, h) extent lies well inside one eps-ball;
+    - spread: boxes scattered over several eps, so the pair query splits them;
+    - edge: the two ends of a diagonal eps long times 1 + k * 2**-52, or that
+      far from the 1e-9 margin, with k in [-8, 8], plus boxes on its sides,
+      so the extent sits a few ulps off eps (or the margin) on either side;
+    - huge: copies of one box 1e200 wide.
+
+    eps can be 1e200, which overflows eps**2, and the huge boxes overflow the
+    squared spread of any call that also holds ordinary boxes or a second
+    cluster lifted 2e200 apart.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from((0.5, 3.0, 10.0, 1e200)))
+    kinds = draw(st.lists(st.sampled_from(("single", "ball", "spread", "edge", "huge")), min_size=1, max_size=6))
+    reach = min(eps, 100.0)
+    groups = []
+    for kind in kinds:
+        m = draw(st.integers(2, 12))
+        base = rng.uniform(1.0, 50.0, size=2)
+        if kind == "single":
+            rows = base[None]
+        elif kind == "ball":
+            rows = base + rng.uniform(0.0, reach / 2, size=(m, 2))
+        elif kind == "spread":
+            rows = base + rng.uniform(0.0, 4 * reach, size=(m, 2))
+        elif kind == "edge":
+            scale = draw(st.sampled_from((1.0, float(np.sqrt(1 - 1e-9))))) * (1 + draw(st.integers(-8, 8)) * 2.0**-52)
+            angle = draw(st.sampled_from((0.0, np.pi / 4, np.pi / 2))) + rng.uniform(-0.3, 0.3)
+            diagonal = reach * scale * np.array([abs(np.cos(angle)), abs(np.sin(angle))])
+            corner = np.array([64.0, 64.0])
+            sides = corner + rng.uniform(0.0, 1.0, size=(m - 2, 1)) * diagonal * rng.integers(0, 2, size=(m - 2, 2))
+            rows = np.vstack((corner, corner + diagonal, sides))
+        else:
+            rows = np.tile([1e200, base[1]], (m, 1))
+        groups.append(rows[rng.permutation(len(rows))])
+    dims = np.vstack(groups)
+    pos_labels = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return dims, pos_labels, eps
 
 def loop_centers(ds: DetectionSet, cfg: ClusterConfig) -> list[VertebraCenter]:
     """Oracle: cluster_centers with the per-cluster loop it once ended in, one np.median per coordinate.
@@ -369,6 +451,61 @@ class TestDbscan:
         degrees = _degrees(len(pts), *_pairs(pts, 6.0, "box centers"))
         assert np.array_equal(degrees, cKDTree(pts).query_ball_point(pts, r=6.0, return_length=True) - 1)
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(dbscan_clouds())
+    def test_early_stop_matches_loop_to_no_op_round(self, cloud):
+        pts, eps, min_pts = cloud
+        pairs = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
+        expected, rounds = looped_dbscan(len(pts), *pairs, min_pts)
+        event(f"{min(rounds, 4)}{'+' if rounds >= 4 else ''} hooking rounds")
+        assert np.array_equal(_dbscan(len(pts), *pairs, min_pts), expected)
+
+    @pytest.mark.parametrize("n", [9, 64, 1000])
+    def test_long_chain_keeps_hooking(self, n):
+        # a path through the points in a shuffled index order: every hooking
+        # round shortens it by a bounded factor, so long paths need several
+        order = np.random.default_rng(n).permutation(n)
+        i, j = np.sort((order[:-1], order[1:]), axis=0)
+        expected, rounds = looped_dbscan(n, i, j, 2)
+        assert rounds >= 3
+        labels = _dbscan(n, i, j, 2)
+        assert np.array_equal(labels, expected) and not labels.any()
+
+
+class TestDimensionLabels:
+    @staticmethod
+    def outcome(dimension_labels, dims, pos_labels, eps):
+        try:
+            return dimension_labels(dims, pos_labels, eps).tolist()
+        except ValidationError as e:
+            return ("ValidationError", str(e))
+
+    @settings(max_examples=500, deadline=None)
+    @given(dimension_clusters())
+    def test_matches_all_pairs_oracle(self, case):
+        dims, pos_labels, eps = case
+        expected = self.outcome(all_pairs_dimension_labels, dims, pos_labels, eps)
+        event("rejected" if isinstance(expected, tuple) else "labeled")
+        assert self.outcome(_dimension_labels, dims, pos_labels, eps) == expected
+
+    @pytest.mark.parametrize("steps", [-8, -1, 0, 1, 8])
+    @pytest.mark.parametrize("margin", [1.0, 1 - 1e-9])
+    def test_extent_at_the_radius(self, steps, margin):
+        # two boxes whose distance is the cluster's extent, a few ulps either
+        # side of eps or of the shortcut's margin, beside a cluster split in two
+        eps = 10.0
+        far = 64.0 + eps * np.sqrt(margin) * (1 + steps * 2.0**-52)
+        dims = np.array([[64.0, 20.0], [far, 20.0], [5.0, 5.0], [5.0, 6.0], [40.0, 40.0], [40.0, 41.0]])
+        pos_labels = np.array([0, 0, 1, 1, 1, 1])
+        expected = all_pairs_dimension_labels(dims, pos_labels, eps)
+        assert _dimension_labels(dims, pos_labels, eps).tolist() == expected.tolist()
+
+    def test_identical_huge_boxes_still_rejected(self):
+        dims = np.array([[1e200, 20.0]] * 5)
+        with pytest.raises(ValidationError, match="squared distances fit in float64"):
+            _dimension_labels(dims, np.array([0, 0, 0, 1, 1]), 1e200)
+        assert _dimension_labels(dims, np.zeros(5, dtype=np.int64), 1e200).tolist() == [0] * 5
 
 class TestCenterReduction:
     @staticmethod
