@@ -23,7 +23,7 @@ planted = np.array([v.center.position for v in case.vertebrae])
 print("rank  truth  recovered center              error   members  dims")
 for c in centers:
     err = float(np.min(np.linalg.norm(planted - np.array(c.position), axis=1)))
-    label = CANONICAL_NAMES[case.vertebrae[c.z_rank].truth.index]
+    label = CANONICAL_NAMES[case.vertebrae[c.z_rank].truth]
     x, y, z = c.position
     print(f"{c.z_rank:4d}  {label:>5}  ({x:6.1f}, {y:6.1f}, {z:6.1f})   "
           f"{err:5.2f}   {c.member_count:7d}  {c.mean_dims[0]:.1f} x {c.mean_dims[1]:.1f}")

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spineid import EmbeddingBatch, VertebraLabel, sequence_loss, supcon_grad, supcon_loss, total_loss
+from spineid import EmbeddingBatch, label_index, sequence_loss, supcon_grad, supcon_loss, total_loss
 
 rng = np.random.default_rng(0)
 
@@ -16,7 +16,7 @@ tight = np.array([
     [0.044, 0.999, 0.0],
 ])
 tight /= np.linalg.norm(tight, axis=1, keepdims=True)
-labels = tuple(VertebraLabel(i) for i in (7, 7, 8, 8))
+labels = [label_index(name) for name in ("T1", "T1", "T2", "T2")]  # label indices 7, 7, 8, 8
 batch = EmbeddingBatch(tight, labels, tau=0.1)
 print(f"separated classes : loss = {supcon_loss(batch):.4f}")
 

@@ -11,7 +11,6 @@ import numpy as np
 from spineid import FusionParams, fuse
 from spineid.labels import CANONICAL_NAMES, N_CLASSES
 from spineid.domain import McSampleSet, SpineCase, SpineVertebra, VertebraCenter, phi_offsets
-from spineid.labels import VertebraLabel
 
 START = 10  # T4..T8
 
@@ -29,7 +28,7 @@ vertebrae = tuple(
     SpineVertebra(
         center=VertebraCenter((100.0, 100.0, 500.0 - 26.0 * i), (30.0, 20.0), 10, i),
         mc=McSampleSet(row[None, :]),
-        truth=VertebraLabel(START + i),
+        truth=START + i,
     )
     for i, row in enumerate(rows)
 )

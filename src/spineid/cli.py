@@ -136,7 +136,11 @@ def _is_case_file(p: Path) -> bool:
 
 
 def _load_case_dir(path: str, out: str | None) -> list[tuple[Path, SpineCase]]:
-    """Every case of directory ``path``, after rejecting an ``out`` that a later run would read as one."""
+    """Every case of directory ``path``, after rejecting an ``out`` that a later run would read as one.
+
+    Two files that hold the same ``case_id`` are rejected: a copy of a case
+    (say, one ``uncertainty --out`` wrote next to it) would be counted twice.
+    """
     from . import io
 
     if out is not None and _is_case_file(Path(out)) and Path(out).parent.resolve() == Path(path).resolve():
@@ -145,7 +149,14 @@ def _load_case_dir(path: str, out: str | None) -> list[tuple[Path, SpineCase]]:
     files = sorted(p for p in Path(path).glob("*.json") if _is_case_file(p))
     if not files:
         raise ValidationError(f"no case files found in {path!r}")
-    return [(p, io.load_case(p)) for p in files]
+    pairs = [(p, io.load_case(p)) for p in files]
+    first: dict[str, Path] = {}
+    for p, case in pairs:
+        other = first.setdefault(case.case_id, p)
+        if other != p:
+            raise ValidationError(f"{str(other)!r} and {str(p)!r} both hold case {case.case_id!r}; "
+                                  f"keep one of them in {path!r}")
+    return pairs
 
 
 def _cmd_train_phi(args) -> int:

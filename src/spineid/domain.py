@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .labels import N_CLASSES, VertebraLabel
+from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 PLANES = ("sagittal", "coronal")
 
@@ -246,11 +246,11 @@ class UncertaintyReport:
 
 @dataclass(frozen=True)
 class SpineVertebra:
-    """One vertebra record inside a case: clustered center, MC samples, optional truth."""
+    """One vertebra record inside a case: clustered center, MC samples, optional truth label index."""
 
     center: VertebraCenter
     mc: McSampleSet
-    truth: VertebraLabel | None = None
+    truth: int | None = None
     uncertainty: UncertaintyReport | None = None
     fusion_weight: float | None = None
 
@@ -259,8 +259,8 @@ class SpineVertebra:
             raise ValidationError("center must be a VertebraCenter")
         if not isinstance(self.mc, McSampleSet):
             raise ValidationError("mc must be a McSampleSet")
-        if self.truth is not None and not isinstance(self.truth, VertebraLabel):
-            raise ValidationError("truth must be a VertebraLabel or None")
+        if self.truth is not None:
+            object.__setattr__(self, "truth", _check_label(self.truth, "field 'truth'"))
         if self.fusion_weight is not None:
             fw = _require_finite("fusion_weight", self.fusion_weight)
             if not 0.0 <= fw <= 1.0:
@@ -293,23 +293,23 @@ class SpineCase:
                 raise ValidationError(
                     f"center z must not increase along the case (position {i} -> {i + 1})"
                 )
-        truths = [v.truth for v in verts]
-        if all(t is not None for t in truths):
+        truths = self.truths
+        if truths is not None:
             for i in range(len(truths) - 1):
-                if truths[i + 1].index != truths[i].index + 1:
+                if truths[i + 1] != truths[i] + 1:
                     raise ValidationError(
                         "truth labels must increase by exactly 1 along the case, got "
-                        f"{truths[i].name} -> {truths[i + 1].name} at position {i}"
+                        f"{CANONICAL_NAMES[truths[i]]} -> {CANONICAL_NAMES[truths[i + 1]]} at position {i}"
                     )
 
     def __len__(self) -> int:
         return len(self.vertebrae)
 
     @property
-    def truths(self) -> list[VertebraLabel] | None:
-        """All-or-nothing ground truth; None when any vertebra lacks a label."""
+    def truths(self) -> list[int] | None:
+        """All-or-nothing ground truth label indices; None when any vertebra lacks a label."""
         out = [v.truth for v in self.vertebrae]
-        return out if all(t is not None for t in out) else None
+        return None if None in out else out
 
 
 ALLOWED_WINDOWS = (1, 3, 5, 7)

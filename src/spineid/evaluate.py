@@ -9,13 +9,9 @@ import numpy as np
 
 from .domain import SpineCase
 from .errors import ValidationError
-from .labels import N_CLASSES, VertebraLabel
+from .labels import N_CLASSES, _check_label
 
 DECODE_MODES = ("argmax", "constrained")
-
-
-def _as_indices(labels: Sequence) -> list[int]:
-    return [v.index if isinstance(v, VertebraLabel) else int(v) for v in labels]
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -109,13 +105,10 @@ def evaluate(
         if np.ndim(case_preds[0]) == 1:
             labels = decode_states(case_preds, decode)
         else:
-            labels = _as_indices(case_preds)
-            if not 0 <= min(labels) <= max(labels) < N_CLASSES:
-                i = next(i for i, v in enumerate(labels) if not 0 <= v < N_CLASSES)
-                raise ValidationError(f"case {case.case_id!r}: predicted label {labels[i]} at position {i} "
-                                      f"lies outside [0, {N_CLASSES})")
+            labels = [_check_label(v, f"case {case.case_id!r}: predicted label at position {i}")
+                      for i, v in enumerate(case_preds)]
         labels = np.array(labels, dtype=np.int64)
-        truth = np.array([t.index for t in case.truths], dtype=np.int64)
+        truth = np.array(case.truths, dtype=np.int64)
         truths.append(truth)
         preds.append(labels)
         per_case.append(int((labels == truth).sum()) / len(case))

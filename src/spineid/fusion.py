@@ -202,7 +202,7 @@ class _Unrolled:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
         self.pairs = _fuse_pairs(cases, params)
         self.c0 = np.array([aggregate_samples(v.mc) for case in cases for v in case.vertebrae])
-        self.truth = np.array([t.index for case in cases for t in case.truths], dtype=np.int64)
+        self.truth = np.array([t for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
 
     def _cross_entropy(self, final: np.ndarray) -> tuple[float, np.ndarray]:

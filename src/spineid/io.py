@@ -29,7 +29,7 @@ from .domain import (
     VertebraCenter,
 )
 from .errors import ParseError, ValidationError
-from .labels import CANONICAL_NAMES, VertebraLabel
+from .labels import CANONICAL_NAMES, label_index
 
 
 def _finite(text: str) -> str:
@@ -320,7 +320,7 @@ def case_to_dict(case: SpineCase) -> dict:
             {
                 "center": center_to_dict(v.center),
                 "mc": {"samples": v.mc.samples.tolist()},
-                "truth": None if v.truth is None else int(v.truth.index),
+                "truth": v.truth,
                 "uncertainty": None if v.uncertainty is None else report_to_dict(v.uncertainty),
                 "fusion_weight": None if v.fusion_weight is None else float(v.fusion_weight),
             }
@@ -335,14 +335,13 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
     verts = []
     for rec in raw_verts:
         mc_rec = _get(rec, "mc", path)
-        truth = rec.get("truth")
         report = rec.get("uncertainty")
         weight = rec.get("fusion_weight")
         verts.append(
             SpineVertebra(
                 center=center_from_dict(_get(rec, "center", path), path),
                 mc=McSampleSet(_convert(_float_array, _get(mc_rec, "samples", path), "samples", path)),
-                truth=None if truth is None else VertebraLabel(_convert(_int, truth, "truth", path)),
+                truth=rec.get("truth"),
                 uncertainty=None if report is None else report_from_dict(report, path),
                 fusion_weight=None if weight is None else _convert(_float, weight, "fusion_weight", path),
             )
@@ -377,12 +376,15 @@ def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
     if not isinstance(raw_phi, dict):
         raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)} "
                               f"[{path}]")
-    phi = {}
+    phi, keys = {}, {}
     for key, flat in raw_phi.items():
         try:
             offset = int(key)
         except ValueError:
             raise ParseError(f"phi key {key!r} is not a signed offset", path=str(path)) from None
+        if offset in keys:
+            raise ParseError(f"phi keys {keys[offset]!r} and {key!r} name the same offset", path=str(path))
+        keys[offset] = key
         flat = _convert(_float_array, flat, f"phi[{key}]", path)
         if flat.size != 24 * 24:
             raise ValidationError(f"phi[{key}] must hold 576 values, got {flat.size}")
@@ -421,11 +423,11 @@ def load_labels(path: str | Path) -> list[int]:
 # embedding batches (input to the contrastive loss commands)
 
 
-def _labels(values: Any) -> tuple[VertebraLabel, ...]:
-    """Labels given as a JSON list of canonical names or integer indices."""
-    if not isinstance(values, list) or not all(type(v) in (str, int) for v in values):
-        raise TypeError("expected a list of vertebra names or integers")
-    return tuple(VertebraLabel.from_name(v) if isinstance(v, str) else VertebraLabel(v) for v in values)
+def _labels(values: Any) -> list:
+    """Labels given as a JSON list of canonical names or label indices, names turned into indices."""
+    if not isinstance(values, list):
+        raise TypeError("expected a list of vertebra names or label indices")
+    return [label_index(v) if isinstance(v, str) else v for v in values]
 
 
 def load_embedding_batch(path: str | Path, tau_override: float | None = None):

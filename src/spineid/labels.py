@@ -1,14 +1,15 @@
 """The 24-class vertebra label taxonomy.
 
-Labels are ordered cranial to caudal: C1..C7 map to indices 0..6, T1..T12 to
-7..18, and L1..L5 to 19..23. The sacrum is not a class. The integer encoding
-is an artifact of this toolkit; callers with their own encodings must map
-explicitly.
+A label is a plain integer index. Labels are ordered cranial to caudal:
+C1..C7 map to indices 0..6, T1..T12 to 7..18, and L1..L5 to 19..23. The
+sacrum is not a class. The integer encoding is an artifact of this toolkit;
+callers with their own encodings must map explicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import reprlib
 
 from .errors import ValidationError
 
@@ -23,28 +24,22 @@ CANONICAL_NAMES: tuple[str, ...] = (
 _NAME_TO_INDEX = {name.upper(): i for i, name in enumerate(CANONICAL_NAMES)}
 
 
-@dataclass(frozen=True, order=True)
-class VertebraLabel:
-    """One of the 24 vertebra classes, identified by its cranial-to-caudal index."""
+def label_index(name: str) -> int:
+    """The index of a canonical vertebra name; case and surrounding whitespace are ignored."""
+    try:
+        return _NAME_TO_INDEX[name.strip().upper()]
+    except (KeyError, AttributeError):
+        raise ValidationError(f"unknown vertebra name {name!r}") from None
 
-    index: int
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool):
-            raise ValidationError(f"label index must be an integer, got {self.index!r}")
-        if not 0 <= self.index < N_CLASSES:
-            raise ValidationError(f"label index {self.index} outside [0, {N_CLASSES - 1}]")
+def _check_label(value, what: str) -> int:
+    """``value`` as a Python int, if it is a label index: a Python or numpy integer in [0, 24).
 
-    @property
-    def name(self) -> str:
-        return CANONICAL_NAMES[self.index]
-
-    @classmethod
-    def from_name(cls, name: str) -> "VertebraLabel":
-        try:
-            return cls(_NAME_TO_INDEX[name.strip().upper()])
-        except (KeyError, AttributeError):
-            raise ValidationError(f"unknown vertebra name {name!r}") from None
-
-    def __str__(self) -> str:
-        return self.name
+    A bool, a float or a string is never a label index, whatever number it
+    spells or casts to. ``what`` names the value in the ValidationError.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} has an invalid value {reprlib.repr(value)}, not an integer label index")
+    if not 0 <= value < N_CLASSES:
+        raise ValidationError(f"{what} has an invalid value {int(value)}, which lies outside [0, {N_CLASSES})")
+    return int(value)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
-from .labels import N_CLASSES, VertebraLabel
+from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 NORM_TOL = 1e-9
 
@@ -24,12 +24,13 @@ NORM_TOL = 1e-9
 class EmbeddingBatch:
     """L2-normalized embedding rows with labels and a softmax temperature.
 
-    Every label must occur at least twice, so each anchor has a non-empty
-    positive set.
+    ``labels`` is stored as a read-only int64 ``(n,)`` array of label
+    indices. Every label must occur at least twice, so each anchor has a
+    non-empty positive set.
     """
 
     vectors: np.ndarray
-    labels: tuple[VertebraLabel, ...]
+    labels: np.ndarray
     tau: float
 
     def __post_init__(self):
@@ -48,25 +49,23 @@ class EmbeddingBatch:
             raise ValidationError(f"embedding row {row} has L2 norm {norms[row]!r}, expected 1 within {NORM_TOL}")
         vecs.flags.writeable = False
         object.__setattr__(self, "vectors", vecs)
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+        labels = np.array([_check_label(v, "field 'labels'") for v in self.labels], dtype=np.int64)
         if len(labels) != vecs.shape[0]:
             raise ValidationError(f"{len(labels)} labels for {vecs.shape[0]} vectors")
-        idx = [lab.index for lab in labels]
-        for i, lab in enumerate(idx):
-            if idx.count(lab) < 2:
-                raise ValidationError(
-                    f"label {labels[i].name} at row {i} has no positive partner in the batch"
-                )
+        lonely = np.bincount(labels, minlength=N_CLASSES)[labels] < 2
+        if lonely.any():
+            row = int(np.argmax(lonely))
+            raise ValidationError(
+                f"label {CANONICAL_NAMES[labels[row]]} at row {row} has no positive partner in the batch"
+            )
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
         if not np.isfinite(self.tau) or self.tau <= 0:
             raise ValidationError(f"tau must be a positive temperature, got {self.tau!r}")
 
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
-
-    def label_indices(self) -> np.ndarray:
-        return np.array([lab.index for lab in self.labels], dtype=np.int64)
 
 
 def _shifted_exp(batch: EmbeddingBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +75,7 @@ def _shifted_exp(batch: EmbeddingBatch) -> tuple[np.ndarray, np.ndarray]:
     self-similarity can exceed the row maximum by more than exp can hold."""
     z = batch.vectors
     s = (z @ z.T) / batch.tau
-    labels = batch.label_indices()
+    labels = batch.labels
     valid = ~np.eye(batch.size, dtype=bool)
     positive = (labels[:, None] == labels[None, :]) & valid
     s = np.where(valid, s, -np.inf)
@@ -131,38 +130,20 @@ def supcon_grad(batch: EmbeddingBatch) -> np.ndarray:
     return grad
 
 
-@dataclass(frozen=True)
-class LabelSequence:
-    """A predicted label-index sequence in cranial-to-caudal order."""
-
-    seq: tuple[int, ...]
-
-    def __post_init__(self):
-        seq = tuple(int(v) for v in self.seq)
-        if len(seq) == 0:
-            raise ValidationError("label sequence must not be empty")
-        for i, v in enumerate(seq):
-            if not 0 <= v < N_CLASSES:
-                raise ValidationError(f"seq[{i}] = {v} outside [0, {N_CLASSES - 1}]")
-        object.__setattr__(self, "seq", seq)
-
-    @property
-    def n(self) -> int:
-        return len(self.seq)
-
-
-def sequence_loss(s: LabelSequence | Sequence[int]) -> int:
+def sequence_loss(seq: Sequence[int]) -> int:
     """Sequence length minus the longest strictly increasing subsequence.
+
+    ``seq`` is a non-empty cranial-to-caudal sequence of label indices.
 
     Computed by the quadratic relaxation v[i] = max(v[i], v[j] + 1) over
     j < i with seq[i] > seq[j], each v initialized to 1. Zero exactly when
     the sequence is already strictly increasing; duplicates are penalized.
     The score is an integer penalty and is not differentiable.
     """
-    if not isinstance(s, LabelSequence):
-        s = LabelSequence(tuple(s))
-    seq = s.seq
-    n = s.n
+    seq = [_check_label(v, f"seq[{i}]") for i, v in enumerate(seq)]
+    n = len(seq)
+    if n == 0:
+        raise ValidationError("label sequence must not be empty")
     v = [1] * n
     for i in range(n):
         for j in range(i):

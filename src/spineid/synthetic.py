@@ -19,7 +19,7 @@ import numpy as np
 
 from .domain import PLANES, DetectionSet, McSampleSet, SpineCase, SpineVertebra, VertebraCenter
 from .errors import ValidationError
-from .labels import N_CLASSES, VertebraLabel
+from .labels import N_CLASSES
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,9 @@ class DetectConfig:
         if not 0.0 <= self.count_jitter < 1.0:
             raise ValidationError(f"count_jitter must lie in [0, 1), got {self.count_jitter!r}")
         for name in ("pos_sigma", "dim_sigma"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not np.isfinite(value) or value < 0:
+                raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ValidationError(f"noise_rate must lie in [0, 1), got {self.noise_rate!r}")
 
@@ -213,7 +214,7 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
                     z_rank=i,
                 ),
                 mc=McSampleSet(samples),
-                truth=VertebraLabel(truth),
+                truth=truth,
             )
         )
 

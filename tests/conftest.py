@@ -11,7 +11,7 @@ from spineid.domain import (
     VertebraCenter,
     phi_offsets,
 )
-from spineid.labels import N_CLASSES, VertebraLabel
+from spineid.labels import N_CLASSES
 
 
 def one_hot(index: int) -> np.ndarray:
@@ -58,7 +58,7 @@ def make_case(
                     z_rank=i,
                 ),
                 mc=McSampleSet(arr),
-                truth=None if truths is None else VertebraLabel(int(truths[i])),
+                truth=None if truths is None else truths[i],
             )
         )
     return SpineCase(case_id=case_id, vertebrae=tuple(verts))

@@ -197,7 +197,7 @@ def test_criterion_6_fusion_invariants():
                 m = int(rng.integers(0, k))
                 rows = [np.asarray(v.mc.samples) for v in case.vertebrae]
                 rows[m] = np.roll(rows[m], 3, axis=1)
-                other = make_case(rows, truths=[t.index for t in case.truths])
+                other = make_case(rows, truths=case.truths)
                 a, b = fuse(case, params), fuse(other, params)
                 radius = params.hops * (window - 1) // 2
                 for i in range(k):

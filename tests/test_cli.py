@@ -185,7 +185,7 @@ def test_eval_with_labels_dir(corpus, tmp_path):
         if case_path.name.endswith(".detections.jsonl"):
             continue
         case = io.load_case(case_path)
-        truth = [t.index for t in case.truths]
+        truth = case.truths
         (labels_dir / f"{case_path.stem}.labels.json").write_text(
             json.dumps({"case_id": case.case_id, "labels": truth})
         )
@@ -309,6 +309,27 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--pos-sigma", "--dim-sigma"])
+    def test_non_finite_detector_sigma_is_validation_error(self, tmp_path, capsys, flag, value):
+        # nan and inf positions once ended in a traceback; a nan dim-sigma wrote 1 x 1 boxes with exit 0
+        assert main(["gen", "--out-dir", str(tmp_path / "out"), "--n-cases", "1", flag, value]) == 2
+        name = flag.removeprefix("--").replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and non-negative, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(_CASE_DIR_COMMANDS))
+    def test_two_files_of_one_case_are_rejected(self, corpus, tmp_path, capsys, command):
+        # the copy was read as a second case: eval scored its vertebrae twice, train-phi trained on it twice
+        copy = corpus / "case_0000.u.json"
+        assert main(["uncertainty", "--in", str(corpus / "case_0000.json"), "--out", str(copy)]) == 0
+        capsys.readouterr()
+        assert main(_CASE_DIR_COMMANDS[command](corpus, tmp_path / "out.json")) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {str(corpus / 'case_0000.json')!r} and {str(copy)!r} both hold case 'case_0000'; "
+                       f"keep one of them in {str(corpus)!r}\n")
+        assert not (tmp_path / "out.json").exists()
+
     # hops 2.9, "2" and true, and window 5.0, once ran as the integer they truncate or parse to, with exit 0
     @pytest.mark.parametrize("field, value", [
         ("hops", "x"), ("phi", []), ("theta", "x"), ("hops", 2.9), ("hops", "2"), ("hops", True), ("window", 5.0),
@@ -402,7 +423,7 @@ class TestExitCodes:
         labels_dir.mkdir()
         for case_path in sorted(corpus.glob("case_*.json")):
             case = io.load_case(case_path)
-            labels = [t.index for t in case.truths]
+            labels = case.truths
             if case_path.stem == "case_0001":
                 labels[1] = labels[1] - 24 if label == "truth-24" else label
             (labels_dir / f"{case_path.stem}.labels.json").write_text(json.dumps({"labels": labels}))
@@ -723,7 +744,7 @@ def test_golden_cli_outputs(tmp_path):
         wrong = out / name / "wrong"
         wrong.mkdir(parents=True)
         for i, stem in enumerate(stems):
-            truth = [t.index for t in io.load_case(corpus / f"{stem}.json").truths]
+            truth = io.load_case(corpus / f"{stem}.json").truths
             labels = [(t + i + j) % 24 for j, t in enumerate(truth)]
             (wrong / f"{stem}.labels.json").write_text(json.dumps({"labels": labels}))
         for decode in ("argmax", "constrained"):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from spineid.domain import (
     phi_offsets,
 )
 from spineid.errors import ParseError, ValidationError
-from spineid.labels import N_CLASSES, VertebraLabel
+from spineid.fusion import identity_params
+from spineid.labels import N_CLASSES
 from spineid.uncertainty import aggregate_samples, entropy, report
 
 
@@ -133,7 +135,7 @@ class TestValidation:
 
     def test_consecutive_truths_ok(self):
         case = make_case([one_hot(7), one_hot(8), one_hot(9)], truths=[7, 8, 9])
-        assert [t.index for t in case.truths] == [7, 8, 9]
+        assert case.truths == [7, 8, 9]
 
     def test_partial_truths_allowed(self):
         rows = [one_hot(7), one_hot(12)]
@@ -279,7 +281,7 @@ def spine_cases(draw) -> SpineCase:
                                 draw(st.integers(1, 10**6)), i)
         mc = McSampleSet(random_probs(rng, draw(st.integers(1, 7), label="mc samples"), sharp=draw(st.floats(0.5, 8.0))))
         known = truths == "all" or (truths == "some" and draw(st.booleans()))
-        verts.append(SpineVertebra(center, mc, VertebraLabel(start + i) if known else None,
+        verts.append(SpineVertebra(center, mc, start + i if known else None,
                                    report(mc) if draw(st.booleans(), label="report") else None,
                                    draw(st.none() | UNIT, label="fusion weight")))
     return SpineCase(draw(st.text(max_size=8), label="case_id"), tuple(verts))
@@ -433,6 +435,17 @@ class TestParseErrors:
         path.write_text(json.dumps(data))
         with pytest.raises(ValidationError, match="exactly 1"):
             io.load_case(path)
+
+    @pytest.mark.parametrize("first, second", [("+1", "1"), ("-1", "-01"), ("1", "+1")])
+    def test_two_phi_keys_for_one_offset(self, tmp_path, first, second):
+        # once loaded with no error, the matrix written last winning
+        data = io.params_to_dict(identity_params(window=3))
+        flat = data["phi"]["+1"]
+        data["phi"] = {"-1": flat, first: flat, second: [0.5] * len(flat)}
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=re.escape(f"phi keys {first!r} and {second!r} name the same offset")):
+            io.load_fusion_params(path)
 
     def test_empty_case_file(self, tmp_path):
         path = tmp_path / "case.json"

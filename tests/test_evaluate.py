@@ -42,9 +42,9 @@ def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
             labels = [int(v) for v in preds]
         case_correct = 0
         for pred, truth in zip(labels, truths):
-            confusion[truth.index, pred] += 1
-            case_correct += pred == truth.index
-            sq_err += (pred - truth.index) ** 2
+            confusion[truth, pred] += 1
+            case_correct += pred == truth
+            sq_err += (pred - truth) ** 2
         correct += case_correct
         total += len(case)
         per_case.append(case_correct / len(case))
@@ -175,7 +175,7 @@ class TestEvaluate:
         truth_counts = np.zeros(24, dtype=int)
         for case in cases:
             for t in case.truths:
-                truth_counts[t.index] += 1
+                truth_counts[t] += 1
         assert np.array_equal(rep.per_class_confusion.sum(axis=1), truth_counts)
         assert rep.id_rate == pytest.approx(np.trace(rep.per_class_confusion) / rep.n_vertebrae)
 
@@ -199,6 +199,13 @@ class TestEvaluate:
         cases = [make_case([one_hot(t) for t in (17, 18, 19)], truths=[17, 18, 19], case_id="spine")]
         with pytest.raises(ValidationError, match=r"case 'spine'.* position 1 .*outside \[0, 24\)"):
             evaluate(cases, [[17, label, 19]])
+
+    @pytest.mark.parametrize("preds", [[5.9, 6.2], [True, 6], ["5", "6"]], ids=["floats", "bool", "strings"])
+    def test_non_integer_labels_rejected(self, preds):
+        # the floats once scored id_rate 1.0, truncated to [5, 6]
+        cases = [make_case([one_hot(5), one_hot(6)], truths=[5, 6], case_id="spine")]
+        with pytest.raises(ValidationError, match="case 'spine': predicted label at position 0 has an invalid value"):
+            evaluate(cases, [preds])
 
     def test_constrained_per_case_all_or_nothing(self):
         rng = np.random.default_rng(6)

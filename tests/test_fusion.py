@@ -258,7 +258,7 @@ class TestFuse:
         m = perturbed % k
         rows = [np.asarray(v.mc.samples) for v in case.vertebrae]
         rows[m] = np.roll(rows[m], 2, axis=1)
-        other = make_case(rows, truths=[t.index for t in case.truths], case_id=case.case_id)
+        other = make_case(rows, truths=case.truths, case_id=case.case_id)
         a = fuse(stored(case, metric), params).snapshots[-1]
         b = fuse(stored(other, metric), params).snapshots[-1]
         radius = hops * ((window - 1) // 2)
@@ -274,7 +274,7 @@ class TestFuse:
         moved_rows = [np.asarray(v.mc.samples) for v in case.vertebrae]
         moved = make_case(
             moved_rows,
-            truths=[t.index for t in case.truths],
+            truths=case.truths,
             case_id="renamed",
             positions=[tuple(np.array(v.center.position) + shift) for v in case.vertebrae],
         )
@@ -308,7 +308,7 @@ class TestFuse:
                 rows.append(rng.dirichlet(5 * base, size=20))
             case = make_case(rows, truths=list(range(start, start + k)))
             trace = fuse(case, params)
-            truth_idx = [t.index for t in case.truths]
+            truth_idx = case.truths
             before = [int(np.argmax(s)) for s in trace.snapshots[0]]
             base_rates.append(np.mean([p == t for p, t in zip(before, truth_idx)]))
             fused_rates.append(np.mean([p == t for p, t in zip(trace.final_labels, truth_idx)]))

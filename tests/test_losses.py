@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import unit_vector_batch
 from spineid.errors import DivergenceError, ValidationError
-from spineid.labels import VertebraLabel
-from spineid.losses import EmbeddingBatch, LabelSequence, sequence_loss, supcon_grad, supcon_loss, total_loss
+from spineid.losses import EmbeddingBatch, sequence_loss, supcon_grad, supcon_loss, total_loss
 
 
 def oracle_supcon(vectors: np.ndarray, labels, tau: float) -> float:
     """Extended-precision double loop over anchors, positives, and the denominator."""
     z = np.asarray(vectors, dtype=np.longdouble)
-    lab = [l.index for l in labels]
+    lab = list(labels)
     n = len(z)
     total = np.longdouble(0.0)
     for v in range(n):
@@ -59,7 +58,7 @@ def random_batch(rng, pairs=None, dim=None, tau=None) -> EmbeddingBatch:
     rng.shuffle(labels)
     vecs = rng.normal(size=(2 * pairs, dim))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    return EmbeddingBatch(vecs, tuple(VertebraLabel(int(l)) for l in labels), tau)
+    return EmbeddingBatch(vecs, labels, tau)
 
 
 def fd_grad(batch: EmbeddingBatch, h: float = 1e-5) -> np.ndarray:
@@ -80,7 +79,7 @@ def fd_grad(batch: EmbeddingBatch, h: float = 1e-5) -> np.ndarray:
 def _raw_loss(vectors, labels, tau) -> float:
     """supcon_loss on unnormalized rows (the gradient treats rows as free)."""
     z = np.asarray(vectors, dtype=np.float64)
-    lab = np.array([l.index for l in labels])
+    lab = np.asarray(labels)
     s = z @ z.T / tau
     n = len(z)
     valid = ~np.eye(n, dtype=bool)
@@ -95,7 +94,7 @@ class TestSupconLoss:
         v = np.zeros(4)
         v[0] = 1.0
         vecs = np.tile(v, (4, 1))
-        labels = tuple(VertebraLabel(i) for i in (0, 0, 1, 1))
+        labels = (0, 0, 1, 1)
         batch = EmbeddingBatch(vecs, labels, tau=0.5)
         got = supcon_loss(batch)
         expected = oracle_supcon(vecs, labels, 0.5)
@@ -105,7 +104,7 @@ class TestSupconLoss:
 
     def test_orthogonal_pairs(self):
         vecs = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=float)
-        labels = tuple(VertebraLabel(i) for i in (3, 3, 8, 8))
+        labels = (3, 3, 8, 8)
         batch = EmbeddingBatch(vecs, labels, tau=1.0)
         assert supcon_loss(batch) == pytest.approx(oracle_supcon(vecs, labels, 1.0), rel=1e-12)
 
@@ -135,32 +134,37 @@ class TestSupconLoss:
         rng = np.random.default_rng(8)
         batch = random_batch(rng)
         perm = rng.permutation(batch.size)
-        shuffled = EmbeddingBatch(batch.vectors[perm], tuple(batch.labels[i] for i in perm), batch.tau)
+        shuffled = EmbeddingBatch(batch.vectors[perm], batch.labels[perm], batch.tau)
         assert abs(supcon_loss(shuffled) - supcon_loss(batch)) <= 1e-9
 
     def test_lonely_label_rejected(self):
         vecs = np.eye(3)
-        labels = tuple(VertebraLabel(i) for i in (0, 0, 1))
-        with pytest.raises(ValidationError, match="positive partner"):
+        labels = (0, 0, 1)
+        with pytest.raises(ValidationError, match="label C2 at row 2 has no positive partner"):
             EmbeddingBatch(vecs, labels, 0.1)
+
+    def test_labels_are_a_read_only_index_array(self):
+        batch = EmbeddingBatch(np.eye(4), [np.int64(3), 3, np.uint8(8), 8], 0.1)
+        assert batch.labels.dtype == np.int64 and batch.labels.tolist() == [3, 3, 8, 8]
+        assert not batch.labels.flags.writeable
 
     def test_bad_tau_rejected(self):
         vecs = np.eye(2)
-        labels = (VertebraLabel(0), VertebraLabel(0))
+        labels = (0, 0)
         with pytest.raises(ValidationError, match="tau"):
             EmbeddingBatch(vecs, labels, 0.0)
 
     def test_unnormalized_rows_rejected(self):
         vecs = np.eye(2) * 1.5
         with pytest.raises(ValidationError, match="norm"):
-            EmbeddingBatch(vecs, (VertebraLabel(0), VertebraLabel(0)), 0.1)
+            EmbeddingBatch(vecs, (0, 0), 0.1)
 
     def test_self_similarity_never_overflows(self):
         # the corners of a regular tetrahedron: every off-diagonal logit is
         # -1/(3 tau), so the loss is 4 log 3 and the gradient scales as 1/tau
         # at any tau, while exp of the self-similarity 1/tau would overflow
         vecs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
-        labels = tuple(VertebraLabel(i) for i in (0, 0, 1, 1))
+        labels = (0, 0, 1, 1)
         small, unit = EmbeddingBatch(vecs, labels, 1e-3), EmbeddingBatch(vecs, labels, 1.0)
         assert supcon_loss(small) == pytest.approx(4 * math.log(3), rel=1e-12)
         assert supcon_loss(unit) == pytest.approx(4 * math.log(3), rel=1e-12)
@@ -169,7 +173,7 @@ class TestSupconLoss:
     def test_underflowing_positives_raise_divergence(self):
         # every positive of some anchor lies over 745 below the row maximum
         data = unit_vector_batch()
-        batch = EmbeddingBatch(np.array(data["vectors"]), tuple(VertebraLabel(i) for i in data["labels"]), 1e-3)
+        batch = EmbeddingBatch(np.array(data["vectors"]), data["labels"], 1e-3)
         with pytest.raises(DivergenceError, match="loss is not finite at tau 0.001"):
             supcon_loss(batch)
         with pytest.raises(DivergenceError, match="gradient is not finite at tau 0.001"):
@@ -190,7 +194,7 @@ class TestSupconGrad:
         v = np.zeros(3)
         v[1] = 1.0
         vecs = np.stack([v, v, np.array([1.0, 0, 0]), np.array([0, 0, 1.0])])
-        labels = tuple(VertebraLabel(i) for i in (2, 2, 9, 9))
+        labels = (2, 2, 9, 9)
         g = supcon_grad(EmbeddingBatch(vecs, labels, 0.3))
         assert np.allclose(g[0], g[1], atol=1e-12)
 
@@ -247,9 +251,16 @@ class TestSequenceLoss:
         assert sequence_loss(extended) <= sequence_loss(seq)
 
     def test_label_sequence_type(self):
-        s = LabelSequence((1, 5, 3))
-        assert s.n == 3
-        assert sequence_loss(s) == 1
+        # any sequence of label indices, numpy integers included
+        for seq in ([1, 5, 3], (1, 5, 3), np.array([1, 5, 3]), [np.int32(1), np.uint8(5), 3]):
+            assert sequence_loss(seq) == 1
+
+    @pytest.mark.parametrize("seq", [[1.7, 3], [True, 2], ["3", 4], [np.float64(1), 2]],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_labels_rejected(self, seq):
+        # each once read as an increasing sequence with loss 0
+        with pytest.raises(ValidationError, match=r"seq\[0\] has an invalid value"):
+            sequence_loss(seq)
 
 
 class TestTotalLoss:

@@ -23,7 +23,7 @@ def test_noiseless_limit_is_perfect():
     cases = [c for c, _ in gen_cases(cfg)]
     for case in cases:
         for v in case.vertebrae:
-            col = v.truth.index
+            col = v.truth
             assert np.all(v.mc.samples[:, col] == 1.0)
     preds = [[aggregate_samples(v.mc) for v in c.vertebrae] for c in cases]
     rep = evaluate(cases, preds)
@@ -50,7 +50,7 @@ def test_different_seeds_differ():
 def test_cases_are_valid_and_consecutive():
     cfg = GenConfig(seed=9, n_cases=30, vertebrae_range=(1, 24))
     for case, dets in gen_cases(cfg):
-        truths = [t.index for t in case.truths]
+        truths = case.truths
         assert truths == list(range(truths[0], truths[0] + len(truths)))
         assert len(dets) > 0
         assert dets.slice_count_per_plane == cfg.k_slices
