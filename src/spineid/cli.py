@@ -175,11 +175,11 @@ def _cmd_train_phi(args) -> int:
 def _cmd_score(args) -> int:
     from .losses import sequence_loss
 
-    try:
-        seq = [int(v) for v in args.seq.split(",") if v.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"--seq must list comma-separated label indices, got {args.seq!r}") from None
-    print(sequence_loss(seq))
+    # only ASCII decimal digits spell an index: int() would also take "1_0", "+3" and "٣"
+    entries = [v.strip() for v in args.seq.split(",") if v.strip() != ""]
+    if not all(v.isascii() and v.isdigit() for v in entries):
+        raise ValidationError(f"--seq must list comma-separated label indices, got {args.seq!r}")
+    print(sequence_loss([int(v) for v in entries]))
     return 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -44,12 +43,14 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
-def _probabilities(values, ndim: int, tol: float, name: str) -> np.ndarray:
+def _probabilities(values, ndim: int, tol: float, name: str, starts: np.ndarray | None = None) -> np.ndarray:
     """A read-only float64 copy of ``values``, checked as probabilities.
 
     ``ndim`` 1 asks for one (24,) vector, ``ndim`` 2 for a non-empty matrix
     with one vector per row. Values must be finite and non-negative, and
-    each vector must sum to 1 within ``tol``.
+    each vector must sum to 1 within ``tol``. When the rows are the stacked
+    sample sets of several vertebrae, ``starts`` holds each set's first row,
+    and a bad row is named by its vertebra and its row within that set.
     """
     arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != N_CLASSES or arr.size == 0:
@@ -68,6 +69,9 @@ def _probabilities(values, ndim: int, tol: float, name: str) -> np.ndarray:
     if over or (off if ndim == 1 else off.max()) > tol:
         row = int(np.argmax(np.atleast_1d(off) > tol))
         where = f" row {row}" if ndim == 2 else ""
+        if starts is not None:
+            vertebra = int(np.searchsorted(starts, row, side="right")) - 1
+            where = f" row {row - int(starts[vertebra])} of vertebra {vertebra}"
         got = "but a value exceeds 1" if over else f"got {float(np.atleast_1d(sums)[row])!r}"
         raise ValidationError(f"{name}{where} must sum to 1 within {tol}, {got}")
     arr.flags.writeable = False
@@ -179,29 +183,113 @@ class VertebraCenter:
         return self.position[2]
 
 
+def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column sums of each segment of ``rows``, segment i holding the next ``counts[i]`` rows.
+
+    Every sum adds its rows in order, as numpy's ``sum(axis=0)`` of the
+    segment alone does, so the bits are the same. Segments are zero-padded to
+    the longest one in their group, and a group holds the segments whose
+    counts have one bit length, so padding at most doubles the rows. Equal
+    counts, as every generated case has, need no padding at all.
+    """
+    k, longest = len(counts), int(counts.max())
+    if int(counts.min()) == longest:
+        return rows.reshape(k, longest, -1).sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    out = np.empty((k, rows.shape[1]))
+    group = np.frexp(counts)[1]
+    for bits in np.unique(group).tolist():
+        members = np.flatnonzero(group == bits)
+        n = counts[members]
+        width = np.arange(int(n.max()))
+        keep = width < n[:, None]
+        padded = np.zeros((len(members), len(width), rows.shape[1]))
+        padded[keep] = rows[(starts[members, None] + width)[keep]]
+        out[members] = padded.sum(axis=1)
+    return out
+
+
+def _entropies(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row of a (k, 24) probability matrix; zero terms contribute 0.
+
+    A row holding a zero sums only its non-zero terms, a shorter sum than a
+    full row's, as the entropy of that row alone does.
+    """
+    out = np.empty(len(probs))
+    full = (probs > 0.0).all(axis=1)
+    p = probs[full]
+    out[full] = (p * np.log(p)).sum(axis=1)
+    for i in np.flatnonzero(~full).tolist():
+        q = probs[i][probs[i] > 0.0]
+        out[i] = (q * np.log(q)).sum()
+    return -out + 0.0  # avoid -0.0
+
+
+def _sample_stats(samples: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, entropy and variance of each sample set in one pass over the stacked (N, 24) rows.
+
+    Set i is the next ``counts[i]`` rows. Returns the renormalized mean
+    rows (k, 24), the entropy of each mean, and the mean over classes of the
+    unbiased per-class variance, 0 for a set of one row. Each value has the
+    bits of numpy's per-set ``mean(axis=0)``, ``var(axis=0, ddof=1).mean()``
+    and the compacted entropy sum.
+    """
+    sums = _segment_sums(samples, counts)
+    raw_mean = sums / counts[:, None]
+    means = raw_mean / raw_mean.sum(axis=1, keepdims=True)
+    deviations = np.square(samples - np.repeat(raw_mean, counts, axis=0))
+    # a set of one row deviates by exactly 0 from its mean, so its variance is 0 / 1
+    variances = (_segment_sums(deviations, counts) / np.maximum(counts - 1, 1)[:, None]).mean(axis=1)
+    return means, _entropies(means), variances
+
+
 @dataclass(frozen=True, eq=False)
 class McSampleSet:
-    """N stochastic forward-pass probability vectors for one vertebra."""
+    """N stochastic forward-pass probability vectors for one vertebra, and their statistics.
+
+    ``mean_probs`` is the element-wise mean of the rows renormalized to sum
+    to 1, a read-only (24,) array; ``entropy`` is its Shannon entropy in
+    nats; ``variance`` is the mean over classes of the unbiased per-class
+    sample variance, 0 for one sample. All three come from
+    ``_sample_stats``, which ``split`` runs once for a whole case.
+    """
 
     samples: np.ndarray
+    mean_probs: np.ndarray = field(init=False, repr=False)
+    entropy: float = field(init=False, repr=False)
+    variance: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _probabilities(self.samples, 2, SUM_TOL_INGEST, "samples"))
+        samples = _probabilities(self.samples, 2, SUM_TOL_INGEST, "samples")
+        means, entropies, variances = _sample_stats(samples, np.array([len(samples)]))
+        self._store(samples, means[0], entropies.item(), variances.item())
 
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @cached_property
-    def mean_probs(self) -> np.ndarray:
-        """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array.
-
-        Computed on first use; uncertainty reports and fusion share it.
-        """
-        mean = self.samples.mean(axis=0)
-        mean /= mean.sum()
+    def _store(self, samples: np.ndarray, mean: np.ndarray, entropy: float, variance: float) -> None:
         mean.flags.writeable = False
-        return mean
+        for name, value in (("samples", samples), ("mean_probs", mean), ("entropy", entropy), ("variance", variance)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def split(cls, rows, counts) -> list[McSampleSet]:
+        """One sample set per vertebra from the (N, 24) sample rows of a whole case, checked once.
+
+        Vertebra i owns the next ``counts[i]`` rows, each at least 1; its set
+        holds a read-only view of them. A bad row is named by its vertebra
+        and its row within that vertebra's samples.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 1 or counts.size == 0 or counts.min() < 1:
+            raise ValidationError(f"every vertebra needs at least one sample row, got counts {counts.tolist()}")
+        starts = np.cumsum(counts) - counts
+        rows = _probabilities(rows, 2, SUM_TOL_INGEST, "samples", starts)
+        means, entropies, variances = _sample_stats(rows, counts)
+        sets = []
+        for start, stop, mean, entropy, variance in zip(starts.tolist(), (starts + counts).tolist(), means,
+                                                         entropies.tolist(), variances.tolist()):
+            mc = cls.__new__(cls)
+            mc._store(rows[start:stop], mean, entropy, variance)
+            sets.append(mc)
+        return sets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, McSampleSet):

@@ -9,9 +9,21 @@ from __future__ import annotations
 
 
 class SpineError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    An error found in a file names it: with ``path`` (and ``line``) the
+    message ends in ``[path]`` (``[path:line]``).
+    """
 
     exit_code = 1
+
+    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+        self.path = path
+        self.line = line
+        where = ""
+        if path is not None:
+            where = f" [{path}" + (f":{line}" if line is not None else "") + "]"
+        super().__init__(message + where)
 
 
 class ValidationError(SpineError):
@@ -24,14 +36,6 @@ class ParseError(SpineError):
     """A file exists but its content could not be decoded."""
 
     exit_code = 4
-
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
-        self.path = path
-        self.line = line
-        where = ""
-        if path is not None:
-            where = f" [{path}" + (f":{line}" if line is not None else "") + "]"
-        super().__init__(message + where)
 
 
 class DivergenceError(SpineError):

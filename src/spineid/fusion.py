@@ -98,62 +98,63 @@ def resolve_certainty(case: SpineCase) -> np.ndarray:
 
 
 def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
-    """(dst, src, coeff) index arrays per offset over the stacked rows of ``cases``.
+    """Per offset d, the message weights over the stacked rows of ``cases``: ``(lo, hi, w, dst)``.
 
-    coeff folds theta, the source's certainty u and 1/dis. Rows are numbered
-    case after case, and pairs never cross a case boundary, so one pass over
-    the stack fuses every case on its own.
+    Rows are numbered case after case. Row i in ``lo:hi`` hears from row
+    i + d with weight ``w[i - lo]``, which folds theta, that row's certainty
+    u and 1/dis, and is 0 where row i + d lies in another case; so one pass
+    over the stack fuses every case on its own. ``w`` is a (hi - lo, 1)
+    column, and ``dst`` lists the rows whose partner is in their own case.
+    Offsets with no such row are left out.
     """
-    offsets = phi_offsets(params.window)
-    parts: dict[int, tuple[list, list, list]] = {delta: ([], [], []) for delta in offsets}
-    start = 0
-    for case in cases:
-        k = len(case)
-        u = resolve_certainty(case)
-        positions = np.array([v.center.position for v in case.vertebrae], dtype=np.float64)
-        for delta in offsets:
-            dst = np.arange(max(0, -delta), k - max(0, delta), dtype=np.int64)
-            if len(dst) == 0:
-                continue
-            src = dst + delta
-            if params.distance_mode == "index":
-                dis = np.full(len(dst), float(abs(delta)))
-            else:
-                with np.errstate(over="ignore"):  # an overflowing distance is rejected below
-                    dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
-                if np.any(np.isinf(dis)):
-                    i = int(dst[np.argmax(np.isinf(dis))])
+    sizes = [len(case) for case in cases]
+    m = sum(sizes)
+    case_of = np.repeat(np.arange(len(cases)), sizes)
+    u = np.concatenate([resolve_certainty(case) for case in cases])
+    if params.distance_mode == "physical":
+        positions = np.array([v.center.position for case in cases for v in case.vertebrae], dtype=np.float64)
+    pairs = {}
+    for delta in phi_offsets(params.window):
+        lo, hi = max(0, -delta), m - max(0, delta)
+        rows = np.arange(lo, max(lo, hi))
+        dst = rows[case_of[rows] == case_of[rows + delta]]
+        if len(dst) == 0:
+            continue
+        src = dst + delta
+        if params.distance_mode == "index":
+            dis = float(abs(delta))
+        else:
+            with np.errstate(over="ignore"):  # an overflowing distance is rejected below
+                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+            over, same = np.isinf(dis), dis == 0.0
+            if over.any() or same.any():
+                row = int(dst[np.argmax(over if over.any() else same)])
+                i = row - sum(sizes[:case_of[row]])  # vertebra i of its own case
+                if over.any():
                     raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
                                           "their physical distance overflows float64")
-                if np.any(dis == 0.0):
-                    i = int(dst[np.argmax(dis == 0.0)])
-                    raise DegenerateGeometryError(
-                        f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
-                    )
-            dsts, srcs, coeffs = parts[delta]
-            dsts.append(dst + start)
-            srcs.append(src + start)
-            coeffs.append(params.theta * u[src] / dis)
-        start += k
-    return {
-        delta: tuple(np.concatenate(column) for column in parts[delta])
-        for delta in offsets
-        if parts[delta][0]
-    }
+                raise DegenerateGeometryError(
+                    f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
+                )
+        w = np.zeros((hi - lo, 1))
+        w[dst - lo, 0] = params.theta * u[src] / dis
+        pairs[delta] = (lo, hi, w, dst)
+    return pairs
 
 
 def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     """Run ``hops`` fusion hops from the (m, 24) states ``c0``.
 
     Returns the states before and after every hop (hops + 1 matrices) and
-    each hop's raw row sums, which the backward pass divides by.
+    each hop's raw row sums, which the backward pass divides by. Offset d's
+    messages are one product of the states shifted by d rows.
     """
     cs, sums = [c0], []
     for _ in range(hops):
         c = cs[-1]
         raw = c.copy()
-        for delta, (dst, src, coeff) in pairs.items():
-            raw[dst] += coeff[:, None] * (c[src] @ phi[delta])
+        for delta, (lo, hi, w, _) in pairs.items():
+            raw[lo:hi] += w * (c[lo + delta:hi + delta] @ phi[delta])
         s = raw.sum(axis=1)
         cs.append(raw / s[:, None])
         sums.append(s)
@@ -201,6 +202,10 @@ class _Unrolled:
             if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
         self.pairs = _fuse_pairs(cases, params)
+        # the phi gradient sums over the pairs inside a case only, (src, coeff)
+        # per offset: the zero-weight rows between cases would change the
+        # product's blocking, and so its bits
+        self.gathered = {delta: (dst + delta, w[dst - lo]) for delta, (lo, hi, w, dst) in self.pairs.items()}
         self.c0 = np.array([aggregate_samples(v.mc) for case in cases for v in case.vertebrae])
         self.truth = np.array([t for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
@@ -229,10 +234,10 @@ class _Unrolled:
             # backward through raw -> raw/sum(raw)
             h = (g - (g * c_next).sum(axis=1, keepdims=True)) / s[:, None]
             g = h.copy()
-            for delta, (dst, src, coeff) in self.pairs.items():
-                hd = h[dst]
-                grad[delta] += (coeff[:, None] * c_prev[src]).T @ hd
-                g[src] += coeff[:, None] * (hd @ phi[delta].T)
+            for delta, (lo, hi, w, dst) in self.pairs.items():
+                src, coeff = self.gathered[delta]
+                grad[delta] += (coeff * c_prev[src]).T @ h[dst]
+                g[lo + delta:hi + delta] += w * (h[lo:hi] @ phi[delta].T)
         return loss, grad
 
 

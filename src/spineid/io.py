@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -29,7 +30,7 @@ from .domain import (
     VertebraCenter,
 )
 from .errors import ParseError, ValidationError
-from .labels import CANONICAL_NAMES, label_index
+from .labels import CANONICAL_NAMES, N_CLASSES, label_index
 
 
 def _finite(text: str) -> str:
@@ -95,10 +96,10 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=str(path)) from None
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_json(path: str | Path, object_pairs_hook=None) -> Any:
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
     except RecursionError:
@@ -117,8 +118,8 @@ def _convert(convert, value: Any, key: str, path: str | Path, line: int | None =
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        where = f"{path}" + (f":{line}" if line is not None else "")
-        raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)} [{where}]") from None
+        raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)}",
+                              path=str(path), line=line) from None
 
 
 def _float_array(value: Any) -> np.ndarray:
@@ -328,19 +329,44 @@ def case_to_dict(case: SpineCase) -> dict:
     return {"case_id": case.case_id, "vertebrae": verts}
 
 
+def _sample_block(samples: list, path: str | Path) -> tuple[np.ndarray, list[int]]:
+    """Every vertebra's ``mc.samples`` rows as one (N, 24) float64 block, and each vertebra's row count.
+
+    One conversion serves the whole case. When it fails, the vertebrae are
+    converted one by one, so the error names the first bad one.
+    """
+    if all(type(rows) is list and rows for rows in samples):
+        try:
+            block = np.array(list(chain.from_iterable(samples)), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            block = None
+        if block is not None and block.ndim == 2 and block.shape[1] == N_CLASSES:
+            return block, [len(rows) for rows in samples]
+    arrays = []
+    for i, rows in enumerate(samples):
+        arr = _convert(_float_array, rows, f"vertebrae[{i}].mc.samples", path)
+        if arr.ndim != 2 or arr.shape[1] != N_CLASSES or len(arr) == 0:
+            raise ValidationError(f"vertebra {i}: samples must have shape (n, {N_CLASSES}) with n >= 1, "
+                                  f"got {arr.shape}", path=str(path))
+        arrays.append(arr)
+    return np.concatenate(arrays), [len(arr) for arr in arrays]
+
+
 def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
+    """A case from its decoded JSON; the MC samples of all vertebrae are checked and summarized in one pass."""
     raw_verts = _get(data, "vertebrae", path)
     if not isinstance(raw_verts, list):
         raise ParseError("vertebrae must be a list", path=str(path))
+    samples = [_get(_get(rec, "mc", path), "samples", path) for rec in raw_verts]
+    sample_sets = McSampleSet.split(*_sample_block(samples, path)) if samples else []
     verts = []
-    for rec in raw_verts:
-        mc_rec = _get(rec, "mc", path)
+    for rec, mc in zip(raw_verts, sample_sets):
         report = rec.get("uncertainty")
         weight = rec.get("fusion_weight")
         verts.append(
             SpineVertebra(
                 center=center_from_dict(_get(rec, "center", path), path),
-                mc=McSampleSet(_convert(_float_array, _get(mc_rec, "samples", path), "samples", path)),
+                mc=mc,
                 truth=rec.get("truth"),
                 uncertainty=None if report is None else report_from_dict(report, path),
                 fusion_weight=None if weight is None else _convert(_float, weight, "fusion_weight", path),
@@ -354,7 +380,14 @@ def save_case(case: SpineCase, path: str | Path) -> None:
 
 
 def load_case(path: str | Path) -> SpineCase:
-    return case_from_dict(_read_json(path), path)
+    """One case file; every error it raises names the file."""
+    data = _read_json(path)
+    try:
+        return case_from_dict(data, path)
+    except ValidationError as exc:
+        if exc.path is not None:
+            raise
+        raise ValidationError(str(exc), path=str(path)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +407,8 @@ def params_to_dict(p: FusionParams) -> dict:
 def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
     raw_phi = _get(data, "phi", path)
     if not isinstance(raw_phi, dict):
-        raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)} "
-                              f"[{path}]")
+        raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)}",
+                              path=str(path))
     phi, keys = {}, {}
     for key, flat in raw_phi.items():
         try:
@@ -403,7 +436,17 @@ def save_fusion_params(p: FusionParams, path: str | Path) -> None:
 
 
 def load_fusion_params(path: str | Path) -> FusionParams:
-    return params_from_dict(_read_json(path), path)
+    """A parameter file; a key written twice in one object is a ``ParseError``, not the last value winning."""
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"key {key!r} is written twice in one object", path=str(path))
+            seen.add(key)
+        return dict(pairs)
+
+    return params_from_dict(_read_json(path, unique_keys), path)
 
 
 # ---------------------------------------------------------------------------

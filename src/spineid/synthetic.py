@@ -201,22 +201,22 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
             )
         )
 
-    vertebrae = []
-    for i in range(k):
-        truth = start + i
-        samples = sample_mc(rng, cfg.confusion.base_vector(truth), cfg.mc.concentration, cfg.mc.n_samples)
-        vertebrae.append(
-            SpineVertebra(
-                center=VertebraCenter(
-                    position=(float(xs[i]), float(ys[i]), float(zs[i])),
-                    mean_dims=(float(box_w[i]), float(box_h[i])),
-                    member_count=per_vertebra_counts[i],
-                    z_rank=i,
-                ),
-                mc=McSampleSet(samples),
-                truth=truth,
-            )
+    samples = [sample_mc(rng, cfg.confusion.base_vector(start + i), cfg.mc.concentration, cfg.mc.n_samples)
+               for i in range(k)]
+    sample_sets = McSampleSet.split(np.concatenate(samples), [len(rows) for rows in samples])
+    vertebrae = [
+        SpineVertebra(
+            center=VertebraCenter(
+                position=(float(xs[i]), float(ys[i]), float(zs[i])),
+                mean_dims=(float(box_w[i]), float(box_h[i])),
+                member_count=per_vertebra_counts[i],
+                z_rank=i,
+            ),
+            mc=sample_sets[i],
+            truth=start + i,
         )
+        for i in range(k)
+    ]
 
     case_id = f"case_{case_index:04d}"
     case = SpineCase(case_id=case_id, vertebrae=tuple(vertebrae))

@@ -13,7 +13,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .domain import MAX_ENTROPY, SUM_TOL_INTERNAL, McSampleSet, SpineCase, UncertaintyReport, _probabilities
+from .domain import (
+    MAX_ENTROPY,
+    SUM_TOL_INTERNAL,
+    McSampleSet,
+    SpineCase,
+    UncertaintyReport,
+    _entropies,
+    _probabilities,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -34,19 +42,14 @@ _VAR_CEILING = 0.25
 def aggregate_samples(mc: McSampleSet) -> np.ndarray:
     """Element-wise mean of the sample rows, renormalized to sum to 1, as a read-only (24,) array.
 
-    Computed once per sample set and cached there (``McSampleSet.mean_probs``).
+    The sample set computes it with its entropy and variance (``McSampleSet.mean_probs``).
     """
     return mc.mean_probs
 
 
-def _entropy(probs: np.ndarray) -> float:
-    nz = probs > 0.0
-    return float(-(probs[nz] * np.log(probs[nz])).sum()) + 0.0  # avoid -0.0
-
-
 def entropy(p) -> float:
     """Shannon entropy of a (24,) probability vector in nats; zero terms contribute 0."""
-    return _entropy(_probabilities(p, 1, SUM_TOL_INTERNAL, "probabilities"))
+    return _entropies(_probabilities(p, 1, SUM_TOL_INTERNAL, "probabilities")[None, :]).item()
 
 
 def report(mc: McSampleSet) -> UncertaintyReport:
@@ -54,19 +57,15 @@ def report(mc: McSampleSet) -> UncertaintyReport:
 
     Entropy is computed on the mean distribution, not averaged over
     per-sample entropies. Variance is the mean over classes of the unbiased
-    per-class sample variance, 0 when only one sample exists.
+    per-class sample variance, 0 when only one sample exists. The sample set
+    holds all three already; a case loaded from a file had them computed in
+    one pass over all its vertebrae (``McSampleSet.split``).
     """
-    mean_probs = aggregate_samples(mc)
-    ent = _entropy(mean_probs)
-    if mc.n > 1:
-        var = float(mc.samples.var(axis=0, ddof=1).mean())
-    else:
-        var = 0.0
     return UncertaintyReport(
-        mean_probs=mean_probs,
-        entropy=ent,
-        variance=var,
-        certainty_weight=1.0 - ent / MAX_ENTROPY,
+        mean_probs=mc.mean_probs,
+        entropy=mc.entropy,
+        variance=mc.variance,
+        certainty_weight=1.0 - mc.entropy / MAX_ENTROPY,
     )
 
 

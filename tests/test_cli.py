@@ -124,6 +124,8 @@ def test_score_command(capsys):
     assert capsys.readouterr().out.strip() == "1"
     assert main(["score", "--seq", "23,22,21"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    assert main(["score", "--seq", " 7, 8 ,9,11 ,10 "]) == 0  # spaces around an entry are stripped
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_score_rejects_bad_labels(capsys):
@@ -284,6 +286,54 @@ class TestExitCodes:
         path = tmp_path / "case.json"
         path.write_text(json.dumps(data))
         assert main(["fuse", "--case", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("subcommand", ["eval", "train-phi", "pipeline"])
+    def test_case_invariant_error_names_the_file(self, corpus, tmp_path, capsys, subcommand):
+        # one bad case among many: the message must say which file it is
+        path = corpus / "case_0001.json"
+        data = json.loads(path.read_text())
+        data["vertebrae"][0]["truth"], data["vertebrae"][1]["truth"] = 1, 6
+        path.write_text(json.dumps(data))
+        flag = {"eval": "--cases-dir", "train-phi": "--train", "pipeline": "--dir"}[subcommand]
+        assert main([subcommand, flag, str(corpus), "--out", str(tmp_path / "o.report.json")]) == 2
+        assert capsys.readouterr().err == ("error: truth labels must increase by exactly 1 along the case, "
+                                           f"got C2 -> C7 at position 0 [{path}]\n")
+
+    def test_bad_sample_row_is_named_by_vertebra_and_row(self, corpus, tmp_path, capsys):
+        # the rows of a case are checked as one block; the message still counts rows per vertebra
+        path = corpus / "case_0000.json"
+        data = json.loads(path.read_text())
+        row = data["vertebrae"][2]["mc"]["samples"][4]
+        row[0] += 0.5
+        path.write_text(json.dumps(data))
+        assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (f"error: samples row 4 of vertebra 2 must sum to 1 within 1e-06, "
+                                           f"got {float(np.sum(row))!r} [{path}]\n")
+
+    @pytest.mark.parametrize("vertebra, samples, shape", [
+        (1, [], "(0,)"),
+        (2, [[0.5] * 23], "(1, 23)"),
+        (0, [1.0 / 24] * 24, "(24,)"),
+    ], ids=["empty", "short-row", "one-row-unnested"])
+    def test_bad_sample_shape_is_named_by_vertebra(self, corpus, tmp_path, capsys, vertebra, samples, shape):
+        path = corpus / "case_0000.json"
+        data = json.loads(path.read_text())
+        data["vertebrae"][vertebra]["mc"]["samples"] = samples
+        path.write_text(json.dumps(data))
+        assert main(["uncertainty", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (f"error: vertebra {vertebra}: samples must have shape (n, 24) with "
+                                           f"n >= 1, got {shape} [{path}]\n")
+
+    def test_phi_key_written_twice_is_parse_error(self, corpus, tmp_path, capsys):
+        # json.loads keeps the last of two equal keys, so the second matrix used to win silently
+        text = json.dumps(io.params_to_dict(identity_params(window=3)), indent=2)
+        flat = json.dumps([0.5] * 576)
+        text = text.replace('"+1": [', f'"+1": {flat},\n    "+1": [', 1)
+        params_path = tmp_path / "phi.json"
+        params_path.write_text(text)
+        assert main(["fuse", "--case", str(corpus / "case_0000.json"), "--params", str(params_path),
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == f"error: key '+1' is written twice in one object [{params_path}]\n"
 
     def test_divergence_is_exit_3(self, tmp_path):
         # one-hot samples put zero mass on a neighbor's truth: infinite loss
@@ -534,8 +584,11 @@ class TestExitCodes:
         assert "unrecognized arguments: --u-metric entropy" in capsys.readouterr().err
 
     def test_non_integer_score_sequence_is_validation_error(self, capsys):
-        assert main(["score", "--seq", "1,a"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # int() alone would read "1_0" as 10 and the Arabic-Indic digit three as 3
+        for seq in ["1,a", "1_0,3", "0_3,2,\u0663", "+3,4"]:
+            assert main(["score", "--seq", seq]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --seq must list comma-separated label indices, got {seq!r}\n"
 
     @pytest.mark.parametrize("content, code", [
         ("{not json", 4),

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from conftest import make_case, one_hot, random_case, shift_phi
-from spineid.domain import FusionParams, phi_offsets
+from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
 from spineid.fusion import (
     TrainConfig,
@@ -15,6 +17,7 @@ from spineid.fusion import (
     fuse,
     identity_params,
     initial_phi,
+    resolve_certainty,
     train_phi,
 )
 from spineid.uncertainty import aggregate_samples, fusion_weight, report, with_reports
@@ -151,6 +154,75 @@ def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, dis
         assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-9
 
 
+# The gathered kernel fusion ran before offsets became shifted slices, kept
+# as the oracle: per offset, the (dst, src, coeff) rows of every pair inside
+# a case, and one product over the gathered partner rows.
+
+
+def gathered_pairs(cases, params):
+    offsets = phi_offsets(params.window)
+    parts = {delta: ([], [], []) for delta in offsets}
+    start = 0
+    for case in cases:
+        k = len(case)
+        u = resolve_certainty(case)
+        positions = np.array([v.center.position for v in case.vertebrae], dtype=np.float64)
+        for delta in offsets:
+            dst = np.arange(max(0, -delta), k - max(0, delta), dtype=np.int64)
+            if len(dst) == 0:
+                continue
+            src = dst + delta
+            if params.distance_mode == "index":
+                dis = np.full(len(dst), float(abs(delta)))
+            else:
+                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+            dsts, srcs, coeffs = parts[delta]
+            dsts.append(dst + start)
+            srcs.append(src + start)
+            coeffs.append(params.theta * u[src] / dis)
+        start += k
+    return {delta: tuple(np.concatenate(column) for column in parts[delta]) for delta in offsets if parts[delta][0]}
+
+
+def gathered_forward(c0, pairs, phi, hops):
+    cs, sums = [c0], []
+    for _ in range(hops):
+        c = cs[-1]
+        raw = c.copy()
+        for delta, (dst, src, coeff) in pairs.items():
+            raw[dst] += coeff[:, None] * (c[src] @ phi[delta])
+        s = raw.sum(axis=1)
+        cs.append(raw / s[:, None])
+        sums.append(s)
+    return cs, sums
+
+
+def gathered_fuse(case, params) -> np.ndarray:
+    c0 = input_states(case)
+    if params.theta == 0.0 or len(case) == 1 or params.window == 1:
+        return np.stack([c0] * (params.hops + 1))
+    return np.stack(gathered_forward(c0, gathered_pairs([case], params), params.phi, params.hops)[0])
+
+
+def gathered_loss_and_grad(c0, truth, pairs, phi, hops):
+    cs, sums = gathered_forward(c0, pairs, phi, hops)
+    m = len(c0)
+    picked = cs[-1][np.arange(m), truth]
+    loss = float(-np.log(picked).mean())
+    grad = {delta: np.zeros((24, 24)) for delta in phi}
+    g = np.zeros_like(cs[-1])
+    g[np.arange(m), truth] = -1.0 / (m * picked)
+    for t in range(hops - 1, -1, -1):
+        c_next, c_prev, s = cs[t + 1], cs[t], sums[t]
+        h = (g - (g * c_next).sum(axis=1, keepdims=True)) / s[:, None]
+        g = h.copy()
+        for delta, (dst, src, coeff) in pairs.items():
+            hd = h[dst]
+            grad[delta] += (coeff[:, None] * c_prev[src]).T @ hd
+            g[src] += coeff[:, None] * (hd @ phi[delta].T)
+    return loss, grad
+
+
 # Random fusion settings: the case and phi come from ``seed``; the weights are
 # stored under ``metric`` by the uncertainty stage, or left to fusion (None).
 fusion_settings = dict(
@@ -173,6 +245,86 @@ def seeded_case_and_params(seed, k, window, hops, theta, distance):
 
 def stored(case, metric):
     return case if metric is None else with_reports(case, metric)
+
+
+class TestShiftedKernel:
+    """The shifted-slice kernel against the gathered one, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**fusion_settings)
+    def test_fuse_matches_gathered_kernel(self, seed, k, window, hops, theta, distance, metric):
+        case, params = seeded_case_and_params(seed, k, window, hops, theta, distance)
+        case = stored(case, metric)
+        assert fuse(case, params).snapshots.tobytes() == gathered_fuse(case, params).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        window=st.sampled_from([3, 5, 7]),
+        hops=st.integers(1, 3),
+        distance=st.sampled_from(["index", "physical"]),
+        metric=st.sampled_from(["entropy", "variance"]),
+        silent=st.integers(0, 2**16),
+    )
+    def test_training_matches_gathered_kernel(self, seed, sizes, window, hops, distance, metric, silent):
+        # One vertebra has a uniform mean and a stored weight of exactly 0. Its
+        # pairs are real, so they stay in the phi-gradient product: dropping
+        # zero-weight rows there changes the product's blocking and its bits.
+        rng = np.random.default_rng(seed)
+        cases = [with_reports(random_case(rng, k=k), metric) for k in sizes]
+        j = silent % len(cases)
+        verts = list(cases[j].vertebrae)
+        i = silent % len(verts)
+        verts[i] = replace(verts[i], mc=McSampleSet(np.full((3, 24), 1 / 24)), uncertainty=None, fusion_weight=0.0)
+        cases[j] = replace(cases[j], vertebrae=tuple(verts))
+        params = FusionParams(0.2, hops, window, distance, {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(window)})
+        un = _Unrolled(cases, params)
+        pairs = gathered_pairs(cases, params)
+        assert un.c0.tobytes() == np.concatenate([input_states(c) for c in cases]).tobytes()
+        # An offset with one pair in the whole stack had the gathered kernel
+        # multiply a single row, which numpy hands to another BLAS routine than
+        # the shifted slice's many rows (see test_stacked_forward_matches_each_case_fuse).
+        single_pair = any(len(dst) == 1 and hi - lo > 1
+                          for (dst, _, _), (lo, hi, _, _) in zip(pairs.values(), un.pairs.values(), strict=True))
+        phi = params.phi
+        for _ in range(4):  # a few descent steps, each from the phi both kernels agree on
+            loss, grad = un.loss_and_grad(phi)
+            want_loss, want_grad = gathered_loss_and_grad(un.c0, un.truth, pairs, phi, hops)
+            if single_pair:
+                assert loss == pytest.approx(want_loss, rel=1e-14)
+                for d in phi:
+                    assert np.abs(grad[d] - want_grad[d]).max() <= 1e-14 * np.abs(want_grad[d]).max()
+                break
+            assert loss == want_loss and un.loss(phi) == want_loss
+            for d in phi:
+                assert grad[d].tobytes() == want_grad[d].tobytes()
+            phi = {d: np.maximum(phi[d] - 5.0 * grad[d], 0.0) for d in phi}
+
+
+    def test_training_matches_gathered_kernel_at_corpus_scale(self):
+        # Thousands of rows, as the criterion-8 corpus has. Only at this size
+        # does the phi-gradient product's blocking show a dropped zero-weight
+        # row, or a sum over the zero-weight rows between cases.
+        rng = np.random.default_rng(41)
+        cases = [with_reports(random_case(rng), "entropy") for _ in range(500)]
+        for j in range(0, len(cases), 7):
+            verts = list(cases[j].vertebrae)
+            verts[1] = replace(verts[1], mc=McSampleSet(np.full((3, 24), 1 / 24)), uncertainty=None,
+                               fusion_weight=0.0)
+            cases[j] = replace(cases[j], vertebrae=tuple(verts))
+        params = FusionParams(0.2, 3, 5, "index", {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(5)})
+        un = _Unrolled(cases, params)
+        assert len(un.c0) > 3000
+        pairs = gathered_pairs(cases, params)
+        phi = params.phi
+        for _ in range(2):
+            loss, grad = un.loss_and_grad(phi)
+            want_loss, want_grad = gathered_loss_and_grad(un.c0, un.truth, pairs, phi, params.hops)
+            assert loss == want_loss
+            for d in phi:
+                assert grad[d].tobytes() == want_grad[d].tobytes()
+            phi = {d: np.maximum(phi[d] - 5.0 * grad[d], 0.0) for d in phi}
 
 
 class TestFuse:

@@ -1,12 +1,15 @@
 """Uncertainty aggregation against extended-precision recomputation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import one_hot, random_probs
-from spineid.domain import MAX_ENTROPY, McSampleSet
+from spineid.domain import MAX_ENTROPY, McSampleSet, _sample_stats
 from spineid.errors import ValidationError
 from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report
 
@@ -163,3 +166,91 @@ class TestFusionWeight:
         rep = report(McSampleSet(one_hot(3)[None, :]))
         with pytest.raises(ValidationError, match="u_metric"):
             fusion_weight(rep, "mutual_information")
+
+
+def per_set_stats(samples: np.ndarray):
+    """The per-vertebra numpy code that summarized one sample set before whole cases were summarized at once."""
+    mean = samples.mean(axis=0)
+    mean /= mean.sum()
+    nz = mean > 0.0
+    ent = float(-(mean[nz] * np.log(mean[nz])).sum()) + 0.0
+    var = float(samples.var(axis=0, ddof=1).mean()) if len(samples) > 1 else 0.0
+    return mean, ent, var
+
+
+@st.composite
+def sample_sets(draw, max_rows: int = 30):
+    """1-24 sample sets of 1-``max_rows`` rows: dense, sparse (a mean with zero entries), one-hot or mixed rows."""
+    counts = draw(st.lists(st.integers(1, max_rows), min_size=1, max_size=24), label="counts")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    sets = []
+    for n in counts:
+        kind = draw(st.sampled_from(["dense", "sparse", "one-hot", "mixed"]))
+        alpha = np.full(24, rng.uniform(0.05, 10.0))
+        if kind == "sparse":  # every row shares one support, so the mean holds zeros
+            alpha[rng.permutation(24)[:int(rng.integers(1, 24))]] = 0.0
+            alpha[int(rng.integers(0, 24))] = 1.0
+        rows = np.zeros((n, 24))
+        rows[:, alpha > 0] = rng.dirichlet(alpha[alpha > 0], size=n)
+        if kind in ("one-hot", "mixed"):
+            hot = np.ones(n, dtype=bool) if kind == "one-hot" else rng.random(n) < 0.5
+            rows[hot] = np.eye(24)[rng.integers(0, 24, size=int(hot.sum()))]
+        sets.append(rows)
+    return sets
+
+
+class TestSampleStats:
+    """Whole-case statistics against the per-vertebra numpy code, bit for bit."""
+
+    @staticmethod
+    def assert_bits(mc: McSampleSet, rows: np.ndarray):
+        mean, ent, var = per_set_stats(rows)
+        assert mc.mean_probs.tobytes() == mean.tobytes()
+        assert np.float64(mc.entropy).tobytes() == np.float64(ent).tobytes()
+        assert np.float64(mc.variance).tobytes() == np.float64(var).tobytes()
+        assert type(mc.entropy) is float and type(mc.variance) is float
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=sample_sets())
+    def test_split_matches_per_set_numpy(self, sets):
+        block = np.concatenate(sets)
+        split = McSampleSet.split(block, [len(rows) for rows in sets])
+        assert len(split) == len(sets)
+        for mc, rows in zip(split, sets, strict=True):
+            assert np.array_equal(mc.samples, rows) and not mc.samples.flags.writeable
+            assert not mc.mean_probs.flags.writeable
+            self.assert_bits(mc, rows)
+            self.assert_bits(McSampleSet(rows), rows)  # a set built alone runs the same code on one segment
+
+    def test_long_and_short_sets_in_one_case(self):
+        # counts of every bit length from 1 to 9, several per length, in mixed order
+        rng = np.random.default_rng(40)
+        counts = [300, 1, 2, 3, 5, 4, 7, 8, 16, 17, 31, 30, 1, 64, 200, 2, 9]
+        sets = [rng.dirichlet(np.full(24, 0.3), size=n) for n in counts]
+        for mc, rows in zip(McSampleSet.split(np.concatenate(sets), counts), sets, strict=True):
+            self.assert_bits(mc, rows)
+
+    def test_memory_grows_with_the_rows(self):
+        # padding every set to the longest would take 24 x 20,000 rows here (92 MB, 24 times the block)
+        counts = np.array([1] * 23 + [20_000])
+        block = np.tile(np.full(24, 1 / 24), (int(counts.sum()), 1))
+        tracemalloc.start()
+        try:
+            _sample_stats(block, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block.nbytes
+
+    @pytest.mark.parametrize("counts", [[2, 0, 1], [], [[3]]], ids=["zero", "none", "2-d"])
+    def test_split_needs_a_row_per_vertebra(self, counts):
+        with pytest.raises(ValidationError, match="at least one sample row"):
+            McSampleSet.split(np.full((3, 24), 1 / 24), counts)
+
+    def test_bad_row_named_by_vertebra(self):
+        block = np.full((6, 24), 1 / 24)
+        block[4, 0] = 0.5
+        with pytest.raises(ValidationError, match=r"^samples row 1 of vertebra 2 must sum to 1 within 1e-06"):
+            McSampleSet.split(block, [1, 2, 3])
+        with pytest.raises(ValidationError, match=r"^samples row 4 must sum to 1"):
+            McSampleSet(block)
