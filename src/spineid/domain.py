@@ -187,26 +187,14 @@ def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Column sums of each segment of ``rows``, segment i holding the next ``counts[i]`` rows.
 
     Every sum adds its rows in order, as numpy's ``sum(axis=0)`` of the
-    segment alone does, so the bits are the same. Segments are zero-padded to
-    the longest one in their group, and a group holds the segments whose
-    counts have one bit length, so padding at most doubles the rows. Equal
-    counts, as every generated case has, need no padding at all.
+    segment alone does, so the bits are the same. Equal counts, as every
+    generated case has, are one reshape; uneven counts sum each segment alone.
     """
     k, longest = len(counts), int(counts.max())
     if int(counts.min()) == longest:
         return rows.reshape(k, longest, -1).sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    out = np.empty((k, rows.shape[1]))
-    group = np.frexp(counts)[1]
-    for bits in np.unique(group).tolist():
-        members = np.flatnonzero(group == bits)
-        n = counts[members]
-        width = np.arange(int(n.max()))
-        keep = width < n[:, None]
-        padded = np.zeros((len(members), len(width), rows.shape[1]))
-        padded[keep] = rows[(starts[members, None] + width)[keep]]
-        out[members] = padded.sum(axis=1)
-    return out
+    starts = (np.cumsum(counts) - counts).tolist()
+    return np.stack([rows[s:s + n].sum(axis=0) for s, n in zip(starts, counts.tolist())])
 
 
 def _entropies(probs: np.ndarray) -> np.ndarray:
@@ -251,7 +239,7 @@ class McSampleSet:
     to 1, a read-only (24,) array; ``entropy`` is its Shannon entropy in
     nats; ``variance`` is the mean over classes of the unbiased per-class
     sample variance, 0 for one sample. All three come from
-    ``_sample_stats``, which ``split`` runs once for a whole case.
+    ``_sample_stats``, which ``_split`` runs once for a whole case.
     """
 
     samples: np.ndarray
@@ -270,7 +258,7 @@ class McSampleSet:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def split(cls, rows, counts) -> list[McSampleSet]:
+    def _split(cls, rows, counts) -> list[McSampleSet]:
         """One sample set per vertebra from the (N, 24) sample rows of a whole case, checked once.
 
         Vertebra i owns the next ``counts[i]`` rows, each at least 1; its set
@@ -280,6 +268,8 @@ class McSampleSet:
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1 or counts.size == 0 or counts.min() < 1:
             raise ValidationError(f"every vertebra needs at least one sample row, got counts {counts.tolist()}")
+        if int(counts.sum()) != len(rows):
+            raise ValidationError(f"counts {counts.tolist()} name {int(counts.sum())} sample rows, got {len(rows)}")
         starts = np.cumsum(counts) - counts
         rows = _probabilities(rows, 2, SUM_TOL_INGEST, "samples", starts)
         means, entropies, variances = _sample_stats(rows, counts)

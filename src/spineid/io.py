@@ -358,7 +358,7 @@ def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
     if not isinstance(raw_verts, list):
         raise ParseError("vertebrae must be a list", path=str(path))
     samples = [_get(_get(rec, "mc", path), "samples", path) for rec in raw_verts]
-    sample_sets = McSampleSet.split(*_sample_block(samples, path)) if samples else []
+    sample_sets = McSampleSet._split(*_sample_block(samples, path)) if samples else []
     verts = []
     for rec, mc in zip(raw_verts, sample_sets):
         report = rec.get("uncertainty")

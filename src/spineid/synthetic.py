@@ -203,7 +203,7 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
 
     samples = [sample_mc(rng, cfg.confusion.base_vector(start + i), cfg.mc.concentration, cfg.mc.n_samples)
                for i in range(k)]
-    sample_sets = McSampleSet.split(np.concatenate(samples), [len(rows) for rows in samples])
+    sample_sets = McSampleSet._split(np.concatenate(samples), [len(rows) for rows in samples])
     vertebrae = [
         SpineVertebra(
             center=VertebraCenter(

@@ -59,7 +59,7 @@ def report(mc: McSampleSet) -> UncertaintyReport:
     per-sample entropies. Variance is the mean over classes of the unbiased
     per-class sample variance, 0 when only one sample exists. The sample set
     holds all three already; a case loaded from a file had them computed in
-    one pass over all its vertebrae (``McSampleSet.split``).
+    one pass over all its vertebrae (``McSampleSet._split``).
     """
     return UncertaintyReport(
         mean_probs=mc.mean_probs,

@@ -1,6 +1,7 @@
 """Uncertainty aggregation against extended-precision recomputation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -214,7 +215,7 @@ class TestSampleStats:
     @given(sets=sample_sets())
     def test_split_matches_per_set_numpy(self, sets):
         block = np.concatenate(sets)
-        split = McSampleSet.split(block, [len(rows) for rows in sets])
+        split = McSampleSet._split(block, [len(rows) for rows in sets])
         assert len(split) == len(sets)
         for mc, rows in zip(split, sets, strict=True):
             assert np.array_equal(mc.samples, rows) and not mc.samples.flags.writeable
@@ -223,11 +224,11 @@ class TestSampleStats:
             self.assert_bits(McSampleSet(rows), rows)  # a set built alone runs the same code on one segment
 
     def test_long_and_short_sets_in_one_case(self):
-        # counts of every bit length from 1 to 9, several per length, in mixed order
+        # uneven counts from 1 to 300 rows in mixed order, so the sums cannot take the reshape
         rng = np.random.default_rng(40)
         counts = [300, 1, 2, 3, 5, 4, 7, 8, 16, 17, 31, 30, 1, 64, 200, 2, 9]
         sets = [rng.dirichlet(np.full(24, 0.3), size=n) for n in counts]
-        for mc, rows in zip(McSampleSet.split(np.concatenate(sets), counts), sets, strict=True):
+        for mc, rows in zip(McSampleSet._split(np.concatenate(sets), counts), sets, strict=True):
             self.assert_bits(mc, rows)
 
     def test_memory_grows_with_the_rows(self):
@@ -242,15 +243,19 @@ class TestSampleStats:
             tracemalloc.stop()
         assert peak <= 4 * block.nbytes
 
-    @pytest.mark.parametrize("counts", [[2, 0, 1], [], [[3]]], ids=["zero", "none", "2-d"])
-    def test_split_needs_a_row_per_vertebra(self, counts):
-        with pytest.raises(ValidationError, match="at least one sample row"):
-            McSampleSet.split(np.full((3, 24), 1 / 24), counts)
+    @pytest.mark.parametrize("n_rows, counts, message", [
+        (3, [2, 0, 1], "at least one sample row"), (3, [], "at least one sample row"),
+        (3, [[3]], "at least one sample row"), (3, [1, 1], "counts [1, 1] name 2 sample rows, got 3"),
+        (2, [1, 2], "counts [1, 2] name 3 sample rows, got 2"),
+    ], ids=["zero", "none", "2-d", "rows-left", "rows-short"])
+    def test_split_needs_a_row_per_vertebra(self, n_rows, counts, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            McSampleSet._split(np.full((n_rows, 24), 1 / 24), counts)
 
     def test_bad_row_named_by_vertebra(self):
         block = np.full((6, 24), 1 / 24)
         block[4, 0] = 0.5
         with pytest.raises(ValidationError, match=r"^samples row 1 of vertebra 2 must sum to 1 within 1e-06"):
-            McSampleSet.split(block, [1, 2, 3])
+            McSampleSet._split(block, [1, 2, 3])
         with pytest.raises(ValidationError, match=r"^samples row 4 must sum to 1"):
             McSampleSet(block)
