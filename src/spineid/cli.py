@@ -91,32 +91,34 @@ def _cmd_uncertainty(args) -> int:
     return 0
 
 
-def _override_params(params: FusionParams, args) -> FusionParams:
-    from .domain import FusionParams, phi_offsets
+def _fusion_params(args) -> FusionParams:
+    """The ``--params`` file with the fusion flags applied; without a file, identity matrices built from the flags."""
+    from dataclasses import replace
 
-    theta = args.theta if args.theta is not None else params.theta
-    hops = args.hops if args.hops is not None else params.hops
-    window = args.window if args.window is not None else params.window
-    mode = args.distance if args.distance is not None else params.distance_mode
-    phi = params.phi
-    if window != params.window:
-        wanted = phi_offsets(window)
-        missing = [d for d in wanted if d not in phi]
-        if missing:
-            raise ValidationError(f"parameter file lacks phi matrices for offsets {missing}")
-        phi = {d: phi[d] for d in wanted}
-    return FusionParams(theta, hops, window, mode, phi)
+    from . import io
+    from .domain import phi_offsets
+    from .fusion import identity_params
+
+    flags = {"theta": args.theta, "hops": args.hops, "window": args.window, "distance_mode": args.distance}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    if not args.params:
+        return identity_params(**flags)
+    params = io.load_fusion_params(args.params)
+    wanted = phi_offsets(flags.get("window", params.window))
+    missing = [d for d in wanted if d not in params.phi]
+    if missing:
+        raise ValidationError(f"parameter file lacks phi matrices for offsets {missing}")
+    return replace(params, **flags, phi={d: params.phi[d] for d in wanted})
 
 
 def _cmd_fuse(args) -> int:
     from . import io
     from .evaluate import decode_states
-    from .fusion import fuse, identity_params
+    from .fusion import fuse
     from .labels import CANONICAL_NAMES
 
     case = io.load_case(args.case)
-    params = io.load_fusion_params(args.params) if args.params else identity_params()
-    params = _override_params(params, args)
+    params = _fusion_params(args)
     trace = fuse(case, params)
     labels = decode_states(trace.snapshots[-1], args.decode)
     io.save_labels(case.case_id, labels, args.out)
@@ -242,12 +244,11 @@ def _cmd_pipeline(args) -> int:
     from . import io
     from .clustering import cluster_centers
     from .evaluate import evaluate
-    from .fusion import fuse, identity_params
+    from .fusion import fuse
     from .uncertainty import with_reports
 
     case_files = _load_case_dir(args.dir, args.out)
-    params = io.load_fusion_params(args.params) if args.params else identity_params()
-    params = _override_params(params, args)
+    params = _fusion_params(args)
     cases, baseline_states, fused_states = [], [], []
     count_match = 0
     center_errors = []

@@ -40,13 +40,12 @@ deterministic and invariant to the order in which detections arrive.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import PLANES, DetectionSet, VertebraCenter
-from .errors import EmptyClusterError, ValidationError
+from .errors import EmptyClusterError, ValidationError, _integer_type, _number
 
 
 @dataclass(frozen=True)
@@ -59,15 +58,12 @@ class ClusterConfig:
     density_floor: float
 
     def __post_init__(self):
-        for name in ("eps_pos", "eps_dim", "density_floor"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {v!r}")
-            if name != "density_floor" and not (math.isfinite(v) and v > 0):
-                raise ValidationError(f"{name} must be a positive finite radius, got {v!r}")
-        if isinstance(self.min_pts, bool) or not isinstance(self.min_pts, numbers.Integral) or self.min_pts < 2:
+        for name in ("eps_pos", "eps_dim"):
+            if not 0 < _number(getattr(self, name), name) < math.inf:
+                raise ValidationError(f"{name} must be a positive finite radius, got {getattr(self, name)!r}")
+        if not _integer_type(type(self.min_pts)) or self.min_pts < 2:
             raise ValidationError(f"min_pts must be an integer of at least 2, got {self.min_pts!r}")
-        if not 0.0 < self.density_floor <= 1.0:
+        if not 0.0 < _number(self.density_floor, "density_floor") <= 1.0:
             raise ValidationError(f"density_floor must lie in (0, 1], got {self.density_floor!r}")
 
     @classmethod

@@ -14,12 +14,11 @@ center is (cx, cy) where cy is the z coordinate.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _invalid, _number, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 PLANES = ("sagittal", "coronal")
@@ -31,16 +30,6 @@ SUM_TOL_INTERNAL = 1e-9
 SUM_TOL_INGEST = 1e-6
 
 MAX_ENTROPY = math.log(N_CLASSES)
-
-
-def _require_finite(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a number, got {reprlib.repr(value)}") from None
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 def _probabilities(values, ndim: int, tol: float, name: str, starts: np.ndarray | None = None) -> np.ndarray:
@@ -83,11 +72,17 @@ _INT_COLUMNS, _FLOAT_COLUMNS = DETECTION_COLUMNS[:2], DETECTION_COLUMNS[2:]
 
 
 def _column(name: str, values, integer: bool) -> np.ndarray:
-    """A read-only 1-D int64 or float64 copy of one detection column."""
+    """A read-only 1-D int64 or float64 copy of one detection column; an ndarray is checked by its dtype."""
+    what = f"field {name!r}"
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in ("iu" if integer else "iuf"):
+            raise _invalid(what, values)
+    else:
+        _numbers(values, what, integer)
     try:
         col = np.array(values, dtype=np.int64 if integer else np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"column {name} must hold numbers") from None
+    except OverflowError:  # an integer beyond int64, or beyond float64
+        raise _invalid(what, values) from None
     if col.ndim != 1:
         raise ValidationError(f"column {name} must be 1-D, got shape {col.shape}")
     col.flags.writeable = False
@@ -115,17 +110,17 @@ class DetectionSet:
     confidence: np.ndarray
 
     def __post_init__(self):
-        try:
-            shape = tuple(int(v) for v in self.volume_shape)
-        except (TypeError, ValueError, OverflowError):
-            shape = ()
-        if len(shape) != 3 or any(v <= 0 for v in shape):
-            raise ValidationError(f"volume_shape must be three positive extents, got {self.volume_shape!r}")
-        object.__setattr__(self, "volume_shape", shape)
-        if self.slice_count_per_plane <= 0:
-            raise ValidationError(f"slice_count_per_plane must be positive, got {self.slice_count_per_plane}")
+        if not isinstance(self.case_id, str):
+            raise _invalid("field 'case_id'", self.case_id)
+        shape = tuple(map(int, _numbers(self.volume_shape, "field 'volume_shape'", integer=True)))
+        k = _integer(self.slice_count_per_plane, "field 'slice_count_per_plane'")
         for name in DETECTION_COLUMNS:
             object.__setattr__(self, name, _column(name, getattr(self, name), name in _INT_COLUMNS))
+        if len(shape) != 3 or any(v <= 0 for v in shape):
+            raise ValidationError(f"volume_shape must be three positive extents, got {shape!r}")
+        object.__setattr__(self, "volume_shape", shape)
+        if k <= 0:
+            raise ValidationError(f"slice_count_per_plane must be positive, got {k}")
         lengths = {name: len(getattr(self, name)) for name in DETECTION_COLUMNS}
         if len(set(lengths.values())) > 1:
             raise ValidationError(f"detection columns must have equal lengths, got {lengths}")
@@ -165,17 +160,20 @@ class VertebraCenter:
     z_rank: int
 
     def __post_init__(self):
-        pos = tuple(_require_finite(f"position[{i}]", v) for i, v in enumerate(self.position))
-        if len(pos) != 3:
-            raise ValidationError(f"position must have 3 coordinates, got {len(pos)}")
-        object.__setattr__(self, "position", pos)
-        dims = tuple(_require_finite(f"mean_dims[{i}]", v) for i, v in enumerate(self.mean_dims))
-        if len(dims) != 2 or any(v <= 0 for v in dims):
+        for name, n in (("position", 3), ("mean_dims", 2)):
+            what = f"field {name!r}"
+            try:
+                values = tuple(map(float, _numbers(getattr(self, name), what)))
+            except OverflowError:
+                raise _invalid(what, getattr(self, name)) from None
+            if len(values) != n or not all(map(math.isfinite, values)):
+                raise ValidationError(f"{name} must be {n} finite numbers, got {values!r}")
+            object.__setattr__(self, name, values)
+        if min(self.mean_dims) <= 0:
             raise ValidationError(f"mean_dims must be two positive values, got {self.mean_dims!r}")
-        object.__setattr__(self, "mean_dims", dims)
-        if self.member_count < 1:
+        if _integer(self.member_count, "field 'member_count'") < 1:
             raise ValidationError(f"member_count must be at least 1, got {self.member_count}")
-        if self.z_rank < 0:
+        if _integer(self.z_rank, "field 'z_rank'") < 0:
             raise ValidationError(f"z_rank must be non-negative, got {self.z_rank}")
 
     @property
@@ -303,18 +301,14 @@ class UncertaintyReport:
 
     def __post_init__(self):
         object.__setattr__(self, "mean_probs", _probabilities(self.mean_probs, 1, SUM_TOL_INTERNAL, "mean_probs"))
-        ent = _require_finite("entropy", self.entropy)
-        if not -1e-12 <= ent <= MAX_ENTROPY + 1e-12:
-            raise ValidationError(f"entropy {ent} outside [0, ln {N_CLASSES}]")
-        object.__setattr__(self, "entropy", ent)
-        var = _require_finite("variance", self.variance)
-        if var < 0:
-            raise ValidationError(f"variance must be non-negative, got {var}")
-        object.__setattr__(self, "variance", var)
-        cw = _require_finite("certainty_weight", self.certainty_weight)
-        if abs(cw - (1.0 - ent / MAX_ENTROPY)) > 1e-12:
+        for name in ("entropy", "variance", "certainty_weight"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"field {name!r}"))
+        if not -1e-12 <= self.entropy <= MAX_ENTROPY + 1e-12:
+            raise ValidationError(f"entropy {self.entropy} outside [0, ln {N_CLASSES}]")
+        if not 0 <= self.variance < math.inf:
+            raise ValidationError(f"variance must be finite and non-negative, got {self.variance}")
+        if not abs(self.certainty_weight - (1.0 - self.entropy / MAX_ENTROPY)) <= 1e-12:
             raise ValidationError("certainty_weight must equal 1 - entropy/ln(24)")
-        object.__setattr__(self, "certainty_weight", cw)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UncertaintyReport):
@@ -340,7 +334,7 @@ class SpineVertebra:
         if self.truth is not None:
             object.__setattr__(self, "truth", _check_label(self.truth, "field 'truth'"))
         if self.fusion_weight is not None:
-            fw = _require_finite("fusion_weight", self.fusion_weight)
+            fw = _number(self.fusion_weight, "field 'fusion_weight'")
             if not 0.0 <= fw <= 1.0:
                 raise ValidationError(f"fusion_weight must lie in [0, 1], got {fw}")
             object.__setattr__(self, "fusion_weight", fw)
@@ -354,6 +348,8 @@ class SpineCase:
     vertebrae: tuple[SpineVertebra, ...]
 
     def __post_init__(self):
+        if not isinstance(self.case_id, str):
+            raise _invalid("field 'case_id'", self.case_id)
         verts = tuple(self.vertebrae)
         object.__setattr__(self, "vertebrae", verts)
         if len(verts) == 0:
@@ -412,24 +408,24 @@ class FusionParams:
     phi: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        theta = _require_finite("theta", self.theta)
-        if theta < 0:
-            raise ValidationError(f"theta must be non-negative, got {theta}")
+        theta = _number(self.theta, "field 'theta'")
+        if not 0 <= theta < math.inf:
+            raise ValidationError(f"theta must be finite and non-negative, got {theta}")
         object.__setattr__(self, "theta", theta)
-        if not isinstance(self.hops, int) or isinstance(self.hops, bool) or not 0 <= self.hops <= MAX_HOPS:
+        if not 0 <= _integer(self.hops, "field 'hops'") <= MAX_HOPS:
             raise ValidationError(f"hops must be an integer in [0, {MAX_HOPS}], got {self.hops!r}")
-        if self.window not in ALLOWED_WINDOWS:
+        if _integer(self.window, "field 'window'") not in ALLOWED_WINDOWS:
             raise ValidationError(f"window must be odd and one of {ALLOWED_WINDOWS}, got {self.window!r}")
         if self.distance_mode not in DISTANCE_MODES:
             raise ValidationError(f"distance_mode must be one of {DISTANCE_MODES}, got {self.distance_mode!r}")
         expected = set(phi_offsets(self.window))
-        got = {int(k) for k in self.phi}
+        got = {_integer(k, "phi offset") for k in self.phi}
         if got != expected:
             raise ValidationError(f"phi offsets {sorted(got)} do not match window {self.window} "
                                   f"(expected {sorted(expected)})")
         frozen: dict[int, np.ndarray] = {}
-        for offset in sorted(self.phi, key=int):
-            mat = np.array(self.phi[int(offset)], dtype=np.float64)
+        for offset in sorted(self.phi):
+            mat = np.array(self.phi[offset], dtype=np.float64)
             if mat.shape != (N_CLASSES, N_CLASSES):
                 raise ValidationError(f"phi[{offset}] must have shape ({N_CLASSES}, {N_CLASSES}), got {mat.shape}")
             if not np.all(np.isfinite(mat)):

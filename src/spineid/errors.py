@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole toolkit.
+"""Exception hierarchy shared by the whole toolkit, and the rules every constructor checks its numbers by.
 
 Every error class carries the process exit code the command line front end
 maps it to: 2 for rejected input, 3 for numeric divergence, 4 for file
@@ -6,6 +6,9 @@ problems. Library callers catch the classes; only ``cli`` looks at the codes.
 """
 
 from __future__ import annotations
+
+import numbers
+import reprlib
 
 
 class SpineError(Exception):
@@ -73,3 +76,51 @@ class EmptyClusterError(SpineError):
             f"{dropped_position} rejected as position noise, "
             f"{dropped_dimension} rejected by the dimension pass"
         )
+
+
+def _invalid(what: str, value, why: str = "") -> ValidationError:
+    """The error for a value of the wrong type: ``<what> has an invalid value <value, abbreviated><why>``."""
+    return ValidationError(f"{what} has an invalid value {reprlib.repr(value)}{why}")
+
+
+# Each rule tests the builtin types first: an abstract base class check costs several times as much.
+def _integer_type(t: type) -> bool:
+    """The integer rule: a Python or numpy integer; never a bool, a float or a string, whatever it spells."""
+    return t is int or (issubclass(t, numbers.Integral) and t is not bool)
+
+
+def _number_type(t: type) -> bool:
+    """The number rule: a Python or numpy integer or float; never a bool or a string, whatever it spells."""
+    return t is float or t is int or (issubclass(t, numbers.Real) and t is not bool)
+
+
+def _integer(value, what: str, why: str = "") -> int:
+    """``value`` as a Python int, if it passes the integer rule; else ``_invalid(what, value, why)``."""
+    if not _integer_type(type(value)):
+        raise _invalid(what, value, why)
+    return int(value)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a Python float, if it passes the number rule and fits a float; else ``_invalid(what, value)``."""
+    if _number_type(type(value)):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _invalid(what, value)
+
+
+def _numbers(values, what: str, integer: bool = False):
+    """``values`` as given, if it is a sequence (not a string or a mapping) whose elements pass the number rule.
+
+    ``integer`` asks for the integer rule. The rule runs once per element type, never once per value.
+    """
+    rule = _integer_type if integer else _number_type
+    try:
+        ok = not isinstance(values, (str, dict)) and all(map(rule, set(map(type, values))))
+    except TypeError:
+        ok = False
+    if not ok:
+        raise _invalid(what, values)
+    return values

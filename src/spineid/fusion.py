@@ -20,13 +20,13 @@ onto [0, inf) after every step.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import FusionParams, SpineCase, phi_offsets
-from .errors import DegenerateGeometryError, DivergenceError, ValidationError
+from .errors import DegenerateGeometryError, DivergenceError, ValidationError, _integer_type, _number
 from .labels import N_CLASSES
 from .uncertainty import aggregate_samples, report
 
@@ -54,12 +54,12 @@ class TrainConfig:
     init: str = "identity"
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _integer_type(type(self.seed)) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not np.isfinite(self.learning_rate) or self.learning_rate < 0:
+        if not 0 <= _number(self.learning_rate, "learning_rate") < math.inf:
             raise ValidationError(f"learning_rate must be finite and non-negative, got {self.learning_rate!r}")
-        if not 1 <= self.epochs <= 100_000:
-            raise ValidationError(f"epochs must lie in [1, 100000], got {self.epochs!r}")
+        if not _integer_type(type(self.epochs)) or not 1 <= self.epochs <= 100_000:
+            raise ValidationError(f"epochs must be an integer in [1, 100000], got {self.epochs!r}")
         if self.init not in ("identity", "uniform_small"):
             raise ValidationError(f"init must be 'identity' or 'uniform_small', got {self.init!r}")
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import reprlib
+from contextlib import contextmanager
+from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -29,7 +31,7 @@ from .domain import (
     UncertaintyReport,
     VertebraCenter,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _invalid, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, label_index
 
 
@@ -89,11 +91,23 @@ def save_json(obj: Any, path: str | Path) -> None:
     Path(path).write_text(_render(obj, "") + "\n")
 
 
+@contextmanager
+def _in_file(path: str | Path, line: int | None = None):
+    """Every loader's one way to name its file: a ValidationError or ParseError raised inside that names no file
+    gets ``[path]``, or ``[path:line]`` with the line it carries, else with ``line``."""
+    try:
+        yield
+    except (ValidationError, ParseError) as exc:
+        if exc.path is not None:
+            raise
+        raise type(exc)(str(exc), path=str(path), line=exc.line or line) from None
+
+
 def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=str(path)) from None
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _read_json(path: str | Path, object_pairs_hook=None) -> Any:
@@ -101,72 +115,32 @@ def _read_json(path: str | Path, object_pairs_hook=None) -> Any:
     try:
         return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=exc.lineno) from None
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
     except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", path=str(path)) from None
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _get(record: dict, key: str, path: str | Path, line: int | None = None) -> Any:
+def _get(record: dict, key: str, line: int | None = None) -> Any:
     try:
         return record[key]
     except (KeyError, TypeError):
-        raise ParseError(f"missing field {key!r}", path=str(path), line=line) from None
+        raise ParseError(f"missing field {key!r}", line=line) from None
 
 
-def _convert(convert, value: Any, key: str, path: str | Path, line: int | None = None) -> Any:
-    """``convert(value)`` for a decoded field; a value of the wrong type is rejected input."""
+def _convert(convert, value: Any, key: str) -> Any:
+    """``convert(value)`` for a field the file writes in another form than the domain takes (plane names, arrays)."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)}",
-                              path=str(path), line=line) from None
+        raise _invalid(f"field {key!r}", value) from None
 
 
 def _float_array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _int(value: Any) -> int:
-    """A JSON integer as it is; a float, a string or a bool is rejected, never truncated or parsed."""
-    if type(value) is not int:
-        raise TypeError("expected an integer")
-    return value
-
-
-def _int_list(value: Any) -> list[int]:
-    """A JSON list of integers as it is; a list holding a float, a string, a bool or anything else is rejected."""
-    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
-        raise TypeError("expected a list of integers")
-    return value
-
-
-def _str(value: Any) -> str:
-    """A JSON string as it is; a number, null, a bool, a list or an object is rejected, never stringified."""
-    if type(value) is not str:
-        raise TypeError("expected a string")
-    return value
-
-
-def _float(value: Any) -> float:
-    """A JSON number as a float; a string or a bool is rejected, never parsed."""
-    if type(value) not in (int, float):
-        raise TypeError("expected a number")
-    return float(value)
-
-
-def _float_list(value: Any) -> list:
-    """A JSON list of numbers as it is; a list holding a string, a bool or anything else is rejected."""
-    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
-        raise TypeError("expected a list of numbers")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # detections: JSON Lines, one header then one box per line
-
-
-def _int_array(value: Any) -> np.ndarray:
-    return np.array(_int_list(value), dtype=np.int64)
 
 
 _PLANE_CODES = {name: code for code, name in enumerate(PLANES)}
@@ -199,7 +173,7 @@ def save_detections(ds: DetectionSet, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _records(text: str, path: str | Path) -> list[tuple[int, Any]]:
+def _records(text: str) -> list[tuple[int, Any]]:
     """``(line number, value)`` of every non-blank line, parsed on its own with ``json.loads``'s value or error.
 
     ``raw_decode`` settles a line that is exactly one JSON value; ``json.loads`` any other line.
@@ -216,36 +190,33 @@ def _records(text: str, path: str | Path) -> list[tuple[int, Any]]:
             try:
                 value = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON record: {exc.msg}", path=str(path), line=lineno) from None
+                raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from None
             except RecursionError:
-                raise ParseError("invalid JSON record: nested too deeply", path=str(path), line=lineno) from None
+                raise ParseError("invalid JSON record: nested too deeply", line=lineno) from None
         records.append((lineno, value))
     return records
 
 
 def load_detections(path: str | Path) -> DetectionSet:
     """One DetectionSet from a JSON Lines file; a missing field is named with the first line that lacks it."""
-    records = _records(_read_text(path), path)
-    if not records:
-        raise ParseError("detections file is empty", path=str(path), line=1)
-    (header_line, header), boxes = records[0], records[1:]
-    values = [rec for _, rec in boxes]
-    try:
-        columns = {key: [rec[key] for rec in values] for key in DETECTION_COLUMNS}
-    except (KeyError, TypeError):
-        for key in DETECTION_COLUMNS:  # names the first missing column at the first line without it
-            for lineno, rec in boxes:
-                _get(rec, key, path, lineno)
-        raise
-    return DetectionSet(
-        case_id=_convert(_str, _get(header, "case_id", path, header_line), "case_id", path, header_line),
-        volume_shape=tuple(_convert(_int_list, _get(header, "volume_shape", path, header_line),
-                                    "volume_shape", path, header_line)),
-        slice_count_per_plane=_convert(_int, _get(header, "k", path, header_line), "k", path, header_line),
-        plane=_convert(_plane_codes, columns["plane"], "plane", path),
-        slice_index=_convert(_int_array, columns["slice_index"], "slice_index", path),
-        **{key: _convert(_float_list, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
-    )
+    with _in_file(path):
+        records = _records(_read_text(path))
+        if not records:
+            raise ParseError("detections file is empty", line=1)
+        (header_line, header), boxes = records[0], records[1:]
+        values = [rec for _, rec in boxes]
+        try:
+            columns = {key: [rec[key] for rec in values] for key in DETECTION_COLUMNS}
+        except (KeyError, TypeError):
+            for key in DETECTION_COLUMNS:  # names the first missing column at the first line without it
+                for lineno, rec in boxes:
+                    _get(rec, key, lineno)
+            raise
+        with _in_file(path, header_line):  # a set without boxes checks the header alone, naming its line
+            scan = DetectionSet(*(_get(header, key) for key in ("case_id", "volume_shape", "k")),
+                                *[[]] * len(DETECTION_COLUMNS))
+        columns["plane"] = _convert(_plane_codes, columns["plane"], "plane")
+        return replace(scan, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +232,8 @@ def center_to_dict(c: VertebraCenter) -> dict:
     }
 
 
-def center_from_dict(rec: dict, path: str | Path = "<memory>") -> VertebraCenter:
-    return VertebraCenter(
-        position=_convert(_float_list, _get(rec, "position", path), "position", path),
-        mean_dims=_convert(_float_list, _get(rec, "mean_dims", path), "mean_dims", path),
-        member_count=_convert(_int, _get(rec, "member_count", path), "member_count", path),
-        z_rank=_convert(_int, _get(rec, "z_rank", path), "z_rank", path),
-    )
+def center_from_dict(rec: dict) -> VertebraCenter:
+    return VertebraCenter(*(_get(rec, key) for key in ("position", "mean_dims", "member_count", "z_rank")))
 
 
 def save_centers(centers: list[VertebraCenter], path: str | Path) -> None:
@@ -275,10 +241,11 @@ def save_centers(centers: list[VertebraCenter], path: str | Path) -> None:
 
 
 def load_centers(path: str | Path) -> list[VertebraCenter]:
-    data = _read_json(path)
-    if not isinstance(data, list):
-        raise ParseError("centers file must hold a JSON array", path=str(path))
-    return [center_from_dict(rec, path) for rec in data]
+    with _in_file(path):
+        data = _read_json(path)
+        if not isinstance(data, list):
+            raise ParseError("centers file must hold a JSON array")
+        return [center_from_dict(rec) for rec in data]
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +261,19 @@ def report_to_dict(r: UncertaintyReport) -> dict:
     }
 
 
-def report_from_dict(rec: dict, path: str | Path = "<memory>") -> UncertaintyReport:
+def report_from_dict(rec: dict) -> UncertaintyReport:
     """An uncertainty report whose ``mean_probs`` may come from another tool.
 
     A vector that sums to 1 within 1e-6 is accepted. It is divided by its sum
     when that is off by more than 1e-9, else kept as written, so round trips
     are bit exact.
     """
-    probs = _convert(_float_array, _get(rec, "mean_probs", path), "mean_probs", path)
+    probs = _convert(_float_array, _get(rec, "mean_probs"), "mean_probs")
     with np.errstate(over="ignore", invalid="ignore"):  # UncertaintyReport rejects what overflows
         total = float(probs.sum())
     if SUM_TOL_INTERNAL < abs(total - 1.0) <= SUM_TOL_INGEST:
         probs = probs / total
-    return UncertaintyReport(
-        mean_probs=probs,
-        entropy=_convert(_float, _get(rec, "entropy", path), "entropy", path),
-        variance=_convert(_float, _get(rec, "variance", path), "variance", path),
-        certainty_weight=_convert(_float, _get(rec, "certainty_weight", path), "certainty_weight", path),
-    )
+    return UncertaintyReport(probs, *(_get(rec, key) for key in ("entropy", "variance", "certainty_weight")))
 
 
 def case_to_dict(case: SpineCase) -> dict:
@@ -329,7 +291,7 @@ def case_to_dict(case: SpineCase) -> dict:
     return {"case_id": case.case_id, "vertebrae": verts}
 
 
-def _sample_block(samples: list, path: str | Path) -> tuple[np.ndarray, list[int]]:
+def _sample_block(samples: list) -> tuple[np.ndarray, list[int]]:
     """Every vertebra's ``mc.samples`` rows as one (N, 24) float64 block, and each vertebra's row count.
 
     One conversion serves the whole case. When it fails, the vertebrae are
@@ -344,35 +306,34 @@ def _sample_block(samples: list, path: str | Path) -> tuple[np.ndarray, list[int
             return block, [len(rows) for rows in samples]
     arrays = []
     for i, rows in enumerate(samples):
-        arr = _convert(_float_array, rows, f"vertebrae[{i}].mc.samples", path)
+        arr = _convert(_float_array, rows, f"vertebrae[{i}].mc.samples")
         if arr.ndim != 2 or arr.shape[1] != N_CLASSES or len(arr) == 0:
             raise ValidationError(f"vertebra {i}: samples must have shape (n, {N_CLASSES}) with n >= 1, "
-                                  f"got {arr.shape}", path=str(path))
+                                  f"got {arr.shape}")
         arrays.append(arr)
     return np.concatenate(arrays), [len(arr) for arr in arrays]
 
 
-def case_from_dict(data: dict, path: str | Path = "<memory>") -> SpineCase:
+def case_from_dict(data: dict) -> SpineCase:
     """A case from its decoded JSON; the MC samples of all vertebrae are checked and summarized in one pass."""
-    raw_verts = _get(data, "vertebrae", path)
+    raw_verts = _get(data, "vertebrae")
     if not isinstance(raw_verts, list):
-        raise ParseError("vertebrae must be a list", path=str(path))
-    samples = [_get(_get(rec, "mc", path), "samples", path) for rec in raw_verts]
-    sample_sets = McSampleSet._split(*_sample_block(samples, path)) if samples else []
+        raise ParseError("vertebrae must be a list")
+    samples = [_get(_get(rec, "mc"), "samples") for rec in raw_verts]
+    sample_sets = McSampleSet._split(*_sample_block(samples)) if samples else []
     verts = []
     for rec, mc in zip(raw_verts, sample_sets):
         report = rec.get("uncertainty")
-        weight = rec.get("fusion_weight")
         verts.append(
             SpineVertebra(
-                center=center_from_dict(_get(rec, "center", path), path),
+                center=center_from_dict(_get(rec, "center")),
                 mc=mc,
                 truth=rec.get("truth"),
-                uncertainty=None if report is None else report_from_dict(report, path),
-                fusion_weight=None if weight is None else _convert(_float, weight, "fusion_weight", path),
+                uncertainty=None if report is None else report_from_dict(report),
+                fusion_weight=rec.get("fusion_weight"),
             )
         )
-    return SpineCase(case_id=_convert(_str, _get(data, "case_id", path), "case_id", path), vertebrae=tuple(verts))
+    return SpineCase(case_id=_get(data, "case_id"), vertebrae=tuple(verts))
 
 
 def save_case(case: SpineCase, path: str | Path) -> None:
@@ -381,13 +342,8 @@ def save_case(case: SpineCase, path: str | Path) -> None:
 
 def load_case(path: str | Path) -> SpineCase:
     """One case file; every error it raises names the file."""
-    data = _read_json(path)
-    try:
-        return case_from_dict(data, path)
-    except ValidationError as exc:
-        if exc.path is not None:
-            raise
-        raise ValidationError(str(exc), path=str(path)) from None
+    with _in_file(path):
+        return case_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +360,24 @@ def params_to_dict(p: FusionParams) -> dict:
     }
 
 
-def params_from_dict(data: dict, path: str | Path = "<memory>") -> FusionParams:
-    raw_phi = _get(data, "phi", path)
+def params_from_dict(data: dict) -> FusionParams:
+    raw_phi = _get(data, "phi")
     if not isinstance(raw_phi, dict):
-        raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)}",
-                              path=str(path))
+        raise ValidationError(f"field 'phi' must map signed offsets to matrices, got {reprlib.repr(raw_phi)}")
     phi, keys = {}, {}
     for key, flat in raw_phi.items():
         try:
             offset = int(key)
         except ValueError:
-            raise ParseError(f"phi key {key!r} is not a signed offset", path=str(path)) from None
+            raise ParseError(f"phi key {key!r} is not a signed offset") from None
         if offset in keys:
-            raise ParseError(f"phi keys {keys[offset]!r} and {key!r} name the same offset", path=str(path))
+            raise ParseError(f"phi keys {keys[offset]!r} and {key!r} name the same offset")
         keys[offset] = key
-        flat = _convert(_float_array, flat, f"phi[{key}]", path)
+        flat = _convert(_float_array, flat, f"phi[{key}]")
         if flat.size != 24 * 24:
             raise ValidationError(f"phi[{key}] must hold 576 values, got {flat.size}")
         phi[offset] = flat.reshape(24, 24)
-    return FusionParams(
-        theta=_convert(_float, _get(data, "theta", path), "theta", path),
-        hops=_convert(_int, _get(data, "hops", path), "hops", path),
-        window=_convert(_int, _get(data, "window", path), "window", path),
-        distance_mode=_get(data, "distance_mode", path),
-        phi=phi,
-    )
+    return FusionParams(*(_get(data, key) for key in ("theta", "hops", "window", "distance_mode")), phi)
 
 
 def save_fusion_params(p: FusionParams, path: str | Path) -> None:
@@ -442,11 +391,12 @@ def load_fusion_params(path: str | Path) -> FusionParams:
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"key {key!r} is written twice in one object", path=str(path))
+                raise ParseError(f"key {key!r} is written twice in one object")
             seen.add(key)
         return dict(pairs)
 
-    return params_from_dict(_read_json(path, unique_keys), path)
+    with _in_file(path):
+        return params_from_dict(_read_json(path, unique_keys))
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +409,8 @@ def save_labels(case_id: str, labels: list[int], path: str | Path) -> None:
 
 def load_labels(path: str | Path) -> list[int]:
     """The label indices of a labels file, a JSON list of integers; ``case_id`` and ``names`` are not read."""
-    return _convert(_int_list, _get(_read_json(path), "labels", path), "labels", path)
+    with _in_file(path):
+        return _numbers(_get(_read_json(path), "labels"), "field 'labels'", integer=True)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +428,9 @@ def load_embedding_batch(path: str | Path, tau_override: float | None = None):
     """Read vectors, labels and optional tau; import deferred to avoid a cycle."""
     from .losses import EmbeddingBatch
 
-    data = _read_json(path)
-    vectors = _convert(_float_array, _get(data, "vectors", path), "vectors", path)
-    labels = _convert(_labels, _get(data, "labels", path), "labels", path)
-    tau = tau_override if tau_override is not None else _convert(_float, data.get("tau", 0.1), "tau", path)
-    return EmbeddingBatch(vectors=vectors, labels=labels, tau=tau)
+    with _in_file(path):
+        data = _read_json(path)
+        vectors = _convert(_float_array, _get(data, "vectors"), "vectors")
+        labels = _convert(_labels, _get(data, "labels"), "labels")
+        tau = tau_override if tau_override is not None else data.get("tau", 0.1)
+        return EmbeddingBatch(vectors=vectors, labels=labels, tau=tau)

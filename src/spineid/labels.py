@@ -8,10 +8,7 @@ callers with their own encodings must map explicitly.
 
 from __future__ import annotations
 
-import numbers
-import reprlib
-
-from .errors import ValidationError
+from .errors import ValidationError, _integer
 
 N_CLASSES = 24
 
@@ -33,13 +30,11 @@ def label_index(name: str) -> int:
 
 
 def _check_label(value, what: str) -> int:
-    """``value`` as a Python int, if it is a label index: a Python or numpy integer in [0, 24).
+    """``value`` as a Python int, if it is a label index: it passes the integer rule and lies in [0, 24).
 
-    A bool, a float or a string is never a label index, whatever number it
-    spells or casts to. ``what`` names the value in the ValidationError.
+    ``what`` names the value in the ValidationError.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{what} has an invalid value {reprlib.repr(value)}, not an integer label index")
-    if not 0 <= value < N_CLASSES:
-        raise ValidationError(f"{what} has an invalid value {int(value)}, which lies outside [0, {N_CLASSES})")
-    return int(value)
+    index = _integer(value, what, ", not an integer label index")
+    if not 0 <= index < N_CLASSES:
+        raise ValidationError(f"{what} has an invalid value {index}, which lies outside [0, {N_CLASSES})")
+    return index

@@ -9,12 +9,13 @@ increasing. ``total_loss`` is the weighted scalar combiner.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, ValidationError, _number
 from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 NORM_TOL = 1e-9
@@ -60,8 +61,10 @@ class EmbeddingBatch:
             )
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ValidationError(f"tau must be a positive temperature, got {self.tau!r}")
+        tau = _number(self.tau, "field 'tau'")
+        if not 0 < tau < math.inf:
+            raise ValidationError(f"tau must be a positive temperature, got {tau!r}")
+        object.__setattr__(self, "tau", tau)
 
     @property
     def size(self) -> int:
@@ -161,12 +164,13 @@ def total_loss(
     gamma: float = 1.0,
 ) -> float:
     """Weighted sum alpha*l_se + beta*l_mse + gamma*l_ce."""
-    values = {"l_se": l_se, "l_mse": l_mse, "l_ce": l_ce,
-              "alpha": alpha, "beta": beta, "gamma": gamma}
+    values = {name: _number(v, name) for name, v in (("l_se", l_se), ("l_mse", l_mse), ("l_ce", l_ce),
+                                                      ("alpha", alpha), ("beta", beta), ("gamma", gamma))}
     for name, v in values.items():
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValidationError(f"{name} must be finite, got {v!r}")
     for name in ("alpha", "beta", "gamma"):
         if values[name] < 0:
             raise ValidationError(f"{name} must be non-negative, got {values[name]!r}")
-    return float(alpha * l_se + beta * l_mse + gamma * l_ce)
+    l_se, l_mse, l_ce, alpha, beta, gamma = values.values()
+    return alpha * l_se + beta * l_mse + gamma * l_ce

@@ -12,13 +12,12 @@ produce byte-identical corpora.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .domain import PLANES, DetectionSet, McSampleSet, SpineCase, SpineVertebra, VertebraCenter
-from .errors import ValidationError
+from .errors import ValidationError, _integer_type, _number, _numbers
 from .labels import N_CLASSES
 
 
@@ -39,8 +38,8 @@ class ConfusionModel:
 
     def __post_init__(self):
         for name in ("true_mass", "adjacent1", "adjacent2", "floor"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            v = _number(getattr(self, name), name)
+            if not 0 <= v < math.inf:
                 raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")
         if self.true_mass <= 0:
             raise ValidationError("true_mass must be positive")
@@ -65,9 +64,9 @@ class McConfig:
     concentration: float = 50.0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
-        if not np.isfinite(self.concentration) or self.concentration <= 0:
+        if not _integer_type(type(self.n_samples)) or self.n_samples < 1:
+            raise ValidationError(f"n_samples must be an integer of at least 1, got {self.n_samples!r}")
+        if not 0 < _number(self.concentration, "concentration") < math.inf:
             raise ValidationError(f"concentration must be positive, got {self.concentration!r}")
 
 
@@ -82,15 +81,16 @@ class DetectConfig:
     noise_rate: float = 0.1
 
     def __post_init__(self):
-        if self.boxes_per_vertebra < 1:
-            raise ValidationError("boxes_per_vertebra must be at least 1")
-        if not 0.0 <= self.count_jitter < 1.0:
+        boxes = self.boxes_per_vertebra
+        if not _integer_type(type(boxes)) or boxes < 1:
+            raise ValidationError(f"boxes_per_vertebra must be an integer of at least 1, got {boxes!r}")
+        if not 0.0 <= _number(self.count_jitter, "count_jitter") < 1.0:
             raise ValidationError(f"count_jitter must lie in [0, 1), got {self.count_jitter!r}")
         for name in ("pos_sigma", "dim_sigma"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            value = _number(getattr(self, name), name)
+            if not 0 <= value < math.inf:
                 raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
-        if not 0.0 <= self.noise_rate < 1.0:
+        if not 0.0 <= _number(self.noise_rate, "noise_rate") < 1.0:
             raise ValidationError(f"noise_rate must lie in [0, 1), got {self.noise_rate!r}")
 
 
@@ -107,15 +107,15 @@ class GenConfig:
     detect: DetectConfig = field(default_factory=DetectConfig)
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not _integer_type(type(self.seed)) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.n_cases < 1:
-            raise ValidationError(f"n_cases must be at least 1, got {self.n_cases}")
-        if self.k_slices < 1:
-            raise ValidationError(f"k_slices must be at least 1, got {self.k_slices}")
-        lo, hi = self.vertebrae_range
-        if not 1 <= lo <= hi <= N_CLASSES:
-            raise ValidationError(f"vertebrae_range must satisfy 1 <= min <= max <= {N_CLASSES}")
+        for name, value in (("n_cases", self.n_cases), ("k_slices", self.k_slices)):
+            if not _integer_type(type(value)) or value < 1:
+                raise ValidationError(f"{name} must be an integer of at least 1, got {value!r}")
+        span = _numbers(self.vertebrae_range, "vertebrae_range", integer=True)
+        if len(span) != 2 or not 1 <= span[0] <= span[1] <= N_CLASSES:
+            raise ValidationError(f"vertebrae_range must be (min, max) with 1 <= min <= max <= {N_CLASSES}, "
+                                  f"got {span!r}")
 
 
 # Geometry of the planted spine, in voxels.

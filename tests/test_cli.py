@@ -14,7 +14,7 @@ from test_acceptance import _child_env
 from spineid import io
 from spineid.cli import main
 from spineid.domain import phi_offsets
-from spineid.fusion import identity_params
+from spineid.fusion import fuse, identity_params
 from spineid.uncertainty import with_reports
 
 
@@ -106,6 +106,17 @@ def test_fuse_window_narrowing_from_file(corpus, tmp_path):
     # widening beyond the stored offsets must fail validation
     assert main(["fuse", "--case", str(corpus / "case_0000.json"), "--params", str(params_path),
                  "--window", "7", "--out", str(out)]) == 2
+
+
+def test_fuse_window_without_params_file(corpus, tmp_path):
+    # once "parameter file lacks phi matrices for offsets [-3, 3]", with no parameter file given
+    case_path = corpus / "case_0000.json"
+    trace_path = tmp_path / "trace.json"
+    assert main(["fuse", "--case", str(case_path), "--window", "7", "--hops", "2", "--trace", str(trace_path),
+                 "--out", str(tmp_path / "labels.json")]) == 0
+    want = fuse(io.load_case(case_path), identity_params(hops=2, window=7))
+    assert json.loads(trace_path.read_text())["snapshots"] == want.snapshots.tolist()
+    assert main(["pipeline", "--dir", str(corpus), "--window", "7", "--out", str(tmp_path / "pipeline.json")]) == 0
 
 
 def test_train_phi_command(corpus, tmp_path):
@@ -554,7 +565,16 @@ class TestExitCodes:
         assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o"), "--eps-pos", "6",
                      "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: field {field!r} has an invalid value") and err.count("\n") == 1
+        name = "slice_count_per_plane" if field == "k" else field  # the DetectionSet field the file key "k" fills
+        assert err.startswith(f"error: field {name!r} has an invalid value") and err.count("\n") == 1
+
+    def test_pipeline_names_a_bad_detections_file(self, corpus, tmp_path, capsys):
+        # the message once named no file, so the bad one of the directory's detections was not known
+        path = corpus / "case_0001.detections.jsonl"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, json.dumps(json.loads(first) | {"h": 0}), *rest]) + "\n")
+        assert main(["pipeline", "--dir", str(corpus), "--out", str(tmp_path / "pipeline.json")]) == 2
+        assert capsys.readouterr().err == f"error: detections[0]: h must be positive, got 0.0 [{path}]\n"
 
     @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["c"], {"id": "c"}],
                              ids=["null", "int", "float", "bool", "list", "object"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, random_probs
 from spineid import io
+from spineid.clustering import ClusterConfig
 from spineid.domain import (
     DETECTION_COLUMNS,
     PLANES,
@@ -24,8 +25,10 @@ from spineid.domain import (
     phi_offsets,
 )
 from spineid.errors import ParseError, ValidationError
-from spineid.fusion import identity_params
+from spineid.fusion import TrainConfig, identity_params
 from spineid.labels import N_CLASSES
+from spineid.losses import EmbeddingBatch, total_loss
+from spineid.synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig
 from spineid.uncertainty import aggregate_samples, entropy, report
 
 
@@ -173,6 +176,56 @@ class TestValidation:
     def test_hops_cap(self):
         with pytest.raises(ValidationError, match="hops"):
             FusionParams(0.1, 11, 3, "index", {d: np.eye(24) for d in phi_offsets(3)})
+
+
+def _rule_inputs() -> dict:
+    """Library calls that each pass one value of the wrong type, by the field the error must name."""
+    center = dict(position=(1.0, 2.0, 3.0), mean_dims=(3.0, 2.0), member_count=2, z_rank=0)
+    box = dict(case_id="c", volume_shape=(64, 64, 64), slice_count_per_plane=2,
+               **{name: [v] for name, v in zip(DETECTION_COLUMNS, (0, 5, 10.0, 20.0, 30.0, 20.0, 0.9))})
+    vertebra = make_case([one_hot(3)]).vertebrae[0]
+    rep = report(vertebra.mc)
+    phi3 = {d: np.eye(N_CLASSES) for d in phi_offsets(3)}
+    return {
+        "center-position-str": ("position", lambda: VertebraCenter(**center | {"position": ("1", 2.0, 3.0)})),
+        "center-position-bool": ("position", lambda: VertebraCenter(**center | {"position": (1.0, True, 2.0)})),
+        "center-position-int": ("position", lambda: VertebraCenter(**center | {"position": 5})),
+        "center-member-count-float": ("member_count", lambda: VertebraCenter(**center | {"member_count": 2.5})),
+        "center-z-rank-float": ("z_rank", lambda: VertebraCenter(**center | {"z_rank": 0.0})),
+        "detections-case-id-int": ("case_id", lambda: DetectionSet(**box | {"case_id": 7})),
+        "detections-shape-float": ("volume_shape", lambda: DetectionSet(**box | {"volume_shape": (64.7, 64, 64)})),
+        "detections-k-float": ("slice_count_per_plane", lambda: DetectionSet(**box | {"slice_count_per_plane": 2.5})),
+        "detections-cx-str": ("cx", lambda: DetectionSet(**box | {"cx": ["10"]})),
+        "detections-h-bool": ("h", lambda: DetectionSet(**box | {"h": [True]})),
+        "detections-slice-float-array": ("slice_index", lambda: DetectionSet(**box | {"slice_index": np.array([5.0])})),
+        "params-theta-str": ("theta", lambda: FusionParams("0.1", 3, 3, "index", phi3)),
+        "params-window-bool": ("window", lambda: FusionParams(0.1, 3, True, "index", {})),
+        "params-offset-float": ("phi offset", lambda: FusionParams(0.1, 3, 3, "index", {-1.0: phi3[-1], 1: phi3[1]})),
+        "vertebra-fusion-weight-str": ("fusion_weight", lambda: SpineVertebra(vertebra.center, vertebra.mc,
+                                                                              fusion_weight="0.5")),
+        "report-entropy-str": ("entropy", lambda: UncertaintyReport(rep.mean_probs, str(rep.entropy), rep.variance,
+                                                                    rep.certainty_weight)),
+        "case-id-int": ("case_id", lambda: SpineCase(7, (vertebra,))),
+        "batch-tau-str": ("tau", lambda: EmbeddingBatch(np.eye(2), [0, 0], "0.5")),
+        "train-epochs-float": ("epochs", lambda: TrainConfig(learning_rate=0.1, epochs=2.5)),
+        "train-learning-rate-str": ("learning_rate", lambda: TrainConfig(learning_rate="0.1", epochs=2)),
+        "cluster-eps-pos-str": ("eps_pos", lambda: ClusterConfig("6", 4, 10.0, 0.1)),
+        "gen-n-cases-float": ("n_cases", lambda: GenConfig(n_cases=2.5)),
+        "gen-range-float": ("vertebrae_range", lambda: GenConfig(vertebrae_range=(4.0, 12))),
+        "gen-range-three": ("vertebrae_range", lambda: GenConfig(vertebrae_range=(4, 8, 12))),
+        "mc-n-samples-float": ("n_samples", lambda: McConfig(n_samples=2.5)),
+        "detect-noise-rate-str": ("noise_rate", lambda: DetectConfig(noise_rate="0.1")),
+        "confusion-floor-bool": ("floor", lambda: ConfusionModel(floor=True)),
+        "total-loss-str": ("l_se", lambda: total_loss("1", 0.0, 0.0)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rule_inputs()))
+def test_numbers_follow_one_rule(case):
+    # each once coerced to the number it spells or casts to, or ended in a TypeError
+    field, call = _rule_inputs()[case]
+    with pytest.raises(ValidationError, match=re.escape(field)):
+        call()
 
 
 class TestImmutability:
@@ -446,6 +499,52 @@ class TestParseErrors:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=re.escape(f"phi keys {first!r} and {second!r} name the same offset")):
             io.load_fusion_params(path)
+
+    @pytest.mark.parametrize("kind", ["detections", "centers", "params-negative", "params-window", "batch",
+                                      "labels", "case"])
+    def test_domain_errors_name_the_file(self, tmp_path, kind):
+        # detections, centers, params and batch errors once named no file
+        path = tmp_path / "input"
+        if kind == "detections":
+            io.save_detections(det(), path)
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join([lines[0], json.dumps(json.loads(lines[1]) | {"h": 0})]) + "\n")
+            load, message = io.load_detections, "h must be positive"
+        elif kind == "centers":
+            center = io.center_to_dict(make_case([one_hot(3)]).vertebrae[0].center)
+            path.write_text(json.dumps([center | {"member_count": 0}]))
+            load, message = io.load_centers, "member_count must be at least 1"
+        elif kind.startswith("params"):
+            data = io.params_to_dict(identity_params(window=3))
+            if kind == "params-window":
+                data["window"] = 9
+            else:
+                data["phi"]["+1"][0] = -0.5
+            path.write_text(json.dumps(data))
+            load, message = io.load_fusion_params, "window" if kind == "params-window" else "non-negative"
+        elif kind == "batch":
+            path.write_text(json.dumps({"tau": 0.5, "labels": [0, 0, 1, 2], "vectors": np.eye(4).tolist()}))
+            load, message = io.load_embedding_batch, "no positive partner"
+        elif kind == "labels":
+            path.write_text(json.dumps({"labels": 1.5}))
+            load, message = io.load_labels, "field 'labels' has an invalid value 1.5"
+        else:
+            data = io.case_to_dict(make_case([one_hot(7), one_hot(8)], truths=[7, 8]))
+            data["vertebrae"][1]["truth"] = 9
+            path.write_text(json.dumps(data))
+            load, message = io.load_case, "exactly 1"
+        with pytest.raises(ValidationError, match=re.escape(message)) as err:
+            load(path)
+        assert str(err.value).endswith(f" [{path}]") and err.value.path == str(path)
+
+    def test_detections_header_error_names_its_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        io.save_detections(det(), path)
+        header, box = path.read_text().splitlines()
+        path.write_text("\n".join(["", json.dumps(json.loads(header) | {"volume_shape": [0, 64, 64]}), box]) + "\n")
+        with pytest.raises(ValidationError, match="three positive extents") as err:
+            io.load_detections(path)
+        assert str(err.value).endswith(f" [{path}:2]")
 
     def test_empty_case_file(self, tmp_path):
         path = tmp_path / "case.json"

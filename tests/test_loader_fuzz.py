@@ -9,6 +9,7 @@ the error of the per-line loader it replaced, kept here as the oracle.
 
 import functools
 import json
+import reprlib
 import tempfile
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import make_case, random_probs
 from spineid import io
 from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet, SpineCase, SpineVertebra
-from spineid.errors import ParseError, SpineError
+from spineid.errors import ParseError, SpineError, ValidationError
 from spineid.fusion import identity_params
 from spineid.synthetic import DetectConfig, GenConfig, generate_case
 from spineid.uncertainty import report
@@ -131,18 +132,32 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, kind):
         LOADERS[kind][0](path)
 
 
-def _old_int_list(value) -> list[int]:
-    if not isinstance(value, list):
-        raise TypeError("expected a list of integers")
-    return [io._int(v) for v in value]
+# io's checks by exact JSON type, from before the domain took them over
+OLD_RULES = {
+    str: lambda v: type(v) is str,
+    int: lambda v: type(v) is int,
+    list[int]: lambda v: isinstance(v, list) and all(type(x) is int for x in v),
+    list[float]: lambda v: isinstance(v, list) and all(type(x) in (int, float) for x in v),
+}
+
+
+def _old_check(want, value, key: str, path, line: int | None = None):
+    """``value`` if it passes io's old check ``want``; else its error, naming the file and the header line."""
+    if not OLD_RULES[want](value):
+        raise ValidationError(f"field {key!r} has an invalid value {reprlib.repr(value)}", path=str(path), line=line)
+    return value
 
 
 def per_line_load_detections(path) -> DetectionSet:
-    """Oracle: load_detections as it was, one json.loads per line and one io._get per field of every box.
+    """Oracle: load_detections as it was, one json.loads per line, one io._get per field of every box,
+    and each header field and column checked by io on its own before the DetectionSet is built.
 
     Planes are looked up with PLANES.index and integers are checked one by
-    one, as then. Only case_id follows the current rule, a JSON string, where
-    this loader used to take str() of any value.
+    one, as then. The header field ``k`` is named ``slice_count_per_plane``,
+    as the DetectionSet that now checks it names it. io._get's and the
+    domain's errors name the file through io._in_file. The strategy below
+    writes no header value of the right type that the domain rejects, so
+    whether such an error names the header line is not compared.
     """
     records = []
     for lineno, raw in enumerate(io._read_text(path).splitlines(), start=1):
@@ -157,18 +172,21 @@ def per_line_load_detections(path) -> DetectionSet:
     if not records:
         raise ParseError("detections file is empty", path=str(path), line=1)
     (header_line, header), boxes = records[0], records[1:]
-    columns = {key: [io._get(rec, key, path, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
-    return DetectionSet(
-        case_id=io._convert(io._str, io._get(header, "case_id", path, header_line), "case_id", path, header_line),
-        volume_shape=tuple(io._convert(_old_int_list, io._get(header, "volume_shape", path, header_line),
-                                       "volume_shape", path, header_line)),
-        slice_count_per_plane=io._convert(io._int, io._get(header, "k", path, header_line), "k", path, header_line),
-        plane=io._convert(lambda names: np.array([PLANES.index(name) for name in names], dtype=np.int64),
-                          columns["plane"], "plane", path),
-        slice_index=io._convert(lambda v: np.array(_old_int_list(v), dtype=np.int64), columns["slice_index"],
-                                "slice_index", path),
-        **{key: io._convert(io._float_list, columns[key], key, path) for key in DETECTION_COLUMNS[2:]},
-    )
+    with io._in_file(path):
+        columns = {key: [io._get(rec, key, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
+        fields = {name: _old_check(want, io._get(header, key, header_line), name, path, header_line)
+                  for key, name, want in (("case_id", "case_id", str), ("volume_shape", "volume_shape", list[int]),
+                                          ("k", "slice_count_per_plane", int))}
+        try:
+            plane = [PLANES.index(name) for name in columns["plane"]]
+        except ValueError:
+            raise ValidationError(f"field 'plane' has an invalid value {reprlib.repr(columns['plane'])}",
+                                  path=str(path)) from None
+        return DetectionSet(
+            fields["case_id"], tuple(fields["volume_shape"]), fields["slice_count_per_plane"], plane,
+            *(_old_check(list[int] if key == "slice_index" else list[float], columns[key], key, path)
+              for key in DETECTION_COLUMNS[1:]),
+        )
 
 
 @functools.cache

@@ -1,8 +1,12 @@
-"""The package's public names: the same 55, each the object its module defines, loaded on first use."""
+"""The package's public names: the same 55, each the object its module defines, loaded on first use.
+Also: no module of the package keeps an import it does not use.
+"""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from test_acceptance import _child_env
 
@@ -64,3 +68,30 @@ def test_public_api_is_unchanged_and_lazy():
     assert out["star"] == names
     assert out["wrong_object"] == []
     assert out["evaluate_is_function"] is True
+
+
+def _unused_top_level_imports(source: str) -> list[str]:
+    """Names a module's top-level import statements bind that nothing in the module reads or lists in ``__all__``."""
+    tree = ast.parse(source)
+    bound, used = [], {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.List) \
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_unused_import_check_sees_one():
+    source = "import math\nimport numbers\nfrom . import io as x\nfrom .a import b, c\n__all__ = ['c']\nmath.pi\n"
+    assert _unused_top_level_imports(source) == ["numbers", "x", "b"]
+
+
+def test_no_module_keeps_an_unused_import():
+    src = Path(__file__).resolve().parents[1] / "src" / "spineid"
+    unused = {path.name: names for path in sorted(src.glob("*.py"))
+              if (names := _unused_top_level_imports(path.read_text()))}
+    assert unused == {}
