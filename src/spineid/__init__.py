@@ -30,8 +30,8 @@ _EXPORTS = {
         "fusion": ("FusionTrace", "TrainConfig", "fuse", "identity_params", "initial_phi", "train_phi"),
         "io": ("load_case", "load_centers", "load_detections", "load_embedding_batch", "load_fusion_params",
                "save_case", "save_centers", "save_detections", "save_fusion_params"),
-        "labels": ("CANONICAL_NAMES", "N_CLASSES", "label_index"),
-        "losses": ("EmbeddingBatch", "sequence_loss", "supcon_grad", "supcon_loss", "total_loss"),
+        "labels": ("CANONICAL_NAMES", "N_CLASSES", "label_index", "sequence_loss"),
+        "losses": ("EmbeddingBatch", "supcon_grad", "supcon_loss", "total_loss"),
         "synthetic": ("ConfusionModel", "DetectConfig", "GenConfig", "McConfig", "gen_cases", "generate_case"),
         "uncertainty": ("aggregate_samples", "certainty_from_variance", "entropy", "report"),
     }.items()

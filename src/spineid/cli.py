@@ -18,8 +18,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import SpineError, ValidationError
 
 if TYPE_CHECKING:
@@ -175,7 +173,7 @@ def _cmd_train_phi(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from .losses import sequence_loss
+    from .labels import sequence_loss
 
     # only ASCII decimal digits spell an index: int() would also take "1_0", "+3" and "٣"
     entries = [v.strip() for v in args.seq.split(",") if v.strip() != ""]
@@ -221,6 +219,8 @@ def _dump_csv(rep: EvalReport, path: str) -> None:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
     from . import io
     from .evaluate import evaluate
     from .uncertainty import aggregate_samples
@@ -241,6 +241,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    import numpy as np
+
     from . import io
     from .clustering import cluster_centers
     from .evaluate import evaluate

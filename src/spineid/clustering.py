@@ -104,11 +104,15 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
 
     The other rows within Euclidean distance eps, over the per-vertebra frame
     count ``l``: the pair query and counts the density floor of pass 1 uses.
+    Both ``eps`` and ``l`` must be positive finite numbers.
     """
+    eps, l = _number(eps, "eps"), _number(l, "l")
     if l == 0:
         raise ValidationError("l must be non-zero")
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps!r}")
+    if not 0 < l < math.inf:
+        raise ValidationError(f"l must be a positive finite frame count, got {l!r}")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be a positive finite radius, got {eps!r}")
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValidationError(f"expected an (n, 3) point array, got shape {pts.shape}")

@@ -4,9 +4,15 @@ A label is a plain integer index. Labels are ordered cranial to caudal:
 C1..C7 map to indices 0..6, T1..T12 to 7..18, and L1..L5 to 19..23. The
 sacrum is not a class. The integer encoding is an artifact of this toolkit;
 callers with their own encodings must map explicitly.
+
+``sequence_loss`` scores a predicted label sequence by how far it is from
+being strictly increasing, in pure Python: the ``score`` command runs
+without numpy.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import ValidationError, _integer
 
@@ -38,3 +44,25 @@ def _check_label(value, what: str) -> int:
     if not 0 <= index < N_CLASSES:
         raise ValidationError(f"{what} has an invalid value {index}, which lies outside [0, {N_CLASSES})")
     return index
+
+
+def sequence_loss(seq: Sequence[int]) -> int:
+    """Sequence length minus the longest strictly increasing subsequence.
+
+    ``seq`` is a non-empty cranial-to-caudal sequence of label indices.
+
+    Computed by the quadratic relaxation v[i] = max(v[i], v[j] + 1) over
+    j < i with seq[i] > seq[j], each v initialized to 1. Zero exactly when
+    the sequence is already strictly increasing; duplicates are penalized.
+    The score is an integer penalty and is not differentiable.
+    """
+    seq = [_check_label(v, f"seq[{i}]") for i, v in enumerate(seq)]
+    n = len(seq)
+    if n == 0:
+        raise ValidationError("label sequence must not be empty")
+    v = [1] * n
+    for i in range(n):
+        for j in range(i):
+            if seq[i] > seq[j]:
+                v[i] = max(v[i], v[j] + 1)
+    return n - max(v)

@@ -1,17 +1,16 @@
-"""Batch-contrastive and sequence-consistency losses.
+"""Batch-contrastive loss and the weighted loss combiner.
 
 ``supcon_loss`` pulls same-label embeddings together and pushes different
 labels apart; its printed form places the mean over positives inside the
-log, and ``supcon_grad`` differentiates exactly that form. ``sequence_loss``
-scores a predicted label sequence by how far it is from being strictly
-increasing. ``total_loss`` is the weighted scalar combiner.
+log, and ``supcon_grad`` differentiates exactly that form. ``total_loss``
+is the weighted scalar combiner. The sequence-consistency penalty,
+``sequence_loss``, needs no arrays and lives in ``labels``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -131,28 +130,6 @@ def supcon_grad(batch: EmbeddingBatch) -> np.ndarray:
         grad = (w + w.T) @ batch.vectors / batch.tau
     _raise_if_diverged(grad, "gradient", batch.tau)
     return grad
-
-
-def sequence_loss(seq: Sequence[int]) -> int:
-    """Sequence length minus the longest strictly increasing subsequence.
-
-    ``seq`` is a non-empty cranial-to-caudal sequence of label indices.
-
-    Computed by the quadratic relaxation v[i] = max(v[i], v[j] + 1) over
-    j < i with seq[i] > seq[j], each v initialized to 1. Zero exactly when
-    the sequence is already strictly increasing; duplicates are penalized.
-    The score is an integer penalty and is not differentiable.
-    """
-    seq = [_check_label(v, f"seq[{i}]") for i, v in enumerate(seq)]
-    n = len(seq)
-    if n == 0:
-        raise ValidationError("label sequence must not be empty")
-    v = [1] * n
-    for i in range(n):
-        for j in range(i):
-            if seq[i] > seq[j]:
-                v[i] = max(v[i], v[j] + 1)
-    return n - max(v)
 
 
 def total_loss(

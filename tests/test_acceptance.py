@@ -24,8 +24,8 @@ from spineid.clustering import ClusterConfig, box_densities, cluster_centers
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.evaluate import evaluate
 from spineid.fusion import TrainConfig, _Unrolled, fuse, identity_params, train_phi
-from spineid.labels import N_CLASSES
-from spineid.losses import sequence_loss, supcon_grad, supcon_loss
+from spineid.labels import N_CLASSES, sequence_loss
+from spineid.losses import supcon_grad, supcon_loss
 from spineid.synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
 from spineid.uncertainty import aggregate_samples, entropy, report
 from test_losses import _raw_loss, oracle_lis_exhaustive, oracle_supcon, random_batch

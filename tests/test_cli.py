@@ -674,14 +674,14 @@ def loaded(root):
 scipy_before = loaded("scipy")
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "spineid": loaded("spineid"), "scipy_before": scipy_before,
-                  "scipy_after": "scipy.spatial" in sys.modules}))
+                  "scipy_after": "scipy.spatial" in sys.modules, "numpy": "numpy" in sys.modules}))
 """
 
 # The spineid modules a fresh process holds after one command, besides
 # spineid, spineid.cli and spineid.errors.
 COMMAND_MODULES = {
     "gen": ["domain", "io", "labels", "synthetic"],
-    "score": ["labels", "losses"],
+    "score": ["labels"],
     "supcon": ["domain", "io", "labels", "losses"],
     "uncertainty": ["domain", "io", "labels", "uncertainty"],
     "fuse": ["domain", "evaluate", "fusion", "io", "labels", "uncertainty"],
@@ -693,7 +693,8 @@ COMMAND_MODULES = {
 
 
 def test_only_clustering_loads_scipy(tmp_path):
-    """A fresh process loads only the spineid modules its command calls, and scipy only when it clusters."""
+    """A fresh process loads only the spineid modules its command calls, scipy only when it clusters,
+    and numpy whenever it touches an array: ``score`` is the one command that runs without it."""
     (tmp_path / "batch.json").write_text(json.dumps(unit_vector_batch()))
     assert main(["gen", "--out-dir", str(tmp_path / "corpus"), "--seed", "3", "--n-cases", "1", "--k", "60",
                  "--vmin", "3", "--vmax", "4", "--boxes-per-vertebra", "12"]) == 0
@@ -721,6 +722,7 @@ def test_only_clustering_loads_scipy(tmp_path):
     assert {cmd: run["code"] for cmd, run in runs.items()} == dict.fromkeys(COMMAND_MODULES, 0)
     assert all(run["scipy_before"] == [] for run in runs.values())
     assert {cmd for cmd, run in runs.items() if run["scipy_after"]} == {"cluster", "pipeline"}
+    assert {cmd for cmd, run in runs.items() if not run["numpy"]} == {"score"}
     assert len(io.load_centers(tmp_path / "centers.json")) == len(io.load_case(tmp_path / "corpus" / "case_0000.json"))
 
 

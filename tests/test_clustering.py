@@ -1,6 +1,8 @@
 """Clustering: embedding, density oracle, recovery, and determinism."""
 
 import hashlib
+import math
+import re
 from collections import deque
 
 import numpy as np
@@ -409,6 +411,19 @@ class TestBoxDensity:
         pts = np.zeros((3, 3))
         with pytest.raises(ValidationError, match="l must be non-zero"):
             box_densities(pts, eps=1.0, l=0)
+
+    @pytest.mark.parametrize("eps, l, message", [
+        ("1", 5, "eps has an invalid value '1'"),
+        (1.0, "5", "l has an invalid value '5'"),
+        (True, 5, "eps has an invalid value True"),
+        (math.nan, 5, "eps must be a positive finite radius, got nan"),
+        (1.0, math.inf, "l must be a positive finite frame count, got inf"),
+        (1.0, -2, "l must be a positive finite frame count, got -2.0"),
+    ], ids=["eps-string", "l-string", "eps-bool", "eps-nan", "l-inf", "l-negative"])
+    def test_eps_and_l_must_be_positive_finite_numbers(self, eps, l, message):
+        # once a raw TypeError, a numpy UFuncTypeError, radius 1, all zeros and negative densities
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            box_densities(np.zeros((2, 3)), eps=eps, l=l)
 
     def test_against_brute_force_random(self):
         rng = np.random.default_rng(7)

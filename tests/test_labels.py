@@ -10,8 +10,8 @@ from spineid import io
 from spineid.domain import SpineVertebra
 from spineid.errors import ValidationError
 from spineid.evaluate import evaluate
-from spineid.labels import CANONICAL_NAMES, N_CLASSES, _check_label, label_index
-from spineid.losses import EmbeddingBatch, sequence_loss
+from spineid.labels import CANONICAL_NAMES, N_CLASSES, _check_label, label_index, sequence_loss
+from spineid.losses import EmbeddingBatch
 
 
 def test_taxonomy_size_and_order():

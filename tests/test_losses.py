@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import unit_vector_batch
 from spineid.errors import DivergenceError, ValidationError
-from spineid.losses import EmbeddingBatch, sequence_loss, supcon_grad, supcon_loss, total_loss
+from spineid.labels import sequence_loss
+from spineid.losses import EmbeddingBatch, supcon_grad, supcon_loss, total_loss
 
 
 def oracle_supcon(vectors: np.ndarray, labels, tau: float) -> float:
