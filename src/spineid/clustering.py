@@ -11,12 +11,18 @@ clean, ordered list of vertebra centers in three passes:
    keeps only the largest dimension cluster, rejecting boxes that straddle
    multiple vertebrae or cover a vertebra only partially.
 
-Passes 1 and 2 share one radius, so one KD-tree pair query serves both.
-DBSCAN works on that pair list as array code: clusters are the connected
-components of core points, and each border point joins the lowest-numbered
-cluster it touches, which are the labels of a breadth-first DBSCAN grown in
-index order. Label propagation stops as soon as every linked pair shares a
-root, without a last round that would change nothing.
+Passes 1 and 2 share one radius, so one KD-tree pair query serves both, and
+passes 1 to 3 work in one index space: pass 2 runs over every box, keeping
+only the pairs whose two ends survived pass 1, so a dropped box has no pair
+and is noise, and every box keeps its index. Every KD-tree is a
+sliding-midpoint tree (``balanced_tree=False``): it lists the same pairs as
+a median-split tree, in less time on box centers, which crowd around the
+vertebrae. DBSCAN
+works on that pair list as array code: clusters are the connected components
+of core points, and each border point joins the lowest-numbered cluster it
+touches, which are the labels of a breadth-first DBSCAN grown in index
+order. Label propagation stops as soon as every linked pair shares a root,
+without a last round that would change nothing.
 
 The dimension pass runs once for all position clusters, and most clusters
 need no pair query there: when the (w, h) extent of two or more boxes fits
@@ -28,10 +34,11 @@ Only the other clusters' boxes go through one pair query, each cluster
 lifted onto its own plane along a third axis so no pair crosses clusters.
 
 The center of each surviving cluster is the coordinate-wise median of its
-members, which tolerates residual outliers; one segmented reduction, with
-one sort per column and no Python loop over clusters, picks every cluster's
-boxes and takes the medians. Output is sorted cranial to caudal (descending
-z, ties broken by x then y) and assigned z ranks.
+members, which tolerates residual outliers; one segmented reduction, with no
+Python loop over clusters, picks every cluster's boxes and takes the medians
+of all five columns (x, y, z, w, h) from one sort: each cluster is one row,
+padded with +inf to the largest cluster. Output is sorted cranial to caudal
+(descending z, ties broken by x then y) and assigned z ranks.
 
 Every pass runs on a canonical ordering of the input, so the result is
 deterministic and invariant to the order in which detections arrive.
@@ -122,8 +129,11 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
 def _require_measurable(pts: np.ndarray, what: str) -> None:
     """Reject a point array whose squared extent overflows float64, or that holds a non-finite point.
 
-    cKDTree fails with a bare ValueError on such points.
+    cKDTree fails with a bare ValueError on such points. An array of no
+    points has no extent and is measurable.
     """
+    if not len(pts):
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         reach = np.sum(np.ptp(pts, axis=0) ** 2)
     if not np.isfinite(reach):
@@ -134,13 +144,17 @@ def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarr
     """Every pair of rows of ``pts`` at distance <= eps, listed once, as two contiguous index columns.
 
     Points cKDTree cannot measure are rejected first (``_require_measurable``).
+    The tree splits at the sliding midpoint (``balanced_tree=False``), not at
+    the median: on clustered points such as box centers it builds and queries
+    faster, though on evenly spread points it is slower. The pairs are the
+    same, listed in another order, on which no caller depends.
     scipy.spatial is imported on first use: loading it costs more than most
     commands spend on their own work, and only clustering needs it.
     """
     from scipy.spatial import cKDTree
 
     _require_measurable(pts, what)
-    return tuple(np.ascontiguousarray(cKDTree(pts).query_pairs(eps, output_type="ndarray").T))
+    return tuple(np.ascontiguousarray(cKDTree(pts, balanced_tree=False).query_pairs(eps, output_type="ndarray").T))
 
 
 def _degrees(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -244,17 +258,26 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
 
 
 def _segment_medians(seg: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.median`` of ``values`` over each group of equal ``seg`` labels, in label order.
+    """``np.median`` of ``values`` over each group of equal ``seg`` labels, in label order, column by column.
 
-    ``counts`` holds the group sizes; one sort orders every group. np.median is
-    the mean of the middle one or two sorted values, and numpy's sum starts
-    from +0.0, so it never returns -0.0; adding 0.0 keeps it bit for bit.
+    ``values`` is (m,) or (m, c) and holds no NaN; ``counts`` holds the group
+    sizes, in label order. Each group becomes one row padded with +inf to the
+    largest group, so one sort along the rows orders every group of every
+    column; the padding takes (groups x largest group) values per column.
+    np.median is the mean of the middle one or two sorted values, and numpy's
+    sum starts from +0.0, so it never returns -0.0; adding 0.0 keeps it bit
+    for bit.
     """
-    ordered = values[np.lexsort((values, seg))]
-    hi = np.cumsum(counts) - (counts + 1) // 2
-    medians = ordered[hi] + 0.0
+    groups = np.arange(len(counts))
+    # row k of the label-sorted values goes to slot k - (its group's start) of its group's row
+    slot = np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.full((len(counts), counts.max(initial=0), *values.shape[1:]), np.inf)
+    padded[np.repeat(groups, counts), slot] = values[np.argsort(seg)]
+    ordered = np.sort(padded, axis=1)
+    hi = counts // 2
+    medians = ordered[groups, hi] + 0.0
     even = counts % 2 == 0
-    medians[even] = (ordered[hi[even] - 1] + medians[even]) / 2
+    medians[even] = (ordered[groups[even], hi[even] - 1] + medians[even]) / 2
     return medians
 
 
@@ -284,19 +307,26 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     # a scale-free stand-in for the per-vertebra frame count. Passes 1 and 2
     # share one radius, so one pair query serves both.
     i, j = _pairs(pts, cfg.eps_pos, "box centers")
-    keep = _degrees(len(pts), i, j) / _median_boxes_per_slice(ds) >= cfg.density_floor
+    degrees = _degrees(len(pts), i, j)
+    keep = degrees / _median_boxes_per_slice(ds) >= cfg.density_floor
     dropped_density = int(np.count_nonzero(~keep))
 
-    # Pass 2: position clustering over the pairs whose ends both survived.
-    renumber = np.cumsum(keep) - 1
-    both = keep[i] & keep[j]
-    pos_labels = _dbscan(int(np.count_nonzero(keep)), renumber[i[both]], renumber[j[both]], cfg.min_pts)
-    dropped_position = int(np.count_nonzero(pos_labels == -1))
+    # Pass 2: position clustering over the pairs whose ends both survived, in
+    # the same index space. A dropped box keeps no pair, so it is noise
+    # (min_pts >= 2), and the kept boxes keep their order, so they get the
+    # labels a DBSCAN of the kept boxes alone gives. A dropped box is most
+    # often isolated, and then every pair survives.
+    if degrees[~keep].any():
+        both = keep[i] & keep[j]
+        i, j = i[both], j[both]
+    pos_labels = _dbscan(len(pts), i, j, cfg.min_pts)
+    noise = int(np.count_nonzero(pos_labels < 0))
+    dropped_position = noise - dropped_density
 
     # Pass 3: dimension clustering inside each position cluster, run as one
     # DBSCAN over the clustered boxes sorted by position label.
-    by_label = np.argsort(pos_labels, kind="stable")[np.count_nonzero(pos_labels < 0):]
-    pts3, dims3, labels3 = pts[keep][by_label], dims[keep][by_label], pos_labels[by_label]
+    by_label = np.argsort(pos_labels, kind="stable")[noise:]
+    pts3, dims3, labels3 = pts[by_label], dims[by_label], pos_labels[by_label]
     dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if len(labels3) else labels3
     # Each dimension cluster lies inside one position cluster, its owner, and
     # owners number their labels in turn. An owner keeps its largest; equal
@@ -318,7 +348,7 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
                                 dropped_dimension=dropped_dimension)
 
     rows, counts = member[np.isin(d, winners)], sizes[winners]
-    x, y, z, w, h = (_segment_medians(dim_labels[rows], col[rows], counts) for col in (*pts3.T, *dims3.T))
+    x, y, z, w, h = _segment_medians(dim_labels[rows], np.column_stack((pts3, dims3))[rows], counts).T
     ranks = np.lexsort((y, x, -z))  # cranial to caudal: descending z, ties broken by x then y
     ranked_rows = zip(*(c[ranks].tolist() for c in (x, y, z, w, h, counts)))
     return [

@@ -18,6 +18,7 @@ from spineid.clustering import (
     _dimension_labels,
     _median_boxes_per_slice,
     _pairs,
+    _segment_medians,
     box_densities,
     cluster_centers,
     embed_detections,
@@ -115,11 +116,24 @@ def looped_dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> tuple[n
     return labels, rounds
 
 
+def lifted_dimensions(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """The dimension pass's (w, h, label * 2r) boxes and their radius r."""
+    radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
+    return np.column_stack((dims, pos_labels * (2.0 * radius))), radius
+
+
 def all_pairs_dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> np.ndarray:
     """Oracle: the dimension pass before the one-ball shortcut, one lifted pair query over every clustered box."""
-    radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
-    lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
+    lifted, radius = lifted_dimensions(dims, pos_labels, eps)
     return _dbscan(len(dims), *_pairs(lifted, radius, "box dimensions"), 2)
+
+
+def dropped_box_has_neighbour(ds: DetectionSet, cfg: ClusterConfig) -> bool:
+    """Whether a box the density floor drops is within eps_pos of another box, so pass 2 must drop a pair."""
+    pts = embed_detections(ds)
+    degrees = _degrees(len(pts), *_pairs(pts, cfg.eps_pos, "box centers"))
+    return bool(degrees[degrees / _median_boxes_per_slice(ds) < cfg.density_floor].any())
+
 
 @st.composite
 def dbscan_clouds(draw):
@@ -193,12 +207,31 @@ def dimension_clusters(draw):
     pos_labels = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     return dims, pos_labels, eps
 
+@st.composite
+def median_groups(draw):
+    """(seg, values, counts) for _segment_medians: groups of 1 to 9 rows, rows shuffled.
+
+    Values are (m,) or (m, 5). Labels skip values, as the winners of the
+    dimension pass do, and there may be no group at all. Most values come from
+    a few exact numbers, -0.0 and 0.0 among them, so groups hold ties and zeros
+    of both signs; the rest are uniform draws whose sums round.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 9), max_size=6))
+    seg = np.repeat(np.cumsum(rng.integers(1, 4, size=len(sizes))) - 1, sizes)
+    shape = (len(seg),) + draw(st.sampled_from(((), (5,))))
+    exact = rng.choice([-0.0, 0.0, 1.0, -2.5, 0.1, 3.0], size=shape)
+    values = np.where(rng.uniform(size=shape) < 0.6, exact, rng.uniform(-5.0, 5.0, size=shape))
+    perm = rng.permutation(len(seg))
+    return seg[perm], values[perm], np.array(sizes, dtype=np.int64)
+
+
 def loop_centers(ds: DetectionSet, cfg: ClusterConfig) -> list[VertebraCenter]:
     """Oracle: cluster_centers with the per-cluster loop it once ended in, one np.median per coordinate.
 
-    Passes 1-3 label boxes as cluster_centers does; the loop then picks each
-    position cluster's dimension cluster and takes its medians one cluster at
-    a time.
+    Passes 1-3 label boxes as cluster_centers once did, pass 2 over the boxes
+    that survived pass 1, renumbered; the loop then picks each position
+    cluster's dimension cluster and takes its medians one cluster at a time.
     """
     pts = embed_detections(ds)
     order = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], pts[:, 1], pts[:, 0]))
@@ -276,6 +309,8 @@ def tied_detections(draw):
     size from BOX_SIZES, so groups of equal count tie on size and often on area
     too. Box centers sit on a unit grid around the vertebra where a zero
     coordinate carries either sign, so the middle of a sorted group can be -0.0.
+    Noise boxes come alone or in pairs; at a density floor of 0.6 or 1.0, the
+    two boxes of a pair can fall below it although each has a neighbour.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
@@ -289,11 +324,13 @@ def tied_detections(draw):
                 normal, in_plane = (x, y) if plane == SAGITTAL else (y, x)
                 rows.append((plane, int(max(0.0, normal)), in_plane, z, w, h, float(rng.uniform())))
     for _ in range(draw(st.integers(0, 6))):
-        plane = int(rng.integers(0, 2))
-        rows.append((plane, int(rng.integers(0, 80)), *rng.uniform(0, 80, size=2), *BOX_SIZES[4], 0.5))
+        plane, index, in_plane, z = int(rng.integers(0, 2)), int(rng.integers(0, 80)), *rng.uniform(0, 80, size=2)
+        for _ in range(int(rng.integers(1, 3))):  # a lone box or a pair one unit apart
+            rows.append((plane, index, in_plane, z, *BOX_SIZES[4], 0.5))
+            z += 1.0
     cfg = ClusterConfig(eps_pos=draw(st.sampled_from((1.5, 2.5, 6.0))), min_pts=draw(st.integers(2, 6)),
                         eps_dim=draw(st.sampled_from((0.5, 5.0, 15.0, 1e3))),
-                        density_floor=draw(st.sampled_from((0.05, 0.1, 0.3))))
+                        density_floor=draw(st.sampled_from((0.05, 0.1, 0.3, 0.6, 1.0))))
     return detection_set("tied", (100, 100, 100), 100, rows), cfg
 
 
@@ -425,6 +462,11 @@ class TestBoxDensity:
         with pytest.raises(ValidationError, match=re.escape(message)):
             box_densities(np.zeros((2, 3)), eps=eps, l=l)
 
+    def test_no_points(self):
+        # once numpy's raw "zero-size array to reduction operation maximum" ValueError
+        densities = box_densities(np.empty((0, 3)), 1.0, 1.0)
+        assert densities.dtype == np.float64 and densities.shape == (0,)
+
     def test_against_brute_force_random(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -434,6 +476,37 @@ class TestBoxDensity:
             l_i = int(rng.integers(1, 10))
             counts = brute_density_counts(pts, eps)
             assert np.array_equal(box_densities(pts, eps, l_i), counts / l_i)
+
+
+class TestPairs:
+    """_pairs builds a sliding-midpoint tree; its pairs must be those of scipy's default tree."""
+
+    @staticmethod
+    def pair_list(i, j) -> list[tuple[int, int]]:
+        return sorted(zip(i.tolist(), j.tolist()))
+
+    def check(self, pts, eps, what):
+        i, j = _pairs(pts, eps, what)
+        assert i.flags.c_contiguous and j.flags.c_contiguous
+        expected = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
+        at_eps = np.sum((pts[expected[0]] - pts[expected[1]]) ** 2, axis=1) == eps * eps
+        event("a pair at exactly eps" if at_eps.any() else "no pair at exactly eps")
+        assert self.pair_list(i, j) == self.pair_list(*expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dbscan_clouds())
+    def test_same_pairs_as_default_tree(self, cloud):
+        pts, eps, _ = cloud
+        self.check(pts, eps, "points")
+
+    @settings(max_examples=300, deadline=None)
+    @given(dimension_clusters())
+    def test_same_pairs_as_default_tree_lifted(self, case):
+        lifted, radius = lifted_dimensions(*case)
+        try:
+            self.check(lifted, radius, "box dimensions")
+        except ValidationError:
+            event("rejected")
 
 
 class TestDbscan:
@@ -536,7 +609,40 @@ class TestCenterReduction:
         ds, cfg = case
         expected = self.outcome(loop_centers, ds, cfg)
         event("no center" if isinstance(expected, tuple) else "centers")
+        event(("a" if dropped_box_has_neighbour(ds, cfg) else "no") + " dropped box has a neighbour")
         assert self.outcome(cluster_centers, ds, cfg) == expected
+
+    @pytest.mark.parametrize("min_pts, expected", [
+        (4, [VertebraCenter(position=(10.5, 0.5, 0.5), mean_dims=(10.0, 10.0), member_count=8, z_rank=0)]),
+        (10, ("EmptyClusterError", 1, 8, 0)),
+    ], ids=["centers", "no-center"])
+    def test_dropped_box_beside_a_kept_one(self, min_pts, expected):
+        # eight boxes on the corners of a unit cube in sagittal slices 10 and
+        # 11, and one box 1.9 above one corner: the median slice holds 4.5
+        # boxes, so at floor 0.5 the lone box's one neighbour leaves it below
+        # the floor, while its neighbour, with eight, stays
+        rows = [(SAGITTAL, s, cx, cy, 10.0, 10.0, 0.5) for s in (10, 11) for cx in (0.0, 1.0) for cy in (0.0, 1.0)]
+        ds = detection_set("lone", (100, 100, 100), 100, rows + [(SAGITTAL, 11, 1.0, 2.9, 10.0, 10.0, 0.5)])
+        cfg = ClusterConfig(eps_pos=2.0, min_pts=min_pts, eps_dim=5.0, density_floor=0.5)
+        assert dropped_box_has_neighbour(ds, cfg)
+        outcome = self.outcome(cluster_centers, ds, cfg)
+        assert outcome == self.outcome(loop_centers, ds, cfg)
+        assert outcome == (repr(expected) if isinstance(expected, list) else expected)
+
+
+class TestSegmentMedians:
+    @settings(max_examples=300, deadline=None)
+    @given(median_groups())
+    def test_matches_per_group_median(self, case):
+        seg, values, counts = case
+        columns = values if values.ndim == 2 else values[:, None]
+        expected = np.array([[np.median(col) for col in columns[seg == label].T] for label in np.unique(seg)])
+        expected = expected.reshape((len(counts), *values.shape[1:]))
+        medians = _segment_medians(seg, values, counts)
+        event(f"{values.ndim}-D, " + ("no group" if not len(counts) else "groups"))
+        if np.any(np.signbit(values) & (values == 0)):
+            event("-0.0 among the values")
+        assert medians.shape == expected.shape and medians.tobytes() == expected.tobytes()
 
 
 class TestClusterCenters:
