@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 def _cmd_gen(args) -> int:
     from . import io
-    from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
+    from .synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, generate_case
 
     cfg = GenConfig(
         seed=args.seed,
@@ -49,7 +49,8 @@ def _cmd_gen(args) -> int:
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for case, dets in gen_cases(cfg):
+    for i in range(cfg.n_cases):  # one case in memory at a time
+        case, dets = generate_case(cfg, i)
         io.save_case(case, out / f"{case.case_id}.json")
         io.save_detections(dets, out / f"{case.case_id}.detections.jsonl")
     print(f"wrote {cfg.n_cases} cases to {out}")

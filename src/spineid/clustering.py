@@ -114,8 +114,6 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
     Both ``eps`` and ``l`` must be positive finite numbers.
     """
     eps, l = _number(eps, "eps"), _number(l, "l")
-    if l == 0:
-        raise ValidationError("l must be non-zero")
     if not 0 < l < math.inf:
         raise ValidationError(f"l must be a positive finite frame count, got {l!r}")
     if not 0 < eps < math.inf:

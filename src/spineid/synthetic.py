@@ -137,23 +137,67 @@ def sample_mc(rng: np.random.Generator, base: np.ndarray, kappa: float, n: int) 
     return rows
 
 
-def _true_boxes(rng, cfg: DetectConfig, plane, normal_coord, in_cx, in_cy, bw, bh, extent):
-    """Detection rows (plane code, slice, cx, cy, w, h, confidence) around one vertebra."""
-    count = cfg.boxes_per_vertebra
-    if cfg.count_jitter > 0:
-        count = max(1, int(round(count * (1.0 + rng.uniform(-cfg.count_jitter, cfg.count_jitter)))))
-    return [
-        (
-            plane,
-            int(min(max(round(normal_coord + rng.normal(0.0, cfg.pos_sigma)), 0), extent - 1)),
-            float(in_cx + rng.normal(0.0, cfg.pos_sigma)),
-            float(in_cy + rng.normal(0.0, cfg.pos_sigma)),
-            float(max(1.0, bw + rng.normal(0.0, cfg.dim_sigma))),
-            float(max(1.0, bh + rng.normal(0.0, cfg.dim_sigma))),
-            float(rng.uniform(0.6, 0.99)),
-        )
-        for _ in range(count)
-    ]
+def _true_boxes(rng: np.random.Generator, cfg: DetectConfig, xs, ys, zs, box_w, box_h, k_slices: int):
+    """Box counts per vertebra, and the seven detection columns of the boxes around the vertebrae.
+
+    Each vertebra gets a sagittal run of boxes, then a coronal one. A run draws
+    its count, jittered when count_jitter > 0, then per box five standard
+    normals (slice, cx, cy, w, h) and one uniform in [0, 1) for the
+    confidence: the stream of five scalar ``normal(0, sigma)`` calls and one
+    ``uniform(0.6, 0.99)`` call, in two calls. A sagittal box's slice jitters
+    around x and its cx around y; a coronal box swaps the two.
+    """
+    k = len(xs)
+    counts = np.full(2 * k, cfg.boxes_per_vertebra, dtype=np.int64)
+    blocks = []
+    for run in range(2 * k):
+        if cfg.count_jitter > 0:
+            jitter = rng.uniform(-cfg.count_jitter, cfg.count_jitter)
+            counts[run] = max(1, int(round(cfg.boxes_per_vertebra * (1.0 + jitter))))
+        block = np.empty((counts[run], 6))
+        for row in block:
+            rng.standard_normal(out=row[:5])
+            row[5] = rng.random()
+        blocks.append(block)
+    draws = np.concatenate(blocks)
+
+    def per_box(sagittal, coronal):
+        return np.column_stack((sagittal, coronal)).ravel().repeat(counts)
+
+    with np.errstate(over="ignore"):  # inf, as the scalar draw gives; the checks below and DetectionSet's reject it
+        pos = 0.0 + cfg.pos_sigma * draws[:, :3]
+        dims = 0.0 + cfg.dim_sigma * draws[:, 3:5]
+    at = per_box(xs, ys) + pos[:, 0]
+    if not np.isfinite(at).all():
+        raise ValidationError(f"pos_sigma {cfg.pos_sigma!r} is too large: a jittered slice position overflows float64")
+    columns = (
+        np.tile([_SAGITTAL, _CORONAL], k).repeat(counts),
+        np.clip(np.rint(at), 0, k_slices - 1).astype(np.int64),
+        per_box(ys, xs) + pos[:, 1],
+        per_box(zs, zs) + pos[:, 2],
+        np.maximum(1.0, per_box(box_w, box_w) + dims[:, 0]),
+        np.maximum(1.0, per_box(box_h, box_h) + dims[:, 1]),
+        0.6 + (0.99 - 0.6) * draws[:, 5],
+    )
+    return counts.reshape(k, 2).sum(axis=1).tolist(), columns
+
+
+def _noise_boxes(rng: np.random.Generator, n: int, k_slices: int, depth: int):
+    """The seven detection columns of ``n`` boxes uniform over the volume.
+
+    Per box, in stream order: the plane, the slice, then five uniforms in
+    [0, 1), each scaled as ``uniform(low, high)`` scales its draw.
+    """
+    sagittal = np.empty(n, dtype=bool)
+    slices = np.empty(n, dtype=np.int64)
+    draws = np.empty((n, 5))
+    for i in range(n):
+        sagittal[i] = rng.random() < 0.5
+        slices[i] = rng.integers(0, k_slices)
+        rng.random(out=draws[i])
+    low = np.array([0.0, 0.0, 10.0, 10.0, 0.1])
+    high = np.array([k_slices, depth, 45.0, 45.0, 0.9])
+    return np.where(sagittal, _SAGITTAL, _CORONAL), slices, *(low + (high - low) * draws).T
 
 
 def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, DetectionSet]:
@@ -174,32 +218,11 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
     box_w = rng.uniform(26.0, 34.0, size=k)
     box_h = rng.uniform(17.0, 23.0, size=k)
 
-    rows: list[tuple] = []
-    per_vertebra_counts: list[int] = []
-    for i in range(k):
-        sag = _true_boxes(rng, cfg.detect, _SAGITTAL, xs[i], ys[i], zs[i], box_w[i], box_h[i], width)
-        cor = _true_boxes(rng, cfg.detect, _CORONAL, ys[i], xs[i], zs[i], box_w[i], box_h[i], height)
-        per_vertebra_counts.append(len(sag) + len(cor))
-        rows.extend(sag + cor)
-
-    n_true = len(rows)
+    per_vertebra_counts, true_columns = _true_boxes(rng, cfg.detect, xs, ys, zs, box_w, box_h, cfg.k_slices)
+    n_true = len(true_columns[0])
     rate = cfg.detect.noise_rate
     n_noise = int(round(rate / (1.0 - rate) * n_true)) if rate > 0 else 0
-    for _ in range(n_noise):
-        plane = _SAGITTAL if rng.uniform() < 0.5 else _CORONAL
-        extent = width if plane == _SAGITTAL else height
-        in_extent = height if plane == _SAGITTAL else width
-        rows.append(
-            (
-                plane,
-                int(rng.integers(0, extent)),
-                float(rng.uniform(0.0, in_extent)),
-                float(rng.uniform(0.0, depth)),
-                float(rng.uniform(10.0, 45.0)),
-                float(rng.uniform(10.0, 45.0)),
-                float(rng.uniform(0.1, 0.9)),
-            )
-        )
+    noise_columns = _noise_boxes(rng, n_noise, cfg.k_slices, depth)
 
     samples = [sample_mc(rng, cfg.confusion.base_vector(start + i), cfg.mc.concentration, cfg.mc.n_samples)
                for i in range(k)]
@@ -220,7 +243,8 @@ def generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, Detection
 
     case_id = f"case_{case_index:04d}"
     case = SpineCase(case_id=case_id, vertebrae=tuple(vertebrae))
-    dets = DetectionSet(case_id, (depth, height, width), cfg.k_slices, *zip(*rows))
+    dets = DetectionSet(case_id, (depth, height, width), cfg.k_slices,
+                        *map(np.concatenate, zip(true_columns, noise_columns)))
     return case, dets
 
 

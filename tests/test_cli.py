@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def test_gen_writes_pairs(corpus):
     assert len(cases) == 3 and len(dets) == 3
     case = io.load_case(cases[0])
     assert len(case) >= 3
+
+
+def test_gen_memory_does_not_grow_with_the_case_count(tmp_path, capsys):
+    # gen once built the whole corpus before writing it, and its peak at 40 cases was 3.8x that at 4
+    def peak(n_cases):
+        flags = ["--seed", "3", "--n-cases", str(n_cases), "--k", "60", "--vmin", "3", "--vmax", "4",
+                 "--boxes-per-vertebra", "12"]
+        tracemalloc.start()
+        try:
+            assert main(["gen", "--out-dir", str(tmp_path / str(n_cases)), *flags]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4)  # first-call allocations of the modules
+    assert peak(40) < 1.5 * peak(4)
 
 
 def test_cluster_command(corpus, tmp_path, capsys):
@@ -378,6 +395,14 @@ class TestExitCodes:
         name = flag.removeprefix("--").replace("-", "_")
         assert capsys.readouterr().err == f"error: {name} must be finite and non-negative, got {value}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_slice_jitter_is_validation_error(self, tmp_path, capsys):
+        # once an OverflowError traceback from round(), exit 1
+        out = tmp_path / "out"
+        assert main(["gen", "--out-dir", str(out), "--n-cases", "2", "--pos-sigma", "1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "error: pos_sigma 1e+308 is too large: a jittered slice position overflows float64\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(_CASE_DIR_COMMANDS))
     def test_two_files_of_one_case_are_rejected(self, corpus, tmp_path, capsys, command):

@@ -444,11 +444,6 @@ class TestBoxDensity:
             with pytest.raises(ValidationError, match=r"\(n, 3\)"):
                 box_densities(bad, eps=1.5, l=2)
 
-    def test_zero_l_rejected(self):
-        pts = np.zeros((3, 3))
-        with pytest.raises(ValidationError, match="l must be non-zero"):
-            box_densities(pts, eps=1.0, l=0)
-
     @pytest.mark.parametrize("eps, l, message", [
         ("1", 5, "eps has an invalid value '1'"),
         (1.0, "5", "l has an invalid value '5'"),
@@ -456,7 +451,8 @@ class TestBoxDensity:
         (math.nan, 5, "eps must be a positive finite radius, got nan"),
         (1.0, math.inf, "l must be a positive finite frame count, got inf"),
         (1.0, -2, "l must be a positive finite frame count, got -2.0"),
-    ], ids=["eps-string", "l-string", "eps-bool", "eps-nan", "l-inf", "l-negative"])
+        (1.0, 0, "l must be a positive finite frame count, got 0.0"),
+    ], ids=["eps-string", "l-string", "eps-bool", "eps-nan", "l-inf", "l-negative", "l-zero"])
     def test_eps_and_l_must_be_positive_finite_numbers(self, eps, l, message):
         # once a raw TypeError, a numpy UFuncTypeError, radius 1, all zeros and negative densities
         with pytest.raises(ValidationError, match=re.escape(message)):

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, random_probs
@@ -308,13 +308,16 @@ def _random_params(rng) -> FusionParams:
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 UNIT = st.floats(0.0, 1.0)
-# every code point, lone surrogates and control characters included
-ANY_TEXT = st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]) | st.sampled_from('"\\/\x00\x1f\x7f'))
-PY_FLOATS = FINITE | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+# every code point, lone surrogates and control characters included; short,
+# since drawing long strings is most of what a tree costs
+ANY_TEXT = st.text(st.characters(categories=["L", "M", "N", "P", "S", "Z", "C"]) | st.sampled_from('"\\/\x00\x1f\x7f'),
+                   max_size=4)
+FLOAT_EDGES = [-0.0, 5e-324, 1.7976931348623157e308]
+PY_FLOATS = FINITE | st.sampled_from(FLOAT_EDGES)
 JSON_FLOATS = PY_FLOATS | PY_FLOATS.map(np.float64)
 JSON_TREES = st.recursive(
     st.none() | st.booleans() | st.integers() | JSON_FLOATS | ANY_TEXT,
-    lambda kids: st.lists(JSON_FLOATS) | st.lists(kids) | st.dictionaries(ANY_TEXT, kids),
+    lambda kids: st.lists(JSON_FLOATS, max_size=8) | st.lists(kids) | st.dictionaries(ANY_TEXT, kids),
     max_leaves=40,
 )
 
@@ -368,6 +371,8 @@ class TestRoundTrip:
 
     @settings(max_examples=300, deadline=None)
     @given(obj=JSON_TREES)
+    @example(obj=[*FLOAT_EDGES, *map(np.float64, FLOAT_EDGES), np.float64(0.1)])
+    @example(obj={'"\\/\x00\x1f\x7f\ud800\U0001f600' * 8: [{"": np.float64(-0.0)}, "\udfff" * 40]})
     def test_save_json_is_json_dumps_property(self, tmp_path_factory, obj):
         path = tmp_path_factory.mktemp("json") / "doc.json"
         io.save_json(obj, path)

@@ -1,11 +1,15 @@
 """Generator determinism, noiseless limits, and the baseline-rate oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spineid import io
+from spineid import io, synthetic
+from spineid.domain import DETECTION_COLUMNS, DetectionSet, McSampleSet, SpineCase, SpineVertebra, VertebraCenter
 from spineid.errors import ValidationError
 from spineid.evaluate import evaluate
 from spineid.labels import N_CLASSES
@@ -134,3 +138,159 @@ def test_baseline_rate_matches_model_oracle():
         per_truth[truth] = hits / trials
     oracle = float((weights * per_truth).sum())
     assert abs(empirical - oracle) <= 0.03
+
+
+# The generator as it drew one box at a time, kept verbatim as the oracle of
+# the array version: six scalar draws per true box, seven per noise box, and
+# Python round/min/max on each value.
+def _oracle_true_boxes(rng, cfg: DetectConfig, plane, normal_coord, in_cx, in_cy, bw, bh, extent):
+    count = cfg.boxes_per_vertebra
+    if cfg.count_jitter > 0:
+        count = max(1, int(round(count * (1.0 + rng.uniform(-cfg.count_jitter, cfg.count_jitter)))))
+    return [
+        (
+            plane,
+            int(min(max(round(normal_coord + rng.normal(0.0, cfg.pos_sigma)), 0), extent - 1)),
+            float(in_cx + rng.normal(0.0, cfg.pos_sigma)),
+            float(in_cy + rng.normal(0.0, cfg.pos_sigma)),
+            float(max(1.0, bw + rng.normal(0.0, cfg.dim_sigma))),
+            float(max(1.0, bh + rng.normal(0.0, cfg.dim_sigma))),
+            float(rng.uniform(0.6, 0.99)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _oracle_generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, DetectionSet]:
+    _SAGITTAL, _CORONAL = synthetic._SAGITTAL, synthetic._CORONAL
+    rng = synthetic._case_rng(cfg.seed, case_index)
+    lo, hi = cfg.vertebrae_range
+    k = int(rng.integers(lo, hi + 1))
+    start = int(rng.integers(0, N_CLASSES - k + 1))
+
+    depth = int(math.ceil(synthetic._SPACING * (k - 1) + 2 * synthetic._MARGIN))
+    width = height = cfg.k_slices
+    amp = rng.uniform(5.0, 15.0, size=2)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    ts = np.arange(k) / max(k - 1, 1)
+    xs = width / 2.0 + amp[0] * np.sin(math.pi * ts + phase[0])
+    ys = height / 2.0 + amp[1] * np.sin(math.pi * ts + phase[1])
+    zs = depth - synthetic._MARGIN - synthetic._SPACING * np.arange(k)
+    box_w = rng.uniform(26.0, 34.0, size=k)
+    box_h = rng.uniform(17.0, 23.0, size=k)
+
+    rows: list[tuple] = []
+    per_vertebra_counts: list[int] = []
+    for i in range(k):
+        sag = _oracle_true_boxes(rng, cfg.detect, _SAGITTAL, xs[i], ys[i], zs[i], box_w[i], box_h[i], width)
+        cor = _oracle_true_boxes(rng, cfg.detect, _CORONAL, ys[i], xs[i], zs[i], box_w[i], box_h[i], height)
+        per_vertebra_counts.append(len(sag) + len(cor))
+        rows.extend(sag + cor)
+
+    n_true = len(rows)
+    rate = cfg.detect.noise_rate
+    n_noise = int(round(rate / (1.0 - rate) * n_true)) if rate > 0 else 0
+    for _ in range(n_noise):
+        plane = _SAGITTAL if rng.uniform() < 0.5 else _CORONAL
+        extent = width if plane == _SAGITTAL else height
+        in_extent = height if plane == _SAGITTAL else width
+        rows.append(
+            (
+                plane,
+                int(rng.integers(0, extent)),
+                float(rng.uniform(0.0, in_extent)),
+                float(rng.uniform(0.0, depth)),
+                float(rng.uniform(10.0, 45.0)),
+                float(rng.uniform(10.0, 45.0)),
+                float(rng.uniform(0.1, 0.9)),
+            )
+        )
+
+    samples = [synthetic.sample_mc(rng, cfg.confusion.base_vector(start + i), cfg.mc.concentration,
+                                   cfg.mc.n_samples)
+               for i in range(k)]
+    sample_sets = McSampleSet._split(np.concatenate(samples), [len(rows) for rows in samples])
+    vertebrae = [
+        SpineVertebra(
+            center=VertebraCenter(
+                position=(float(xs[i]), float(ys[i]), float(zs[i])),
+                mean_dims=(float(box_w[i]), float(box_h[i])),
+                member_count=per_vertebra_counts[i],
+                z_rank=i,
+            ),
+            mc=sample_sets[i],
+            truth=start + i,
+        )
+        for i in range(k)
+    ]
+
+    case_id = f"case_{case_index:04d}"
+    case = SpineCase(case_id=case_id, vertebrae=tuple(vertebrae))
+    dets = DetectionSet(case_id, (depth, height, width), cfg.k_slices, *zip(*rows))
+    return case, dets
+
+
+@st.composite
+def gen_configs(draw) -> GenConfig:
+    """Small configurations with zero and large jitters, so that slice clipping and the 1.0 size floor both
+    happen, noise up to 0.9, single-slice planes and both vertebra-count edges."""
+    lo = draw(st.integers(1, N_CLASSES))
+    span = draw(st.sampled_from([(1, 1), (N_CLASSES, N_CLASSES), (1, N_CLASSES), (lo, lo),
+                                 (lo, draw(st.integers(lo, N_CLASSES)))]))
+    sigma = st.just(0.0) | st.floats(0.0, 80.0)
+    detect = DetectConfig(
+        boxes_per_vertebra=draw(st.integers(1, 6)),
+        count_jitter=draw(st.just(0.0) | st.floats(0.0, 0.99)),
+        pos_sigma=draw(sigma),
+        dim_sigma=draw(sigma),
+        noise_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+    )
+    return GenConfig(seed=draw(st.integers(0, 2**64 - 1)), k_slices=draw(st.integers(1, 250)),
+                     vertebrae_range=span, detect=detect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=gen_configs(), case_index=st.integers(0, 9999))
+@example(cfg=GenConfig(seed=1), case_index=0)
+@example(cfg=GenConfig(seed=2, k_slices=1, vertebrae_range=(24, 24),
+                       detect=DetectConfig(1, 0.0, 0.0, 0.0, 0.9)), case_index=7)
+def test_generate_case_is_the_per_box_oracle_bit_for_bit(cfg, case_index):
+    case, dets = generate_case(cfg, case_index)
+    oracle_case, oracle_dets = _oracle_generate_case(cfg, case_index)
+    for name in DETECTION_COLUMNS:
+        got, want = getattr(dets, name), getattr(oracle_dets, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert (dets.case_id, dets.volume_shape, dets.slice_count_per_plane) == (
+        oracle_dets.case_id, oracle_dets.volume_shape, oracle_dets.slice_count_per_plane)
+    assert case == oracle_case
+    assert json.dumps(io.case_to_dict(case)) == json.dumps(io.case_to_dict(oracle_case))
+
+
+class _CountingRng:
+    """A Generator that counts its calls by method name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_two_generator_calls_per_true_box_and_three_per_noise_box(monkeypatch):
+    rng = _CountingRng(synthetic._case_rng(4, 0))
+    monkeypatch.setattr(synthetic, "_case_rng", lambda seed, case_index: rng)
+    cfg = GenConfig(seed=4, vertebrae_range=(5, 5), detect=DetectConfig(noise_rate=0.2))
+    case, dets = generate_case(cfg, 0)
+    n_true = sum(v.center.member_count for v in case.vertebrae)
+    n_noise = len(dets) - n_true
+    assert n_noise > 0
+    # besides the per-box calls: 2 integers for the vertebra count and run, 4 uniforms for the curve and
+    # box sizes, one count-jitter uniform per plane run, and one dirichlet per vertebra
+    assert rng.calls == {"integers": 2 + n_noise, "uniform": 4 + 2 * len(case), "dirichlet": len(case),
+                             "standard_normal": n_true, "random": n_true + 2 * n_noise}
