@@ -11,13 +11,13 @@ clean, ordered list of vertebra centers in three passes:
    keeps only the largest dimension cluster, rejecting boxes that straddle
    multiple vertebrae or cover a vertebra only partially.
 
-Passes 1 and 2 share one radius, so one KD-tree pair query serves both, and
-passes 1 to 3 work in one index space: pass 2 runs over every box, keeping
-only the pairs whose two ends survived pass 1, so a dropped box has no pair
-and is noise, and every box keeps its index. Every KD-tree is a
-sliding-midpoint tree (``balanced_tree=False``): it lists the same pairs as
-a median-split tree, in less time on box centers, which crowd around the
-vertebrae. DBSCAN
+Passes 1 and 2 share one radius, so one pair query serves both, and passes
+1 to 3 work in one index space: pass 2 runs over every box, keeping only the
+pairs whose two ends survived pass 1, so a dropped box has no pair and is
+noise, and every box keeps its index. Every pair query is a numpy
+sort-and-sweep along the axis with the fewest candidates, z for box centers
+stacked along the spine; it lists the pairs cKDTree.query_pairs lists, by
+the same float64 rule, with numpy alone. DBSCAN
 works on that pair list as array code: clusters are the connected components
 of core points, and each border point joins the lowest-numbered cluster it
 touches, which are the labels of a breadth-first DBSCAN grown in index
@@ -127,8 +127,9 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
 def _require_measurable(pts: np.ndarray, what: str) -> None:
     """Reject a point array whose squared extent overflows float64, or that holds a non-finite point.
 
-    cKDTree fails with a bare ValueError on such points. An array of no
-    points has no extent and is measurable.
+    Every squared distance of a measurable array is finite, so ``_pairs``
+    compares finite sums, and its window arithmetic cannot produce NaN. An
+    array of no points has no extent and is measurable.
     """
     if not len(pts):
         return
@@ -141,18 +142,60 @@ def _require_measurable(pts: np.ndarray, what: str) -> None:
 def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of rows of ``pts`` at distance <= eps, listed once, as two contiguous index columns.
 
-    Points cKDTree cannot measure are rejected first (``_require_measurable``).
-    The tree splits at the sliding midpoint (``balanced_tree=False``), not at
-    the median: on clustered points such as box centers it builds and queries
-    faster, though on evenly spread points it is slower. The pairs are the
-    same, listed in another order, on which no caller depends.
-    scipy.spatial is imported on first use: loading it costs more than most
-    commands spend on their own work, and only clustering needs it.
-    """
-    from scipy.spatial import cKDTree
+    A pair is kept when its squared distance, ``dx*dx + dy*dy + ...`` summed in
+    column order in float64, is at most ``eps * eps``: the rule cKDTree's
+    ``query_pairs`` applies, so these are its pairs, each as (lower index,
+    higher index), in another order, on which no caller depends. Points that
+    cannot be measured are rejected first (``_require_measurable``).
 
+    A sort-and-sweep finds them. Along one axis, each row in sorted order is
+    paired with the later rows whose coordinate lies in a window past its
+    own, and every candidate pair goes through the exact rule. The axis is the
+    one whose windows hold the fewest candidates, which bounds the work and
+    memory: about 1.1 candidates per pair on box centers, which crowd around
+    vertebrae stacked along z, but far more on points spread evenly. The
+    window is eps plus 4 ulps of the axis's largest magnitude: a kept pair's
+    rounded difference is at most eps, since the square of any float above
+    eps rounds above ``eps * eps``, and the rounding of that difference is
+    within one ulp of the largest magnitude, so the window holds every kept
+    pair. Below 2**-510, ``eps * eps`` leaves the normal range, where that
+    argument fails, so the window is at least 2**-510 wide.
+    """
     _require_measurable(pts, what)
-    return tuple(np.ascontiguousarray(cKDTree(pts, balanced_tree=False).query_pairs(eps, output_type="ndarray").T))
+    n = len(pts)
+    if n < 2:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    eps = float(eps)  # a Python float squares to inf, not to an overflow warning
+    reach = max(eps, 2.0**-510)
+    # ends[axis][p]: one past the last sorted position in the window of position p
+    with np.errstate(over="ignore"):  # a window end past the float range is inf, after every row
+        ends = [np.searchsorted(s, s + (reach + 4 * np.spacing(max(-s[0], s[-1]))), side="right")
+                for s in np.sort(pts, axis=0).T]
+    axis = int(np.argmin([end.sum() for end in ends]))
+    counts = ends[axis] - np.arange(1, n + 1)
+    order = np.argsort(pts[:, axis])
+    # Candidate pair k joins sorted positions first[k] < later[k]. Every array
+    # with one entry per candidate lives in one block: such arrays allocated
+    # apart made malloc hand their pages back and fault them in again on
+    # every call, about 300 page faults per dense scan.
+    block = np.empty((5, int(counts.sum())))
+    first, later = block[:2].view(np.int64)
+    sq, d, e = block[2:]
+    first[:] = np.repeat(np.arange(n), counts)
+    later[:] = np.repeat(np.arange(1, n + 1) - (np.cumsum(counts) - counts), counts)
+    later += np.arange(len(later))
+    sq.fill(0.0)  # 0.0 + dx*dx is dx*dx: the squares add up column by column, as the rule sums them
+    for column in pts.T:
+        ordered = column.take(order)
+        ordered.take(later, out=d, mode="clip")  # "clip" writes straight into out; every index is in range
+        ordered.take(first, out=e, mode="clip")
+        d -= e
+        d *= d
+        sq += d
+    keep = np.flatnonzero(sq <= eps * eps)
+    lower = order.take(first.take(keep))
+    upper = order.take(later.take(keep))
+    return np.minimum(lower, upper), np.maximum(lower, upper, out=upper)
 
 
 def _degrees(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -185,7 +228,7 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return root
 
 
-def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
+def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int, degrees: np.ndarray | None = None) -> np.ndarray:
     """Deterministic DBSCAN labels for n points; -1 marks noise.
 
     Pairs ``(i[k], j[k])`` list once every pair of points at distance <= eps.
@@ -194,9 +237,12 @@ def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int) -> np.ndarray:
     pair, numbered in order of their smallest core index. A border point (not
     core, but paired with a core point) joins the lowest-numbered cluster it
     touches. These are the labels a breadth-first DBSCAN grown from each
-    unlabeled core point in index order assigns.
+    unlabeled core point in index order assigns. ``degrees``, when given, must
+    be ``_degrees(n, i, j)``; a caller that has them spares the count.
     """
-    core = _degrees(n, i, j) + 1 >= min_pts
+    if degrees is None:
+        degrees = _degrees(n, i, j)
+    core = degrees + 1 >= min_pts
     core_i, core_j = core[i], core[j]
     linked = core_i & core_j
     a, b = i[linked], j[linked]
@@ -219,16 +265,17 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
     extent has a squared diagonal within eps**2 (less a 1e-9 relative margin)
     is one dimension cluster, found without a pair query: |a - b| <= max - min
     for every pair, and rounding is monotone, so no pair's squared distance,
-    as cKDTree computes it, exceeds the extent's. The margin leaves clusters
-    near the threshold to the query. A single box is noise.
+    as ``_pairs`` computes it, exceeds the extent's. The margin leaves
+    clusters near the threshold to the query. A single box is noise.
 
     The other clusters' boxes go through one query, each lifted to
     (w, h, label * 2r): boxes of one position cluster share the third
     coordinate exactly, so their distances are unchanged, while boxes of
     different clusters lie more than r apart. No (w, h) distance reaches
     2 * (max w + max h), so capping the radius r there keeps every pair and
-    keeps the lift finite for any eps. Lifted boxes cKDTree could not measure
-    are rejected whether or not their cluster needs the query.
+    keeps the lift finite for any eps. Lifted boxes whose squared distances
+    overflow float64 (``_require_measurable``) are rejected whether or not
+    their cluster needs the query.
 
     Dimension clusters are numbered by their smallest index, so the labels of
     each position cluster form one contiguous run in the order a separate
@@ -313,11 +360,12 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     # the same index space. A dropped box keeps no pair, so it is noise
     # (min_pts >= 2), and the kept boxes keep their order, so they get the
     # labels a DBSCAN of the kept boxes alone gives. A dropped box is most
-    # often isolated, and then every pair survives.
+    # often isolated, and then every pair survives and so do the degrees.
     if degrees[~keep].any():
         both = keep[i] & keep[j]
         i, j = i[both], j[both]
-    pos_labels = _dbscan(len(pts), i, j, cfg.min_pts)
+        degrees = _degrees(len(pts), i, j)
+    pos_labels = _dbscan(len(pts), i, j, cfg.min_pts, degrees)
     noise = int(np.count_nonzero(pos_labels < 0))
     dropped_position = noise - dropped_density
 

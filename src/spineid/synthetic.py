@@ -164,19 +164,22 @@ def _true_boxes(rng: np.random.Generator, cfg: DetectConfig, xs, ys, zs, box_w, 
     def per_box(sagittal, coronal):
         return np.column_stack((sagittal, coronal)).ravel().repeat(counts)
 
-    with np.errstate(over="ignore"):  # inf, as the scalar draw gives; the checks below and DetectionSet's reject it
+    with np.errstate(over="ignore"):  # inf, as the scalar draw gives; the checks below name the sigma that made it
         pos = 0.0 + cfg.pos_sigma * draws[:, :3]
         dims = 0.0 + cfg.dim_sigma * draws[:, 3:5]
     at = per_box(xs, ys) + pos[:, 0]
     if not np.isfinite(at).all():
         raise ValidationError(f"pos_sigma {cfg.pos_sigma!r} is too large: a jittered slice position overflows float64")
+    cx, cy = per_box(ys, xs) + pos[:, 1], per_box(zs, zs) + pos[:, 2]
+    if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
+        raise ValidationError(f"pos_sigma {cfg.pos_sigma!r} is too large: a jittered box center overflows float64")
+    w, h = np.maximum(1.0, per_box(box_w, box_w) + dims[:, 0]), np.maximum(1.0, per_box(box_h, box_h) + dims[:, 1])
+    if not (np.isfinite(w).all() and np.isfinite(h).all()):
+        raise ValidationError(f"dim_sigma {cfg.dim_sigma!r} is too large: a jittered box size overflows float64")
     columns = (
         np.tile([_SAGITTAL, _CORONAL], k).repeat(counts),
         np.clip(np.rint(at), 0, k_slices - 1).astype(np.int64),
-        per_box(ys, xs) + pos[:, 1],
-        per_box(zs, zs) + pos[:, 2],
-        np.maximum(1.0, per_box(box_w, box_w) + dims[:, 0]),
-        np.maximum(1.0, per_box(box_h, box_h) + dims[:, 1]),
+        cx, cy, w, h,
         0.6 + (0.99 - 0.6) * draws[:, 5],
     )
     return counts.reshape(k, 2).sum(axis=1).tolist(), columns

@@ -404,6 +404,19 @@ class TestExitCodes:
             "error: pos_sigma 1e+308 is too large: a jittered slice position overflows float64\n")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("flags, message", [
+        # seed 5's one box per run draws finite slice jitters and an overflowing center jitter
+        (["--seed", "5", "--vmin", "1", "--vmax", "1", "--boxes-per-vertebra", "1", "--noise-rate", "0",
+          "--pos-sigma", "1e308"], "pos_sigma 1e+308 is too large: a jittered box center overflows float64"),
+        (["--dim-sigma", "1e308"], "dim_sigma 1e+308 is too large: a jittered box size overflows float64"),
+    ], ids=["center", "size"])
+    def test_overflowing_box_jitter_names_its_sigma(self, tmp_path, capsys, flags, message):
+        # once `error: detections[1]: cx must be finite` and `w must be finite`, about a file never given
+        out = tmp_path / "out"
+        assert main(["gen", "--out-dir", str(out), "--n-cases", "1", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", sorted(_CASE_DIR_COMMANDS))
     def test_two_files_of_one_case_are_rejected(self, corpus, tmp_path, capsys, command):
         # the copy was read as a second case: eval scored its vertebrae twice, train-phi trained on it twice
@@ -696,10 +709,24 @@ from spineid.cli import main
 def loaded(root):
     return sorted(m for m in sys.modules if m.split(".")[0] == root)
 
-scipy_before = loaded("scipy")
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "spineid": loaded("spineid"), "scipy_before": scipy_before,
-                  "scipy_after": "scipy.spatial" in sys.modules, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "spineid": loaded("spineid"), "scipy": loaded("scipy"),
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+# Runs one command in a process where every scipy import fails.
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from spineid.cli import main
+sys.exit(main(sys.argv[1:]))
 """
 
 # The spineid modules a fresh process holds after one command, besides
@@ -717,9 +744,9 @@ COMMAND_MODULES = {
 }
 
 
-def test_only_clustering_loads_scipy(tmp_path):
-    """A fresh process loads only the spineid modules its command calls, scipy only when it clusters,
-    and numpy whenever it touches an array: ``score`` is the one command that runs without it."""
+def test_commands_load_only_their_modules_and_never_scipy(tmp_path):
+    """A fresh process loads only the spineid modules its command calls, never scipy, not even when it
+    clusters, and numpy whenever it touches an array: ``score`` is the one command that runs without it."""
     (tmp_path / "batch.json").write_text(json.dumps(unit_vector_batch()))
     assert main(["gen", "--out-dir", str(tmp_path / "corpus"), "--seed", "3", "--n-cases", "1", "--k", "60",
                  "--vmin", "3", "--vmax", "4", "--boxes-per-vertebra", "12"]) == 0
@@ -745,10 +772,27 @@ def test_only_clustering_loads_scipy(tmp_path):
     assert {cmd: run["spineid"] for cmd, run in runs.items()} == {
         cmd: sorted(base + [f"spineid.{m}" for m in mods]) for cmd, mods in COMMAND_MODULES.items()}
     assert {cmd: run["code"] for cmd, run in runs.items()} == dict.fromkeys(COMMAND_MODULES, 0)
-    assert all(run["scipy_before"] == [] for run in runs.values())
-    assert {cmd for cmd, run in runs.items() if run["scipy_after"]} == {"cluster", "pipeline"}
+    assert {cmd: run["scipy"] for cmd, run in runs.items()} == dict.fromkeys(COMMAND_MODULES, [])
     assert {cmd for cmd, run in runs.items() if not run["numpy"]} == {"score"}
     assert len(io.load_centers(tmp_path / "centers.json")) == len(io.load_case(tmp_path / "corpus" / "case_0000.json"))
+
+
+def test_clustering_commands_run_without_scipy(corpus, tmp_path):
+    """cluster and pipeline write the same bytes in a process where every scipy import fails."""
+    cluster_flags = ["--eps-pos", "6", "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]
+    outputs = {}
+    for name, script in (("plain", "from spineid.cli import main; import sys; sys.exit(main(sys.argv[1:]))"),
+                         ("no_scipy", NO_SCIPY)):
+        out = tmp_path / name
+        out.mkdir()
+        for argv in (["cluster", "--in", str(corpus / "case_0000.detections.jsonl"), "--out", "centers.json"],
+                     ["pipeline", "--dir", str(corpus), "--out", "pipeline.json"]):
+            proc = subprocess.run([sys.executable, "-c", script, *argv, *cluster_flags], capture_output=True,
+                                  cwd=out, env=_child_env())
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(outputs["plain"]) == ["centers.json", "pipeline.json"]
+    assert outputs["no_scipy"] == outputs["plain"]
 
 
 # sha256 of every output file of test_golden_cli_outputs. A different hash is

@@ -475,34 +475,102 @@ class TestBoxDensity:
 
 
 class TestPairs:
-    """_pairs builds a sliding-midpoint tree; its pairs must be those of scipy's default tree."""
+    """_pairs sweeps sorted coordinates; its pairs must be those of scipy's cKDTree, each as (lower, higher)."""
 
     @staticmethod
     def pair_list(i, j) -> list[tuple[int, int]]:
         return sorted(zip(i.tolist(), j.tolist()))
 
-    def check(self, pts, eps, what):
+    def check(self, pts, eps, what) -> int:
+        """Assert _pairs lists cKDTree's pairs; return how many lie at exactly eps."""
         i, j = _pairs(pts, eps, what)
         assert i.flags.c_contiguous and j.flags.c_contiguous
+        assert (i < j).all()
         expected = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
-        at_eps = np.sum((pts[expected[0]] - pts[expected[1]]) ** 2, axis=1) == eps * eps
-        event("a pair at exactly eps" if at_eps.any() else "no pair at exactly eps")
+        sq = np.zeros(expected.shape[1])
+        for column in pts.T:
+            sq += (column[expected[0]] - column[expected[1]]) ** 2
         assert self.pair_list(i, j) == self.pair_list(*expected)
+        return int(np.count_nonzero(sq == eps * eps))
 
     @settings(max_examples=300, deadline=None)
     @given(dbscan_clouds())
     def test_same_pairs_as_default_tree(self, cloud):
         pts, eps, _ = cloud
-        self.check(pts, eps, "points")
+        event("a pair at exactly eps" if self.check(pts, eps, "points") else "no pair at exactly eps")
 
     @settings(max_examples=300, deadline=None)
     @given(dimension_clusters())
     def test_same_pairs_as_default_tree_lifted(self, case):
         lifted, radius = lifted_dimensions(*case)
         try:
-            self.check(lifted, radius, "box dimensions")
+            at_eps = self.check(lifted, radius, "box dimensions")
         except ValidationError:
             event("rejected")
+        else:
+            event("a pair at exactly eps" if at_eps else "no pair at exactly eps")
+
+    @pytest.mark.parametrize("eps", [1.0, 2.0, math.sqrt(2), math.sqrt(5), 3.0])
+    def test_integer_grid_with_many_pairs_at_eps(self, eps):
+        # squared distances are exact integers, and sqrt(2) and sqrt(5) square to a rounded bound
+        grid = np.stack(np.meshgrid(*[np.arange(7.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = np.vstack((grid, grid[::5]))[np.random.default_rng(0).permutation(len(grid) + len(grid[::5]))]
+        if eps * eps == round(eps * eps):
+            assert self.check(pts, eps, "points") > 100
+        else:
+            self.check(pts, eps, "points")
+
+    @pytest.mark.parametrize("scale", [1e6, 2.0**52, 1e15, 1e150])
+    def test_large_magnitude_points_with_a_tiny_extent(self, scale):
+        # coordinates a few ulps apart, so every difference and window end is a multiple of one ulp
+        ulp = np.spacing(scale)
+        base = np.array([scale, -scale, 0.75 * scale])
+        pts = base + np.random.default_rng(1).integers(-30, 30, size=(300, 3)) * ulp
+        for eps in ulp * np.array([1.0, 7.0, 7.5, 40.0]):
+            self.check(pts, eps, "points")
+
+    def test_pairs_across_zero_need_the_window_margin(self):
+        # -1e16 and 0.3 are 1e16 + 0.3 apart, which rounds to 1e16: the pair is at exactly eps, while
+        # -1e16 + eps is 0.0, short of 0.3; the squared distance from -1e16 to (0.5, 1) rounds to eps**2 too
+        pts = np.array([[-1e16, 0.0, 0.0], [0.3, 0.0, 0.0], [0.5, 1.0, 0.0], [-1e16 + 2, 0.0, 0.0]])
+        assert self.check(pts, 1e16, "points") == 2
+        assert self.pair_list(*_pairs(pts, 1e16, "points")) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+    def test_squares_are_summed_in_column_order(self):
+        # (dx*dx + dy*dy) + dz*dz rounds to eps * eps here, while (dz*dz + dy*dy) + dx*dx rounds above it
+        d = np.array([0.2997118905373848, 0.42268722119765845, 0.028319671145462966])
+        eps = 0.5189351674988685
+        assert (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2] == eps * eps < (d[2] * d[2] + d[1] * d[1]) + d[0] * d[0]
+        assert self.check(np.array([[0.0, 0.0, 0.0], d]), eps, "points") == 1
+
+    def test_tiny_eps_keeps_pairs_whose_squares_underflow(self):
+        # eps * eps underflows to 0.0, and so does the square of any distance below about 1.5e-162
+        pts = np.array([[0.0, 0.0, 0.0], [1e-170, 0.0, 0.0], [3e-162, 0.0, 0.0], [1e-170, 1e-170, 1e-170]])
+        self.check(pts, 1e-300, "points")
+        assert self.pair_list(*_pairs(pts, 1e-300, "points")) == [(0, 1), (0, 3), (1, 3)]
+
+    @pytest.mark.parametrize("pts", [np.empty((0, 3)), np.array([[1.0, 2.0, 3.0]]), np.full((40, 3), 2.5)],
+                             ids=["none", "one", "identical"])
+    def test_degenerate_clouds(self, pts):
+        self.check(pts, 1.0, "points")
+        i, j = _pairs(pts, 1.0, "points")
+        assert len(i) == len(pts) * (len(pts) - 1) // 2
+
+    def test_cloud_dense_along_every_axis(self):
+        # every axis's window holds most of the cloud, yet most candidates lie farther than eps
+        pts = np.random.default_rng(2).uniform(0.0, 1.0, size=(600, 3))
+        self.check(pts, 0.4, "points")
+
+    @pytest.mark.parametrize("eps_dim", [0.5, 3.0, 10.0])
+    def test_lifted_dimension_clusters_of_a_dense_case(self, eps_dim):
+        gen = GenConfig(seed=2002, n_cases=1, k_slices=200, vertebrae_range=(12, 12),
+                        detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
+        ds = generate_case(gen, 0)[1]
+        pts = embed_detections(ds)
+        pos_labels = _dbscan(len(pts), *_pairs(pts, 6.0, "box centers"), 4)
+        by_label = np.argsort(pos_labels, kind="stable")[np.count_nonzero(pos_labels < 0):]
+        lifted, radius = lifted_dimensions(np.column_stack((ds.w, ds.h))[by_label], pos_labels[by_label], eps_dim)
+        self.check(lifted, radius, "box dimensions")
 
 
 class TestDbscan:
