@@ -90,6 +90,12 @@ def _cmd_uncertainty(args) -> int:
     return 0
 
 
+def _fusion_flags(args) -> dict:
+    """The fusion flags given on the command line, by ``FusionParams`` field name."""
+    flags = {"theta": args.theta, "hops": args.hops, "window": args.window, "distance_mode": args.distance}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _fusion_params(args) -> FusionParams:
     """The ``--params`` file with the fusion flags applied; without a file, identity matrices built from the flags."""
     from dataclasses import replace
@@ -98,8 +104,7 @@ def _fusion_params(args) -> FusionParams:
     from .domain import phi_offsets
     from .fusion import identity_params
 
-    flags = {"theta": args.theta, "hops": args.hops, "window": args.window, "distance_mode": args.distance}
-    flags = {name: value for name, value in flags.items() if value is not None}
+    flags = _fusion_flags(args)
     if not args.params:
         return identity_params(**flags)
     params = io.load_fusion_params(args.params)
@@ -165,7 +170,7 @@ def _cmd_train_phi(args) -> int:
     from .fusion import TrainConfig, identity_params, train_phi
 
     cases = [case for _, case in _load_case_dir(args.train, args.out)]
-    params_init = identity_params(args.theta, args.hops, args.window, args.distance)
+    params_init = identity_params(**_fusion_flags(args))
     cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed, init=args.init)
     trained = train_phi(cases, params_init, cfg)
     io.save_fusion_params(trained, args.out)
@@ -224,14 +229,13 @@ def _cmd_eval(args) -> int:
 
     from . import io
     from .evaluate import evaluate
-    from .uncertainty import aggregate_samples
 
     pairs = _load_case_dir(args.cases_dir, args.out)
     cases = [case for _, case in pairs]
     if args.labels_dir:
         predictions = [io.load_labels(Path(args.labels_dir) / f"{path.stem}.labels.json") for path, _ in pairs]
     else:
-        predictions = [np.array([aggregate_samples(v.mc) for v in case.vertebrae]) for case in cases]
+        predictions = [np.array([v.mc.mean_probs for v in case.vertebrae]) for case in cases]
     rep = evaluate(cases, predictions, decode=args.decode)
     if args.out:
         io.save_json(_report_dict(rep), args.out)
@@ -360,10 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--hops", type=int, default=3)
-    p.add_argument("--window", type=int, default=5, choices=(1, 3, 5, 7))
-    p.add_argument("--distance", choices=("index", "physical"), default="index")
+    _add_fusion_flags(p)
     p.set_defaults(func=_cmd_train_phi)
 
     p = sub.add_parser("score", help="sequence-consistency penalty of a label sequence")

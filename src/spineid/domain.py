@@ -230,20 +230,56 @@ def _sample_stats(samples: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
 
 
 @dataclass(frozen=True, eq=False)
-class McSampleSet:
-    """N stochastic forward-pass probability vectors for one vertebra, and their statistics.
+class UncertaintyReport:
+    """Aggregated Monte Carlo statistics for one vertebra.
+
+    ``mean_probs`` is the read-only (24,) mean distribution.
+    ``certainty_weight`` is the entropy-complement weight used by message
+    fusion: 1 for a one-hot mean distribution, 0 for a uniform one. A
+    ``McSampleSet`` is the report of its own samples; a plain report, as a
+    case file holds one, checks its four fields when built.
+    """
+
+    mean_probs: np.ndarray
+    entropy: float
+    variance: float
+    certainty_weight: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "mean_probs", _probabilities(self.mean_probs, 1, SUM_TOL_INTERNAL, "mean_probs"))
+        for name in ("entropy", "variance", "certainty_weight"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"field {name!r}"))
+        if not -1e-12 <= self.entropy <= MAX_ENTROPY + 1e-12:
+            raise ValidationError(f"entropy {self.entropy} outside [0, ln {N_CLASSES}]")
+        if not 0 <= self.variance < math.inf:
+            raise ValidationError(f"variance must be finite and non-negative, got {self.variance}")
+        if not abs(self.certainty_weight - (1.0 - self.entropy / MAX_ENTROPY)) <= 1e-12:
+            raise ValidationError("certainty_weight must equal 1 - entropy/ln(24)")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UncertaintyReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class McSampleSet(UncertaintyReport):
+    """N stochastic forward-pass probability vectors for one vertebra, and their uncertainty report.
 
     ``mean_probs`` is the element-wise mean of the rows renormalized to sum
     to 1, a read-only (24,) array; ``entropy`` is its Shannon entropy in
     nats; ``variance`` is the mean over classes of the unbiased per-class
-    sample variance, 0 for one sample. All three come from
-    ``_sample_stats``, which ``_split`` runs once for a whole case.
+    sample variance, 0 for one sample; ``certainty_weight`` is
+    1 - entropy/ln(24). They come from ``_sample_stats``, which ``_split``
+    runs once for a whole case, over rows already checked, so the report's
+    own checks are not run again.
     """
 
     samples: np.ndarray
     mean_probs: np.ndarray = field(init=False, repr=False)
     entropy: float = field(init=False, repr=False)
     variance: float = field(init=False, repr=False)
+    certainty_weight: float = field(init=False, repr=False)
 
     def __post_init__(self):
         samples = _probabilities(self.samples, 2, SUM_TOL_INGEST, "samples")
@@ -252,7 +288,8 @@ class McSampleSet:
 
     def _store(self, samples: np.ndarray, mean: np.ndarray, entropy: float, variance: float) -> None:
         mean.flags.writeable = False
-        for name, value in (("samples", samples), ("mean_probs", mean), ("entropy", entropy), ("variance", variance)):
+        for name, value in (("samples", samples), ("mean_probs", mean), ("entropy", entropy), ("variance", variance),
+                            ("certainty_weight", 1.0 - entropy / MAX_ENTROPY)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -280,40 +317,10 @@ class McSampleSet:
         return sets
 
     def __eq__(self, other) -> bool:
+        # against a plain report, UncertaintyReport.__eq__ compares the four fields
         if not isinstance(other, McSampleSet):
             return NotImplemented
         return np.array_equal(self.samples, other.samples)
-
-
-@dataclass(frozen=True, eq=False)
-class UncertaintyReport:
-    """Aggregated Monte Carlo statistics for one vertebra.
-
-    ``mean_probs`` is the read-only (24,) mean distribution.
-    ``certainty_weight`` is the entropy-complement weight used by message
-    fusion: 1 for a one-hot mean distribution, 0 for a uniform one.
-    """
-
-    mean_probs: np.ndarray
-    entropy: float
-    variance: float
-    certainty_weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_probs", _probabilities(self.mean_probs, 1, SUM_TOL_INTERNAL, "mean_probs"))
-        for name in ("entropy", "variance", "certainty_weight"):
-            object.__setattr__(self, name, _number(getattr(self, name), f"field {name!r}"))
-        if not -1e-12 <= self.entropy <= MAX_ENTROPY + 1e-12:
-            raise ValidationError(f"entropy {self.entropy} outside [0, ln {N_CLASSES}]")
-        if not 0 <= self.variance < math.inf:
-            raise ValidationError(f"variance must be finite and non-negative, got {self.variance}")
-        if not abs(self.certainty_weight - (1.0 - self.entropy / MAX_ENTROPY)) <= 1e-12:
-            raise ValidationError("certainty_weight must equal 1 - entropy/ln(24)")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UncertaintyReport):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -435,9 +442,6 @@ class FusionParams:
             mat.flags.writeable = False
             frozen[int(offset)] = mat
         object.__setattr__(self, "phi", frozen)
-
-    def with_phi(self, phi: dict[int, np.ndarray]) -> "FusionParams":
-        return FusionParams(self.theta, self.hops, self.window, self.distance_mode, phi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FusionParams):

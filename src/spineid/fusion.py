@@ -21,14 +21,13 @@ onto [0, inf) after every step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domain import FusionParams, SpineCase, phi_offsets
 from .errors import DegenerateGeometryError, DivergenceError, ValidationError, _integer_type, _number
 from .labels import N_CLASSES
-from .uncertainty import aggregate_samples, report
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +88,12 @@ def resolve_certainty(case: SpineCase) -> np.ndarray:
     """Per-vertebra fusion weights u.
 
     The weights stored on the case (by ``uncertainty.with_reports``) when
-    every vertebra has one, else each vertebra's entropy certainty weight.
+    every vertebra has one, else each sample set's entropy certainty weight.
     """
     stored = [v.fusion_weight for v in case.vertebrae]
     if all(w is not None for w in stored):
         return np.array(stored, dtype=np.float64)
-    return np.array([report(v.mc).certainty_weight for v in case.vertebrae])
+    return np.array([v.mc.certainty_weight for v in case.vertebrae])
 
 
 def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
@@ -172,7 +171,7 @@ def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
     messages, and every snapshot is the input states unchanged. A hop whose
     raw confidences overflow float64 raises ``ValidationError``.
     """
-    c0 = np.array([aggregate_samples(v.mc) for v in case.vertebrae])
+    c0 = np.array([v.mc.mean_probs for v in case.vertebrae])
     if params.theta == 0.0 or len(case) == 1 or params.window == 1:
         # no messages; renormalizing would still move the states by ulps
         cs = [c0] * (params.hops + 1)
@@ -206,7 +205,7 @@ class _Unrolled:
         # per offset: the zero-weight rows between cases would change the
         # product's blocking, and so its bits
         self.gathered = {delta: (dst + delta, w[dst - lo]) for delta, (lo, hi, w, dst) in self.pairs.items()}
-        self.c0 = np.array([aggregate_samples(v.mc) for case in cases for v in case.vertebrae])
+        self.c0 = np.array([v.mc.mean_probs for case in cases for v in case.vertebrae])
         self.truth = np.array([t for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
 
@@ -269,4 +268,4 @@ def train_phi(train_cases: list[SpineCase], params_init: FusionParams, cfg: Trai
     if np.isfinite(final_loss) and final_loss < best_loss:
         best_loss = final_loss
         best_phi = phi
-    return params_init.with_phi(best_phi)
+    return replace(params_init, phi=best_phi)

@@ -425,7 +425,7 @@ def _labels(values: Any) -> list:
 
 
 def load_embedding_batch(path: str | Path, tau_override: float | None = None):
-    """Read vectors, labels and optional tau; import deferred to avoid a cycle."""
+    """Read vectors, labels and optional tau; ``losses`` is imported here, so only ``supcon`` loads it."""
     from .losses import EmbeddingBatch
 
     with _in_file(path):

@@ -13,15 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .domain import (
-    MAX_ENTROPY,
-    SUM_TOL_INTERNAL,
-    McSampleSet,
-    SpineCase,
-    UncertaintyReport,
-    _entropies,
-    _probabilities,
-)
+from .domain import SUM_TOL_INTERNAL, McSampleSet, SpineCase, UncertaintyReport, _entropies, _probabilities
 from .errors import ValidationError
 
 __all__ = [
@@ -53,20 +45,16 @@ def entropy(p) -> float:
 
 
 def report(mc: McSampleSet) -> UncertaintyReport:
-    """Full uncertainty summary for one vertebra's sample set.
+    """Full uncertainty summary for one vertebra's sample set: the set itself.
 
     Entropy is computed on the mean distribution, not averaged over
     per-sample entropies. Variance is the mean over classes of the unbiased
     per-class sample variance, 0 when only one sample exists. The sample set
-    holds all three already; a case loaded from a file had them computed in
-    one pass over all its vertebrae (``McSampleSet._split``).
+    computed all four fields from its checked rows; a case loaded from a
+    file had them computed in one pass over all its vertebrae
+    (``McSampleSet._split``).
     """
-    return UncertaintyReport(
-        mean_probs=mc.mean_probs,
-        entropy=mc.entropy,
-        variance=mc.variance,
-        certainty_weight=1.0 - mc.entropy / MAX_ENTROPY,
-    )
+    return mc
 
 
 def certainty_from_variance(rep: UncertaintyReport) -> float:
@@ -84,13 +72,10 @@ def fusion_weight(rep: UncertaintyReport, metric: str) -> float:
 
 
 def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:
-    """``case`` with each vertebra's uncertainty report and its fusion weight under ``metric`` stored.
+    """``case`` with each vertebra's sample set stored as its report, and its fusion weight under ``metric``.
 
     The only code that turns MC samples into stored fusion weights; ``fuse``
     and ``train_phi`` read them back.
     """
-    verts = []
-    for v in case.vertebrae:
-        rep = report(v.mc)
-        verts.append(replace(v, uncertainty=rep, fusion_weight=fusion_weight(rep, metric)))
-    return replace(case, vertebrae=tuple(verts))
+    verts = tuple(replace(v, uncertainty=v.mc, fusion_weight=fusion_weight(v.mc, metric)) for v in case.vertebrae)
+    return replace(case, vertebrae=verts)

@@ -13,9 +13,10 @@ import pytest
 from conftest import make_case, one_hot, unit_vector_batch
 from test_acceptance import _child_env
 from spineid import io
-from spineid.cli import main
-from spineid.domain import phi_offsets
-from spineid.fusion import fuse, identity_params
+from spineid.cli import build_parser, main
+from spineid.domain import FusionParams, phi_offsets
+from spineid.fusion import fuse, identity_params, initial_phi
+from spineid.synthetic import GenConfig
 from spineid.uncertainty import with_reports
 
 
@@ -36,6 +37,38 @@ def test_gen_writes_pairs(corpus):
     assert len(cases) == 3 and len(dets) == 3
     case = io.load_case(cases[0])
     assert len(case) >= 3
+
+
+def test_gen_defaults_are_the_generator_defaults():
+    # the parser is built before numpy loads, so it restates them; --n-cases defaults to 10 on purpose
+    args = vars(build_parser().parse_args(["gen", "--out-dir", "unused"]))
+    cfg = GenConfig()
+    want = {
+        "seed": cfg.seed, "k": cfg.k_slices, "vmin": cfg.vertebrae_range[0], "vmax": cfg.vertebrae_range[1],
+        "true_mass": cfg.confusion.true_mass, "adjacent1": cfg.confusion.adjacent1,
+        "adjacent2": cfg.confusion.adjacent2, "floor": cfg.confusion.floor,
+        "mc_n": cfg.mc.n_samples, "kappa": cfg.mc.concentration,
+        "boxes_per_vertebra": cfg.detect.boxes_per_vertebra, "count_jitter": cfg.detect.count_jitter,
+        "pos_sigma": cfg.detect.pos_sigma, "dim_sigma": cfg.detect.dim_sigma, "noise_rate": cfg.detect.noise_rate,
+    }
+    assert set(args) - {"command", "func", "out_dir", "n_cases"} == set(want)
+    assert {name: (type(args[name]), args[name]) for name in want} == {
+        name: (type(value), value) for name, value in want.items()}
+
+
+@pytest.mark.parametrize("command, required", [
+    ("fuse", ["--case", "c.json"]), ("pipeline", ["--dir", "d"]), ("train-phi", ["--train", "d"])])
+def test_fusion_flags_are_declared_once(capsys, command, required):
+    """No command gives a fusion flag a default of its own, so each starts from ``identity_params()``."""
+    args = build_parser().parse_args([command, *required, "--out", "o"])
+    assert [args.theta, args.hops, args.window, args.distance] == [None] * 4
+    assert identity_params() == FusionParams(0.1, 3, 5, "index", initial_phi(5))
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for flag in ("--theta THETA fusion weight", "--hops HOPS number of fusion hops",
+                 "--window {1,3,5,7} neighbor window size", "--distance {index,physical} distance mode"):
+        assert flag in help_text
 
 
 def test_gen_memory_does_not_grow_with_the_case_count(tmp_path, capsys):
@@ -736,9 +769,9 @@ COMMAND_MODULES = {
     "score": ["labels"],
     "supcon": ["domain", "io", "labels", "losses"],
     "uncertainty": ["domain", "io", "labels", "uncertainty"],
-    "fuse": ["domain", "evaluate", "fusion", "io", "labels", "uncertainty"],
-    "eval": ["domain", "evaluate", "io", "labels", "uncertainty"],
-    "train-phi": ["domain", "fusion", "io", "labels", "uncertainty"],
+    "fuse": ["domain", "evaluate", "fusion", "io", "labels"],
+    "eval": ["domain", "evaluate", "io", "labels"],
+    "train-phi": ["domain", "fusion", "io", "labels"],
     "cluster": ["clustering", "domain", "io", "labels"],
     "pipeline": ["clustering", "domain", "evaluate", "fusion", "io", "labels", "uncertainty"],
 }
@@ -825,6 +858,8 @@ GOLDEN_CLI = {
     "c10/constrained/pipeline.csv": "2fa0fab567f0b5c936d910c5bfc6345370b79d6141957f21c2c84660ac771530",
     "c10/constrained/pipeline.json": "38abe616874fb8b5b5064998d6a92dc312051ff787b1d961cce20daea60c1151",
     "c10/pipeline_variance.json": "38abe616874fb8b5b5064998d6a92dc312051ff787b1d961cce20daea60c1151",
+    "c10/phi.json": "7c265f46ee5b74565146d59229884cb91fbaafdc01557b7f749e592115055eb8",
+    "c10/phi_flags.json": "d976f833235e6ec125f58b4644a5f5cda5981b17886666bdc97c2d550050b10b",
     "c10/stored.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
     "c10/stored.trace.json": "3efe3a7c5aed959097463b9bbf4cebc028d15204c5444ecf80022a9aaef63cd2",
     "confused/argmax/case_0000.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
@@ -858,6 +893,8 @@ GOLDEN_CLI = {
     "confused/constrained/pipeline.csv": "b006752ce3997bbf9341027b45cc078cfd08a36fc45fcc9b12294be4f68993f5",
     "confused/constrained/pipeline.json": "055369eda42d6db978736dea09e1ceeced9c0d62c938e435596d2ebda8f8a51d",
     "confused/pipeline_variance.json": "09824f3f754f5bc373856b290e4488efcf21a794c7eddfddc37ce6d1d93f2c1b",
+    "confused/phi.json": "5b85c63a4df75375f7b0d1d984190316dfd6d4007b63896284d4789987a3e241",
+    "confused/phi_flags.json": "41d65931e1e102cedb59855c09f555cb523f1cf6b3d443c0b5e8f5d2b4611b9b",
     "confused/stored.labels.json": "19257e1f30c57d2baf3abed2573ec69a1c12bbefd1b820afde3be4a64d1939cd",
     "confused/stored.trace.json": "226d0a2efc2cd49aba5cf00b49de62223b65260242d38c6c2a534a4f79d84481",
 }
@@ -868,7 +905,8 @@ def test_golden_cli_outputs(tmp_path):
 
     Covers ``uncertainty`` (both metrics), ``fuse --trace`` (argmax and
     constrained decoding, computed and stored weights), ``eval --out
-    --dump-csv`` on fused, baseline and wrong labels, and ``pipeline``.
+    --dump-csv`` on fused, baseline and wrong labels, ``pipeline``, and
+    ``train-phi`` with the default and with given fusion flags.
     """
     gen = ["gen", "--seed", "5", "--n-cases", "2", "--k", "60", "--vmin", "3", "--vmax", "4",
            "--boxes-per-vertebra", "10"]
@@ -905,6 +943,10 @@ def test_golden_cli_outputs(tmp_path):
                          "--out", str(d / "pipeline.json"), "--dump-csv", str(d / "pipeline.csv")])
         runs.append(["pipeline", "--dir", str(corpus), "--u-metric", "variance", *cluster_flags,
                      "--out", str(out / name / "pipeline_variance.json")])
+        runs += [["train-phi", "--train", str(corpus), "--epochs", "5", "--out", str(out / name / "phi.json")],
+                 ["train-phi", "--train", str(corpus), "--epochs", "5", "--lr", "0.5", "--init", "uniform_small",
+                  "--theta", "0.2", "--hops", "2", "--window", "3", "--distance", "physical",
+                  "--out", str(out / name / "phi_flags.json")]]
     for args in runs:
         assert main(args) == 0, args
     got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()

@@ -29,7 +29,7 @@ from spineid.fusion import TrainConfig, identity_params
 from spineid.labels import N_CLASSES
 from spineid.losses import EmbeddingBatch, total_loss
 from spineid.synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig
-from spineid.uncertainty import aggregate_samples, entropy, report
+from spineid.uncertainty import aggregate_samples, entropy, report, with_reports
 
 
 def det(plane=0, slice_index=5, cx=10.0, cy=20.0, w=30.0, h=20.0, confidence=0.9,
@@ -445,6 +445,18 @@ class TestRoundTrip:
             path = tmp_path / f"case_{i}.json"
             io.save_case(case, path)
             assert io.load_case(path) == case
+
+    @pytest.mark.parametrize("metric", ["entropy", "variance"])
+    def test_case_with_reports_file_roundtrip(self, tmp_path, metric):
+        # the stored reports are the sample sets; the loaded ones are plain reports of the same four fields
+        rng = np.random.default_rng(49)
+        for i in range(20):
+            case = with_reports(random_case(rng), metric)
+            path = tmp_path / f"case_{i}.json"
+            io.save_case(case, path)
+            loaded = io.load_case(path)
+            assert loaded == case and case == loaded
+            assert all(type(v.uncertainty) is UncertaintyReport for v in loaded.vertebrae)
 
     def test_detections_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(47)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from conftest import make_case, one_hot, random_case, shift_phi
+from spineid import io
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
 from spineid.fusion import (
@@ -152,6 +153,17 @@ def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, dis
     assert start == len(un.c0)
     for c in cs[1:]:
         assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def test_computed_weights_are_the_stored_weights():
+    """Without stored weights, fusion reads each sample set's certainty weight: the bits ``with_reports`` stores."""
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        case = random_case(rng)
+        loaded = io.case_from_dict(io.case_to_dict(case))  # sample sets from one pass over the case
+        stored = resolve_certainty(with_reports(case))
+        assert resolve_certainty(case).tobytes() == stored.tobytes()
+        assert resolve_certainty(loaded).tobytes() == stored.tobytes()
 
 
 # The gathered kernel fusion ran before offsets became shifted slices, kept

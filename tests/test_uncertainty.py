@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_hot, random_probs
-from spineid.domain import MAX_ENTROPY, McSampleSet, _sample_stats
+from conftest import one_hot, random_case, random_probs
+from spineid.domain import MAX_ENTROPY, McSampleSet, UncertaintyReport, _sample_stats
 from spineid.errors import ValidationError
-from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report
+from spineid.fusion import TrainConfig, fuse, identity_params, resolve_certainty, train_phi
+from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report, with_reports
 
 
 def oracle_report(samples: np.ndarray):
@@ -259,3 +260,44 @@ class TestSampleStats:
             McSampleSet._split(block, [1, 2, 3])
         with pytest.raises(ValidationError, match=r"^samples row 4 must sum to 1"):
             McSampleSet(block)
+
+
+class TestSampleSetIsItsReport:
+    """A sample set is its own uncertainty report. The runtime builds no plain report from it, so the checks a
+    plain report runs on its four fields are kept here."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sets=sample_sets())
+    def test_fields_pass_the_report_checks(self, sets):
+        split = McSampleSet._split(np.concatenate(sets), [len(rows) for rows in sets])
+        for mc in [*split, *map(McSampleSet, sets)]:
+            plain = UncertaintyReport(mc.mean_probs, mc.entropy, mc.variance, mc.certainty_weight)
+            assert plain == mc and mc == plain
+            assert type(mc.certainty_weight) is float
+            assert mc.certainty_weight == 1.0 - mc.entropy / MAX_ENTROPY
+
+    def test_report_and_with_reports_store_the_sample_set(self):
+        rng = np.random.default_rng(13)
+        mc = McSampleSet(random_probs(rng, 4))
+        assert report(mc) is mc
+        for metric in ("entropy", "variance"):
+            case = with_reports(random_case(rng), metric)
+            assert all(v.uncertainty is v.mc for v in case.vertebrae)
+            assert [v.fusion_weight for v in case.vertebrae] == [fusion_weight(v.mc, metric) for v in case.vertebrae]
+
+    def test_reports_and_fusion_build_no_plain_report(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = [random_case(rng) for _ in range(3)]
+
+        def refuse(self):
+            raise AssertionError("a plain UncertaintyReport was built")
+
+        monkeypatch.setattr(UncertaintyReport, "__post_init__", refuse)
+        for case in cases:
+            report(case.vertebrae[0].mc)
+            resolve_certainty(case)
+            fuse(case, identity_params())
+            fuse(with_reports(case, "variance"), identity_params())
+        train_phi(cases, identity_params(), TrainConfig(0.1, 1))
+        with pytest.raises(AssertionError, match="plain UncertaintyReport"):
+            UncertaintyReport(one_hot(0), 0.0, 0.0, 1.0)
