@@ -58,15 +58,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cluster_config(args, ds) -> ClusterConfig:
+    """The cluster flags given on the command line; defaults derived from ``ds`` only for the flags left out."""
+    from dataclasses import replace
+
     from .clustering import ClusterConfig
 
-    base = ClusterConfig.defaults_for(ds)
-    return ClusterConfig(
-        eps_pos=args.eps_pos if args.eps_pos is not None else base.eps_pos,
-        min_pts=args.min_pts if args.min_pts is not None else base.min_pts,
-        eps_dim=args.eps_dim if args.eps_dim is not None else base.eps_dim,
-        density_floor=args.density_floor if args.density_floor is not None else base.density_floor,
-    )
+    flags = {"eps_pos": args.eps_pos, "min_pts": args.min_pts, "eps_dim": args.eps_dim,
+             "density_floor": args.density_floor}
+    given = {name: value for name, value in flags.items() if value is not None}
+    if len(given) == len(flags):
+        return ClusterConfig(**given)
+    return replace(ClusterConfig.defaults_for(ds), **given)
 
 
 def _cmd_cluster(args) -> int:

@@ -2,7 +2,9 @@
 
 Numbers are written with Python's shortest round-trip float repr, so
 ``load(save(x)) == x`` bit exactly for every numeric field, and identical
-inputs always produce byte-identical files.
+inputs always produce byte-identical files. A detections file in the layout
+``save_detections`` writes is read in one JSON scan of its box lines; any
+other detections file line by line, with the same values and errors.
 """
 
 from __future__ import annotations
@@ -197,10 +199,71 @@ def _records(text: str) -> list[tuple[int, Any]]:
     return records
 
 
+def _joined_boxes(text: str) -> DetectionSet | None:
+    """The DetectionSet of a file in the layout ``save_detections`` writes, its box lines read by one
+    ``json.loads("[" + lines joined by "," + "]")``; None when a guard fails or anything raises.
+
+    The header is the text before the first "\\n"; it must be one JSON value
+    that ``raw_decode`` reads to its end, as ``_records`` reads line 1. The
+    guards, for n >= 1 box lines:
+
+    1. The text is ASCII. It holds no "\\r": ``_read_text`` reads universal
+       newlines.
+    2. The box lines start with "{" and end with "}": the body's first and
+       last characters, and every "\\n" inside it is in a "}\\n{".
+    3. The body holds exactly 7n colons.
+    4. The parse gives n values, each a dict holding the 7 columns, and the
+       header a dict holding the 3 header fields.
+    5. The plane names and DetectionSet accept the columns.
+
+    Then line i alone parses to the i-th value, so the set is the one the
+    per-line path builds. By (4) the n dicts hold at least 7n members, one
+    colon each; by (3) they hold no more, so no key is written twice and no
+    string or nested value holds a colon: every value written is a column,
+    seen by (5). So every value is a number or a plane name, and every key a
+    column name. None of them, nor its written form, holds a "{", "}" or ",",
+    so each of those characters is JSON structure, and no container is
+    nested. Each inserted comma follows the "}" that closes one of the n
+    dicts (2), so it separates two array items; there are n - 1 of each, so
+    line i is exactly the text of the i-th dict. The other ASCII line breaks,
+    \\x0b, \\x0c and \\x1c to \\x1e, JSON allows neither inside nor outside a
+    string, so once the header and the body parse, the lines split at "\\n"
+    are the ones ``splitlines`` gives. Any other file goes to ``_records``,
+    and every error comes from there, with its message and line.
+    """
+    if not text.isascii():
+        return None
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    n = body.count("\n") + 1
+    if body[:1] != "{" or body[-1:] != "}" or body.count("}\n{") != n - 1:
+        return None
+    if body.count(":") != len(DETECTION_COLUMNS) * n:
+        return None
+    try:
+        header, end = _DECODER.raw_decode(head)
+        values = json.loads("[" + body.replace("\n", ",") + "]")
+        if end != len(head) or len(values) != n:
+            return None
+        columns = {key: [value[key] for value in values] for key in DETECTION_COLUMNS}
+        columns["plane"] = _plane_codes(columns["plane"])
+        return DetectionSet(header["case_id"], header["volume_shape"], header["k"], **columns)
+    except Exception:  # a file outside the guards, read again line by line to report its first fault
+        return None
+
+
 def load_detections(path: str | Path) -> DetectionSet:
-    """One DetectionSet from a JSON Lines file; a missing field is named with the first line that lacks it."""
+    """One DetectionSet from a JSON Lines file; a missing field is named with the first line that lacks it.
+
+    A file in the layout ``save_detections`` writes is read in one JSON scan
+    (``_joined_boxes``); any other file, and every error, line by line.
+    """
     with _in_file(path):
-        records = _records(_read_text(path))
+        text = _read_text(path)
+        scan = _joined_boxes(text)
+        if scan is not None:
+            return scan
+        records = _records(text)
         if not records:
             raise ParseError("detections file is empty", line=1)
         (header_line, header), boxes = records[0], records[1:]

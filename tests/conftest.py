@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from spineid.domain import (
     McSampleSet,
@@ -12,6 +13,7 @@ from spineid.domain import (
     phi_offsets,
 )
 from spineid.labels import N_CLASSES
+from spineid.synthetic import DetectConfig, GenConfig
 
 
 def one_hot(index: int) -> np.ndarray:
@@ -89,3 +91,22 @@ def random_case(rng: np.random.Generator, k: int | None = None, with_truth: bool
         rows.append(rng.dirichlet(8.0 * base, size=int(rng.integers(1, 8))))
     truths = list(range(start, start + k)) if with_truth else None
     return make_case(rows, truths=truths, case_id=f"rand_{rng.integers(1e9)}")
+
+
+@st.composite
+def gen_configs(draw) -> GenConfig:
+    """Small configurations with zero and large jitters, so that slice clipping and the 1.0 size floor both
+    happen, noise up to 0.9, single-slice planes and both vertebra-count edges."""
+    lo = draw(st.integers(1, N_CLASSES))
+    span = draw(st.sampled_from([(1, 1), (N_CLASSES, N_CLASSES), (1, N_CLASSES), (lo, lo),
+                                 (lo, draw(st.integers(lo, N_CLASSES)))]))
+    sigma = st.just(0.0) | st.floats(0.0, 80.0)
+    detect = DetectConfig(
+        boxes_per_vertebra=draw(st.integers(1, 6)),
+        count_jitter=draw(st.just(0.0) | st.floats(0.0, 0.99)),
+        pos_sigma=draw(sigma),
+        dim_sigma=draw(sigma),
+        noise_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
+    )
+    return GenConfig(seed=draw(st.integers(0, 2**64 - 1)), k_slices=draw(st.integers(1, 250)),
+                     vertebrae_range=span, detect=detect)

@@ -647,6 +647,21 @@ class TestExitCodes:
         assert main(["pipeline", "--dir", str(corpus), "--out", str(tmp_path / "pipeline.json")]) == 2
         assert capsys.readouterr().err == f"error: detections[0]: h must be positive, got 0.0 [{path}]\n"
 
+    @pytest.mark.parametrize("subcommand", ["cluster", "pipeline"])
+    @pytest.mark.parametrize("all_flags", [True, False])
+    def test_detections_without_boxes(self, corpus, tmp_path, capsys, subcommand, all_flags):
+        # with every cluster flag given, the error once blamed the defaults that no flag left to derive
+        path = corpus / "case_0001.detections.jsonl"
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        flags = ["--eps-pos", "6", "--min-pts", "4", "--eps-dim", "10", "--density-floor", "0.1"]
+        flags = flags if all_flags else flags[:2]
+        args = ["cluster", "--in", str(path)] if subcommand == "cluster" else ["pipeline", "--dir", str(corpus)]
+        assert main([*args, "--out", str(tmp_path / "o"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: detection set 'case_0001' is empty\n" if all_flags
+                       else "error: cannot derive defaults from an empty detection set\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["c"], {"id": "c"}],
                              ids=["null", "int", "float", "bool", "list", "object"])
     @pytest.mark.parametrize("subcommand", ["cluster", "fuse"])

@@ -4,21 +4,25 @@ arbitrary bytes, a truncated valid file, and JSON nested too deeply to parse.
 Whatever the input, each loader either returns or raises a SpineError
 (exit 2 or 4 from the command line), never another exception or a warning.
 The detections loader also gives, on mutated files, exactly the result or
-the error of the per-line loader it replaced, kept here as the oracle.
+the error of the per-line loader it replaced, kept here as the oracle; a
+file that save_detections writes is read in one joined JSON scan, and any
+file a joined scan would misread is read line by line.
 """
 
 import functools
 import json
 import reprlib
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_case, random_probs
+from conftest import gen_configs, make_case, random_probs
 from spineid import io
 from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet, SpineCase, SpineVertebra
 from spineid.errors import ParseError, SpineError, ValidationError
@@ -199,6 +203,25 @@ def _valid_detections_text() -> str:
         return (Path(tmp) / "d.jsonl").read_text()
 
 
+# Box lines a and b rewritten as two lines that each start with "{" and end
+# with "}", and that one json.loads of the lines joined by "," reads as whole
+# records, while each line alone is invalid JSON. Each fault escapes every
+# guard of io._joined_boxes but the one its comment names.
+MERGED_LINES = {
+    # the body's colon count: the key's first value hides "},{" in a string
+    "duplicate key opening a string": lambda a, b: ['{"cx": "}', '{", ' + a[1:] + ", " + b],
+    # the body's colon count: the key's first value hides "},{" in a list
+    "duplicate key opening a container": lambda a, b: ['{"cx": [{}', "{}], " + a[1:] + ", " + b],
+    # the body's colon count: an eighth key holds the line break, in its value or in its name
+    "extra key holding a split container": lambda a, b: [a[:-1] + ', "extra": [{}', "{}]}, " + b],
+    "key split across two lines": lambda a, b: [a[:-1] + ', "ex}', '{tra": 0}, ' + b],
+    # the lines' first and last characters: a box cut between two fields
+    "box split between fields": lambda a, b: [a[:a.find(",")], a[a.find(",") + 1:] + ", " + b],
+    # the value count: the first line's string swallows the break, and a's
+    # fields but plane are written twice, so the colons still add up
+    "two boxes read as one": lambda a, b: ['{"cx": "}', '{", ' + a[1:-1] + ", " + b[b.find(", ") + 2:]],
+}
+
 BAD_VALUES = ("x", "3.5", True, False, None, [1], {"v": 1})
 PADS = ("", " ", "\t", " \t ", "\xa0")
 
@@ -210,8 +233,10 @@ def mutated_detections(draw) -> str:
     Record mutations: two boxes each lose a different field, a numeric box or
     header field takes a string, a bool, null or a container, a box names an
     unknown plane. Line mutations: a blank or whitespace line, a padded line,
-    a line cut short, a line holding two records, a line split in two. The
-    file may end without a newline, use CRLF and start with a BOM.
+    a line cut short, a line holding two records, a line split in two, a box
+    line and a copy of another box rewritten as two lines that merge across
+    the line break (``MERGED_LINES``). The file may end without a newline,
+    use CRLF and start with a BOM.
     """
     header, *boxes = map(json.loads, _valid_detections_text().splitlines())
     for _ in range(draw(st.integers(0, 2), label="record mutations")):
@@ -235,7 +260,7 @@ def mutated_detections(draw) -> str:
     lines = [json.dumps(rec) for rec in (header, *boxes)]
     for _ in range(draw(st.integers(0, 2), label="line mutations")):
         # blank and padded lines twice as often: they leave the file loadable
-        kind = draw(st.sampled_from(("blank", "pad", "blank", "pad", "cut", "two records", "split")))
+        kind = draw(st.sampled_from(("blank", "pad", "blank", "pad", "cut", "two records", "split", "merge")))
         i = draw(st.integers(0, len(lines) - 1))
         if kind == "blank":
             lines.insert(i, draw(st.sampled_from(PADS)))
@@ -245,9 +270,12 @@ def mutated_detections(draw) -> str:
             lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
         elif kind == "two records":
             lines[i] += draw(st.sampled_from(("", " ", ", "))) + lines[draw(st.integers(0, len(lines) - 1))]
-        else:
+        elif kind == "split":
             cut = draw(st.integers(0, len(lines[i])))
             lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+        else:
+            merge = MERGED_LINES[draw(st.sampled_from(sorted(MERGED_LINES)))]
+            lines[i:i + 1] = merge(lines[i], lines[draw(st.integers(0, len(lines) - 1))])
     newline = draw(st.sampled_from(("\n", "\r\n")))
     bom = "\ufeff" if draw(st.integers(0, 7)) == 0 else ""
     return bom + newline.join(lines) + draw(st.sampled_from(("", newline)))
@@ -281,3 +309,76 @@ def test_detections_lines_are_never_joined(tmp_path):
         io.load_detections(path)
     assert err.value.line == 1
     assert _outcome(io.load_detections, path) == _outcome(per_line_load_detections, path)
+
+
+def _load_counting_fallbacks(path):
+    """load_detections' outcome, and whether it read the file line by line after the joined scan."""
+    with mock.patch.object(io, "_records", wraps=io._records) as records:
+        return _outcome(io.load_detections, path), records.called
+
+
+@pytest.mark.parametrize("fault", sorted(MERGED_LINES))
+def test_lines_a_joined_scan_would_merge_load_line_by_line(tmp_path, fault):
+    header, first, second, *rest = _valid_detections_text().splitlines()
+    faulty = MERGED_LINES[fault](first, second)
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([header, *faulty, *rest]) + "\n")
+    joined = json.loads("[" + ",".join(faulty) + "]")  # whole boxes: only the guard the fault names stops them
+    assert len(joined) == (1 if fault == "two boxes read as one" else 2)
+    assert all(set(DETECTION_COLUMNS) <= box.keys() for box in joined)
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert fallback
+    assert outcome == _outcome(per_line_load_detections, path)
+    assert outcome[0] is ParseError
+
+
+@pytest.mark.parametrize("line, brk", [(0, "\r"), (1, "\r"), (0, "\x85"), (0, "\u2028"), (0, "\u2029")])
+def test_line_breaks_but_newline_load_line_by_line(tmp_path, line, brk):
+    # "\r" between two fields reads as "\n"; the others sit inside the header's case_id string
+    lines = _valid_detections_text().splitlines()
+    old, new = (", ", "," + brk) if brk == "\r" else ('": "', '": "' + brk)
+    lines[line] = lines[line].replace(old, new, 1)
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n", newline="")
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert fallback
+    assert outcome == _outcome(per_line_load_detections, path)
+    assert outcome[0] is ParseError
+
+
+@pytest.mark.parametrize("extra", ["x", " {}", ", {}"])
+def test_header_with_extra_data_loads_line_by_line(tmp_path, extra):
+    header, *boxes = _valid_detections_text().splitlines()
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([header + extra, *boxes]) + "\n")
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert fallback
+    assert outcome == _outcome(per_line_load_detections, path)
+    assert outcome[:1] == (ParseError,) and outcome[2] == 1
+
+
+@pytest.mark.parametrize("line", [1, -1])
+def test_padded_first_or_last_box_loads_line_by_line(tmp_path, line):
+    lines = _valid_detections_text().splitlines()
+    lines[line] = " " + lines[line] if line == 1 else lines[line] + " "
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert fallback
+    assert outcome == per_line_load_detections(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=gen_configs(), case_index=st.integers(0, 9999), case_id=st.text(max_size=8),
+       newline=st.sampled_from(("", "\n")))
+def test_saved_detections_load_in_one_joined_scan(tmp_path_factory, cfg, case_index, case_id, newline):
+    _, ds = generate_case(cfg, case_index)
+    assume(len(ds))
+    ds = replace(ds, case_id=case_id)
+    path = tmp_path_factory.mktemp("saved") / "d.jsonl"
+    io.save_detections(ds, path)
+    path.write_text(path.read_text().removesuffix("\n") + newline)
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert not fallback
+    assert outcome == ds == per_line_load_detections(path)
+

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_configs
 from spineid import io, synthetic
 from spineid.domain import DETECTION_COLUMNS, DetectionSet, McSampleSet, SpineCase, SpineVertebra, VertebraCenter
 from spineid.errors import ValidationError
@@ -228,25 +229,6 @@ def _oracle_generate_case(cfg: GenConfig, case_index: int) -> tuple[SpineCase, D
     case = SpineCase(case_id=case_id, vertebrae=tuple(vertebrae))
     dets = DetectionSet(case_id, (depth, height, width), cfg.k_slices, *zip(*rows))
     return case, dets
-
-
-@st.composite
-def gen_configs(draw) -> GenConfig:
-    """Small configurations with zero and large jitters, so that slice clipping and the 1.0 size floor both
-    happen, noise up to 0.9, single-slice planes and both vertebra-count edges."""
-    lo = draw(st.integers(1, N_CLASSES))
-    span = draw(st.sampled_from([(1, 1), (N_CLASSES, N_CLASSES), (1, N_CLASSES), (lo, lo),
-                                 (lo, draw(st.integers(lo, N_CLASSES)))]))
-    sigma = st.just(0.0) | st.floats(0.0, 80.0)
-    detect = DetectConfig(
-        boxes_per_vertebra=draw(st.integers(1, 6)),
-        count_jitter=draw(st.just(0.0) | st.floats(0.0, 0.99)),
-        pos_sigma=draw(sigma),
-        dim_sigma=draw(sigma),
-        noise_rate=draw(st.just(0.0) | st.floats(0.0, 0.9)),
-    )
-    return GenConfig(seed=draw(st.integers(0, 2**64 - 1)), k_slices=draw(st.integers(1, 250)),
-                     vertebrae_range=span, detect=detect)
 
 
 @settings(max_examples=60, deadline=None)
