@@ -124,17 +124,16 @@ def box_densities(pts: np.ndarray, eps: float, l: float) -> np.ndarray:
     return _degrees(len(pts), *_pairs(pts, eps, "points")) / l
 
 
-def _require_measurable(pts: np.ndarray, what: str) -> None:
-    """Reject a point array whose squared extent overflows float64, or that holds a non-finite point.
+def _require_measurable(lo: np.ndarray, hi: np.ndarray, what: str) -> None:
+    """Reject points whose squared extent overflows float64, or that hold a non-finite point.
 
-    Every squared distance of a measurable array is finite, so ``_pairs``
-    compares finite sums, and its window arithmetic cannot produce NaN. An
-    array of no points has no extent and is measurable.
+    ``lo`` and ``hi`` hold the points' least and greatest coordinate in each
+    column, one of them NaN where the column holds a NaN. Every squared distance of
+    measurable points is finite, so ``_pairs`` compares finite sums, and its
+    window arithmetic cannot produce NaN.
     """
-    if not len(pts):
-        return
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.sum(np.ptp(pts, axis=0) ** 2)
+        reach = np.sum((hi - lo) ** 2)
     if not np.isfinite(reach):
         raise ValidationError(f"{what} must be finite and close enough that squared distances fit in float64")
 
@@ -146,7 +145,9 @@ def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarr
     column order in float64, is at most ``eps * eps``: the rule cKDTree's
     ``query_pairs`` applies, so these are its pairs, each as (lower index,
     higher index), in another order, on which no caller depends. Points that
-    cannot be measured are rejected first (``_require_measurable``).
+    cannot be measured are rejected first (``_require_measurable``), by the
+    extent between the ends of the sorted columns the sweep uses, where a NaN
+    sorts last.
 
     A sort-and-sweep finds them. Along one axis, each row in sorted order is
     paired with the later rows whose coordinate lies in a window past its
@@ -161,8 +162,10 @@ def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarr
     pair. Below 2**-510, ``eps * eps`` leaves the normal range, where that
     argument fails, so the window is at least 2**-510 wide.
     """
-    _require_measurable(pts, what)
     n = len(pts)
+    ordered = np.sort(pts, axis=0)
+    if n:
+        _require_measurable(ordered[0], ordered[-1], what)
     if n < 2:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     eps = float(eps)  # a Python float squares to inf, not to an overflow warning
@@ -170,7 +173,7 @@ def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarr
     # ends[axis][p]: one past the last sorted position in the window of position p
     with np.errstate(over="ignore"):  # a window end past the float range is inf, after every row
         ends = [np.searchsorted(s, s + (reach + 4 * np.spacing(max(-s[0], s[-1]))), side="right")
-                for s in np.sort(pts, axis=0).T]
+                for s in ordered.T]
     axis = int(np.argmin([end.sum() for end in ends]))
     counts = ends[axis] - np.arange(1, n + 1)
     order = np.argsort(pts[:, axis])
@@ -283,7 +286,7 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
     """
     radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
     lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
-    _require_measurable(lifted, "box dimensions")
+    _require_measurable(lifted.min(axis=0), lifted.max(axis=0), "box dimensions")
     starts = np.flatnonzero(np.diff(pos_labels, prepend=-1))
     sizes = np.diff(starts, append=len(dims))
     span = np.maximum.reduceat(dims, starts) - np.minimum.reduceat(dims, starts)
@@ -322,13 +325,30 @@ def _segment_medians(seg: np.ndarray, values: np.ndarray, counts: np.ndarray) ->
     hi = counts // 2
     medians = ordered[groups, hi] + 0.0
     even = counts % 2 == 0
-    medians[even] = (ordered[groups[even], hi[even] - 1] + medians[even]) / 2
+    with np.errstate(over="ignore"):  # two values near the float limit sum to inf, which VertebraCenter rejects
+        medians[even] = (ordered[groups[even], hi[even] - 1] + medians[even]) / 2
     return medians
 
 
 def _median_boxes_per_slice(ds: DetectionSet) -> float:
     _, counts = np.unique(ds.slice_index * len(PLANES) + ds.plane, return_counts=True)
     return float(np.median(counts))
+
+
+def _canonical_order(ds: DetectionSet, pts: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the boxes by (x, y, z, w, h, confidence), ``pts`` their embedded centers.
+
+    This total order makes every later step of ``cluster_centers`` invariant
+    to the order of the input rows. When no two boxes share an (x, y) pair,
+    (x, y) alone decides it, so one two-key sort gives the six-key
+    permutation; a tie, -0.0 beside 0.0 included, goes to the six-key sort.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    order = np.lexsort((y, x))
+    xs, ys = x.take(order), y.take(order)
+    if ((xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])).any():
+        order = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], y, x))
+    return order
 
 
 def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[VertebraCenter]:
@@ -342,9 +362,10 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     if cfg is None:
         cfg = ClusterConfig.defaults_for(ds)
 
-    # Canonical total order makes every later step permutation invariant.
+    # Canonical total order makes every later step permutation invariant: one
+    # (x, y) sort, or the six-key sort when two boxes share an (x, y) pair.
     pts = embed_detections(ds)
-    order = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], pts[:, 1], pts[:, 0]))
+    order = _canonical_order(ds, pts)
     pts = pts[order]
     dims = np.column_stack((ds.w, ds.h))[order]
 

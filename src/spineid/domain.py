@@ -69,6 +69,7 @@ def _probabilities(values, ndim: int, tol: float, name: str, starts: np.ndarray 
 
 DETECTION_COLUMNS = ("plane", "slice_index", "cx", "cy", "w", "h", "confidence")
 _INT_COLUMNS, _FLOAT_COLUMNS = DETECTION_COLUMNS[:2], DETECTION_COLUMNS[2:]
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _column(name: str, values, integer: bool) -> np.ndarray:
@@ -118,6 +119,8 @@ class DetectionSet:
             object.__setattr__(self, name, _column(name, getattr(self, name), name in _INT_COLUMNS))
         if len(shape) != 3 or any(v <= 0 for v in shape):
             raise ValidationError(f"volume_shape must be three positive extents, got {shape!r}")
+        if max(shape) > _INT64_MAX:  # the slice_index rule compares against the extents as int64
+            raise ValidationError(f"volume_shape extents must fit in int64, got {shape!r}")
         object.__setattr__(self, "volume_shape", shape)
         if k <= 0:
             raise ValidationError(f"slice_count_per_plane must be positive, got {k}")

@@ -199,6 +199,22 @@ def _records(text: str) -> list[tuple[int, Any]]:
     return records
 
 
+def _guarded_lines(body: str) -> int:
+    """The number of lines of ``body``, the box lines, when each "\\n" in it has a "}" before it and a "{" after
+    it and it holds 7 colons per line; else 0.
+
+    ``body`` is ASCII, so its byte view has one byte per character, and it
+    starts with "{" and ends with "}", so each "\\n" has a byte on both sides.
+    The view is freed on return, before the joined parse.
+    """
+    chars = np.frombuffer(body.encode(), np.uint8)
+    breaks = np.flatnonzero(chars == ord("\n"))
+    if not ((chars.take(breaks - 1) == ord("}")).all() and (chars.take(breaks + 1) == ord("{")).all()):
+        return 0
+    n = len(breaks) + 1
+    return n if np.count_nonzero(chars == ord(":")) == len(DETECTION_COLUMNS) * n else 0
+
+
 def _joined_boxes(text: str) -> DetectionSet | None:
     """The DetectionSet of a file in the layout ``save_detections`` writes, its box lines read by one
     ``json.loads("[" + lines joined by "," + "]")``; None when a guard fails or anything raises.
@@ -209,12 +225,17 @@ def _joined_boxes(text: str) -> DetectionSet | None:
 
     1. The text is ASCII. It holds no "\\r": ``_read_text`` reads universal
        newlines.
-    2. The box lines start with "{" and end with "}": the body's first and
-       last characters, and every "\\n" inside it is in a "}\\n{".
+    2. The box lines start with "{" and end with "}": the body's first
+       character is "{" and its last "}", so neither is a "\\n"; every "\\n"
+       then has a character on each side, a "}" before it and a "{" after it.
+       As "}\\n{" cannot overlap itself, this holds exactly when the body
+       holds as many "}\\n{" as "\\n".
     3. The body holds exactly 7n colons.
     4. The parse gives n values, each a dict holding the 7 columns, and the
        header a dict holding the 3 header fields.
     5. The plane names and DetectionSet accept the columns.
+
+    Guards 2 and 3 read one byte view of the body (``_guarded_lines``).
 
     Then line i alone parses to the i-th value, so the set is the one the
     per-line path builds. By (4) the n dicts hold at least 7n members, one
@@ -235,10 +256,8 @@ def _joined_boxes(text: str) -> DetectionSet | None:
         return None
     head, _, body = text.partition("\n")
     body = body.removesuffix("\n")
-    n = body.count("\n") + 1
-    if body[:1] != "{" or body[-1:] != "}" or body.count("}\n{") != n - 1:
-        return None
-    if body.count(":") != len(DETECTION_COLUMNS) * n:
+    n = _guarded_lines(body) if body[:1] == "{" and body[-1:] == "}" else 0
+    if not n:
         return None
     try:
         header, end = _DECODER.raw_decode(head)

@@ -534,6 +534,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n_boxes", [0, 1], ids=["no-box", "one-box"])
+    def test_volume_extent_beyond_int64_is_validation_error(self, tmp_path, capsys, n_boxes):
+        # once an OverflowError traceback with exit 1: the slice_index rule takes the extents as int64
+        box = {"plane": "sagittal", "slice_index": 1, "cx": 1.0, "cy": 1.0, "w": 1.0, "h": 1.0, "confidence": 0.5}
+        header = {"case_id": "c", "volume_shape": [10, 10**30, 10], "k": 5}
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join(map(json.dumps, [header] + [box] * n_boxes)) + "\n")
+        assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: volume_shape extents must fit in int64, got (10, {10**30}, 10) [{path}:1]\n")
+
+    def test_overflowing_median_reports_one_line(self, tmp_path):
+        # the even-count median of four cy near the float limit sums two of them to inf: numpy's overflow
+        # warning and its source line were once printed above the error
+        box = {"plane": "sagittal", "slice_index": 1, "cx": 1.0, "cy": 1.7e308, "w": 10.0, "h": 10.0,
+               "confidence": 0.5}
+        header = {"case_id": "c", "volume_shape": [10, 10, 10], "k": 5}
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join(map(json.dumps, [header] + [box] * 4)) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "spineid", "cluster", "--in", str(path),
+                               "--out", str(tmp_path / "o"), "--min-pts", "2"], capture_output=True, env=_child_env())
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == "error: position must be 3 finite numbers, got (1.0, 1.0, inf)\n"
+
     @pytest.mark.parametrize("record", ["samples", "mean_probs"])
     def test_overflowing_probabilities_are_validation_error(self, corpus, tmp_path, capsys, record):
         path = tmp_path / "case.json"

@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 
 from spineid.clustering import (
     ClusterConfig,
+    _canonical_order,
     _dbscan,
     _degrees,
     _dimension_labels,
@@ -332,6 +333,14 @@ def tied_detections(draw):
                         eps_dim=draw(st.sampled_from((0.5, 5.0, 15.0, 1e3))),
                         density_floor=draw(st.sampled_from((0.05, 0.1, 0.3, 0.6, 1.0))))
     return detection_set("tied", (100, 100, 100), 100, rows), cfg
+
+
+@st.composite
+def dense_scans(draw) -> DetectionSet:
+    """The detections of one criterion-2 scan: 200 slices per plane, 3 to 24 vertebrae of 30 boxes, 10% noise."""
+    gen = GenConfig(seed=draw(st.integers(0, 2**64 - 1)), k_slices=200, vertebrae_range=(3, 24),
+                    detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
+    return generate_case(gen, draw(st.integers(0, 199)))[1]
 
 
 def blob_detections(
@@ -692,6 +701,20 @@ class TestCenterReduction:
         outcome = self.outcome(cluster_centers, ds, cfg)
         assert outcome == self.outcome(loop_centers, ds, cfg)
         assert outcome == (repr(expected) if isinstance(expected, list) else expected)
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_detections().map(lambda case: case[0]) | dense_scans())
+    def test_matches_six_key_lexsort(self, ds):
+        pts = embed_detections(ds)
+        expected = np.lexsort((ds.confidence, ds.h, ds.w, pts[:, 2], pts[:, 1], pts[:, 0]))
+        xy = pts[expected, :2]
+        tied = (xy[1:] == xy[:-1]).all(axis=1)
+        event("(x, y) tie: six-key sort" if tied.any() else "no (x, y) tie: two-key sort")
+        if np.any(tied & (np.signbit(xy[1:]) != np.signbit(xy[:-1])).any(axis=1)):
+            event("-0.0 tied with 0.0")
+        assert np.array_equal(_canonical_order(ds, pts), expected)
 
 
 class TestSegmentMedians:

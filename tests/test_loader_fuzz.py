@@ -19,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gen_configs, make_case, random_probs
@@ -222,6 +222,20 @@ MERGED_LINES = {
     "two boxes read as one": lambda a, b: ['{"cx": "}', '{", ' + a[1:-1] + ", " + b[b.find(", ") + 2:]],
 }
 
+
+def _merged_text(fault: str) -> str:
+    """The valid detections text with its first two box lines rewritten by ``MERGED_LINES[fault]``."""
+    header, first, second, *rest = _valid_detections_text().splitlines()
+    return "\n".join([header, *MERGED_LINES[fault](first, second), *rest]) + "\n"
+
+
+def _merged_examples(test):
+    """``test`` with one explicit example per ``MERGED_LINES`` fault, so each joined-scan guard is reached."""
+    for fault in sorted(MERGED_LINES):
+        test = example(text=_merged_text(fault))(test)
+    return test
+
+
 BAD_VALUES = ("x", "3.5", True, False, None, [1], {"v": 1})
 PADS = ("", " ", "\t", " \t ", "\xa0")
 
@@ -289,6 +303,7 @@ def _outcome(load, path):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+@_merged_examples
 @settings(max_examples=300, deadline=None)
 @given(text=mutated_detections())
 def test_detections_loader_matches_per_line_oracle(tmp_path_factory, text):
