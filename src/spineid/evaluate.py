@@ -36,10 +36,8 @@ def constrained_decode(states) -> list[int]:
         raise ValidationError("cannot decode an empty state list")
     if k > N_CLASSES:
         raise ValidationError(f"{k} vertebrae cannot carry {N_CLASSES} distinct consecutive labels")
-    scores = [
-        float(np.log(mat[np.arange(k), start + np.arange(k)] + 1e-12).sum())
-        for start in range(N_CLASSES - k + 1)
-    ]
+    windows = np.arange(N_CLASSES - k + 1)[:, None] + np.arange(k)  # row s: the labels s, s+1, ..., s+k-1
+    scores = np.log(mat[np.arange(k), windows] + 1e-12).sum(axis=1)
     best = int(np.argmax(scores))  # argmax takes the first, i.e. smallest, start
     return list(range(best, best + k))
 

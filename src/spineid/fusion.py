@@ -221,9 +221,11 @@ class _Unrolled:
         return self._cross_entropy(cs[-1])[0]
 
     def loss_and_grad(self, phi: dict[int, np.ndarray]):
-        """Mean cross-entropy at the final hop and its gradient w.r.t. phi."""
+        """Mean cross-entropy at the final hop and its gradient w.r.t. phi, None for a loss that is not finite."""
         cs, sums = _forward(self.c0, self.pairs, phi, self.hops)
         loss, picked = self._cross_entropy(cs[-1])
+        if not np.isfinite(loss):
+            return loss, None
         m = len(self.c0)
         grad = {delta: np.zeros((N_CLASSES, N_CLASSES)) for delta in phi}
         g = np.zeros_like(cs[-1])
@@ -251,21 +253,17 @@ def train_phi(train_cases: list[SpineCase], params_init: FusionParams, cfg: Trai
     if not train_cases:
         raise ValidationError("training requires at least one case")
     unrolled = _Unrolled(list(train_cases), params_init)
+    # best_phi keeps phi's own arrays: initial_phi and every step build new ones, none is written in place
     phi = initial_phi(params_init.window, cfg.init, cfg.seed)
-    best_phi = {d: m.copy() for d, m in phi.items()}
-    best_loss = unrolled.loss(phi)
-    if not np.isfinite(best_loss):
-        raise DivergenceError("initial loss is not finite", epoch=0)
+    best_loss, best_phi = math.inf, phi
     for epoch in range(cfg.epochs):
         loss, grad = unrolled.loss_and_grad(phi)
         if not np.isfinite(loss):
             raise DivergenceError("training loss is not finite", epoch=epoch)
         if loss < best_loss:
-            best_loss = loss
-            best_phi = {d: m.copy() for d, m in phi.items()}
+            best_loss, best_phi = loss, phi
         phi = {d: np.maximum(phi[d] - cfg.learning_rate * grad[d], 0.0) for d in phi}
     final_loss = unrolled.loss(phi)
     if np.isfinite(final_loss) and final_loss < best_loss:
-        best_loss = final_loss
         best_phi = phi
     return replace(params_init, phi=best_phi)

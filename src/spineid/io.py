@@ -4,7 +4,8 @@ Numbers are written with Python's shortest round-trip float repr, so
 ``load(save(x)) == x`` bit exactly for every numeric field, and identical
 inputs always produce byte-identical files. A detections file in the layout
 ``save_detections`` writes is read in one JSON scan of its box lines; any
-other detections file line by line, with the same values and errors.
+other detections file by one ``json.loads`` per line, with the same values
+and errors.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ _PLANE_CODES = {name: code for code, name in enumerate(PLANES)}
 _PLANE_JSON = [json.dumps(name) for name in PLANES]
 # one box line, the bytes json.dumps gives its dict: repr is json.dumps' text for ints and finite floats
 _BOX_LINE = "{" + ", ".join(f'"{name}": %{"s" if name == "plane" else "r"}' for name in DETECTION_COLUMNS) + "}"
-_DECODER = json.JSONDecoder()
 
 
 def _plane_codes(names: list) -> np.ndarray:
@@ -176,26 +176,17 @@ def save_detections(ds: DetectionSet, path: str | Path) -> None:
 
 
 def _records(text: str) -> list[tuple[int, Any]]:
-    """``(line number, value)`` of every non-blank line, parsed on its own with ``json.loads``'s value or error.
-
-    ``raw_decode`` settles a line that is exactly one JSON value; ``json.loads`` any other line.
-    """
+    """``(line number, value)`` of every non-blank line, each parsed on its own by one ``json.loads``."""
     records = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
         try:
-            value, end = _DECODER.raw_decode(raw)
-        except (json.JSONDecodeError, RecursionError):
-            end = -1
-        if end != len(raw):
-            if not raw.strip():
-                continue
-            try:
-                value = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from None
-            except RecursionError:
-                raise ParseError("invalid JSON record: nested too deeply", line=lineno) from None
-        records.append((lineno, value))
+            records.append((lineno, json.loads(raw)))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON record: {exc.msg}", line=lineno) from None
+        except RecursionError:
+            raise ParseError("invalid JSON record: nested too deeply", line=lineno) from None
     return records
 
 
@@ -219,8 +210,8 @@ def _joined_boxes(text: str) -> DetectionSet | None:
     """The DetectionSet of a file in the layout ``save_detections`` writes, its box lines read by one
     ``json.loads("[" + lines joined by "," + "]")``; None when a guard fails or anything raises.
 
-    The header is the text before the first "\\n"; it must be one JSON value
-    that ``raw_decode`` reads to its end, as ``_records`` reads line 1. The
+    The header is the text before the first "\\n", read by one ``json.loads``
+    as ``_records`` reads line 1, so spaces around it change nothing. The
     guards, for n >= 1 box lines:
 
     1. The text is ASCII. It holds no "\\r": ``_read_text`` reads universal
@@ -231,8 +222,8 @@ def _joined_boxes(text: str) -> DetectionSet | None:
        As "}\\n{" cannot overlap itself, this holds exactly when the body
        holds as many "}\\n{" as "\\n".
     3. The body holds exactly 7n colons.
-    4. The parse gives n values, each a dict holding the 7 columns, and the
-       header a dict holding the 3 header fields.
+    4. The header parses to a dict holding the 3 header fields, and the
+       body to n values, each a dict holding the 7 columns.
     5. The plane names and DetectionSet accept the columns.
 
     Guards 2 and 3 read one byte view of the body (``_guarded_lines``).
@@ -260,9 +251,9 @@ def _joined_boxes(text: str) -> DetectionSet | None:
     if not n:
         return None
     try:
-        header, end = _DECODER.raw_decode(head)
+        header = json.loads(head)
         values = json.loads("[" + body.replace("\n", ",") + "]")
-        if end != len(head) or len(values) != n:
+        if len(values) != n:
             return None
         columns = {key: [value[key] for value in values] for key in DETECTION_COLUMNS}
         columns["plane"] = _plane_codes(columns["plane"])
@@ -286,14 +277,7 @@ def load_detections(path: str | Path) -> DetectionSet:
         if not records:
             raise ParseError("detections file is empty", line=1)
         (header_line, header), boxes = records[0], records[1:]
-        values = [rec for _, rec in boxes]
-        try:
-            columns = {key: [rec[key] for rec in values] for key in DETECTION_COLUMNS}
-        except (KeyError, TypeError):
-            for key in DETECTION_COLUMNS:  # names the first missing column at the first line without it
-                for lineno, rec in boxes:
-                    _get(rec, key, lineno)
-            raise
+        columns = {key: [_get(rec, key, lineno) for lineno, rec in boxes] for key in DETECTION_COLUMNS}
         with _in_file(path, header_line):  # a set without boxes checks the header alone, naming its line
             scan = DetectionSet(*(_get(header, key) for key in ("case_id", "volume_shape", "k")),
                                 *[[]] * len(DETECTION_COLUMNS))

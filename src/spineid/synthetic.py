@@ -94,6 +94,11 @@ class DetectConfig:
             raise ValidationError(f"noise_rate must lie in [0, 1), got {self.noise_rate!r}")
 
 
+# The most detection boxes, and the most MC sample rows, one generated case may hold; GenConfig refuses a
+# setting that allows more before any draw. The largest test or benchmark case holds about 6,000 boxes.
+MAX_CASE_SIZE = 1_000_000
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Top-level generator settings."""
@@ -116,6 +121,18 @@ class GenConfig:
         if len(span) != 2 or not 1 <= span[0] <= span[1] <= N_CLASSES:
             raise ValidationError(f"vertebrae_range must be (min, max) with 1 <= min <= max <= {N_CLASSES}, "
                                   f"got {span!r}")
+        vmax, detect = span[1], self.detect
+        # as generate_case counts: 2 runs of round(boxes * (1 + jitter)) boxes per vertebra, then the noise;
+        # boxes_per_vertebra is clamped just past the cap, so a huge one overflows no float
+        run = max(1, round(min(detect.boxes_per_vertebra, MAX_CASE_SIZE + 1) * (1.0 + detect.count_jitter)))
+        true = vmax * 2 * run
+        if true + round(detect.noise_rate / (1.0 - detect.noise_rate) * true) > MAX_CASE_SIZE:
+            raise ValidationError(f"vertebrae_range max {vmax}, boxes_per_vertebra {detect.boxes_per_vertebra}, "
+                                  f"count_jitter {detect.count_jitter} and noise_rate {detect.noise_rate} allow "
+                                  f"more than {MAX_CASE_SIZE} boxes per case")
+        if vmax * self.mc.n_samples > MAX_CASE_SIZE:
+            raise ValidationError(f"vertebrae_range max {vmax} and n_samples {self.mc.n_samples} allow more than "
+                                  f"{MAX_CASE_SIZE} MC sample rows per case")
 
 
 # Geometry of the planted spine, in voxels.

@@ -396,14 +396,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 4
         assert capsys.readouterr().err == f"error: key '+1' is written twice in one object [{params_path}]\n"
 
-    def test_divergence_is_exit_3(self, tmp_path):
-        # one-hot samples put zero mass on a neighbor's truth: infinite loss
+    def test_divergence_is_exit_3(self, tmp_path, capsys):
+        # one-hot samples put zero mass on a neighbor's truth: the starting phi's loss is infinite, and epoch 0
+        # stops before its backward pass divides by the zero entries
         case_dir = tmp_path / "train"
         case_dir.mkdir()
         case = make_case([one_hot(4), one_hot(5)], truths=[5, 6])
         io.save_case(case, case_dir / "case_0000.json")
-        assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5",
-                     "--epochs", "3", "--out", str(tmp_path / "phi.json"), "--window", "3"]) == 3
+        assert main(["train-phi", "--train", str(case_dir), "--lr", "0.5", "--epochs", "3",
+                     "--out", str(tmp_path / "phi.json"), "--window", "3", "--hops", "1"]) == 3
+        assert capsys.readouterr().err == "error: training loss is not finite (epoch 0)\n"
+        assert not (tmp_path / "phi.json").exists()
 
     @pytest.mark.parametrize("init", ["identity", "uniform_small"])
     def test_negative_train_seed_is_validation_error(self, corpus, tmp_path, capsys, init):
@@ -413,6 +416,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "phi.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--noise-rate", "0.9999999", "--vmin", "1", "--vmax", "1", "--boxes-per-vertebra", "1"],
+        ["--boxes-per-vertebra", "100000000000"],
+        ["--vmin", "24", "--vmax", "24", "--boxes-per-vertebra", "30000", "--count-jitter", "0", "--noise-rate", "0"],
+        ["--vmin", "24", "--vmax", "24", "--boxes-per-vertebra", "20000", "--count-jitter", "0.9",
+         "--noise-rate", "0"],
+        ["--mc-n", "1000000"],
+    ], ids=["noise-rate", "boxes-per-vertebra", "vmax", "count-jitter", "mc-n"])
+    def test_gen_refuses_a_case_past_the_cap(self, tmp_path, capsys, flags):
+        # the noise-rate flags once drew about 2e7 noise boxes one at a time, past 6.8 GB of memory
+        assert main(["gen", "--out-dir", str(tmp_path / "out"), "--n-cases", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: vertebrae_range max ") and err.count("\n") == 1
+        assert "per case" in err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_gen_seed_is_validation_error(self, tmp_path, capsys):
         # once numpy's "expected non-negative integer" traceback, exit 1

@@ -1,6 +1,7 @@
-"""Demo smoke test: each quick demo script runs to completion.
+"""Demo smoke test: each demo script runs to completion.
 
-Demo 05 is left out: it trains fusion matrices for about a minute.
+Demo 05 is the one end-to-end script that trains fusion matrices, fuses
+with them and evaluates the result.
 """
 
 import subprocess
@@ -11,11 +12,11 @@ import pytest
 
 from test_acceptance import _child_env
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0[1-5]_*.py"))
 
 
 def test_demos_are_found():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

@@ -26,6 +26,16 @@ def oracle_best_window(states) -> list[int]:
     return list(range(best_start, best_start + k))
 
 
+def loop_constrained_decode(states) -> list[int]:
+    """constrained_decode as it was: one log sum per start window, scored in a Python loop."""
+    mat = np.asarray(states, dtype=np.float64)
+    k = len(mat)
+    scores = [float(np.log(mat[np.arange(k), start + np.arange(k)] + 1e-12).sum())
+              for start in range(N_CLASSES - k + 1)]
+    best = int(np.argmax(scores))
+    return list(range(best, best + k))
+
+
 def oracle_evaluate(cases, predictions, decode="argmax") -> EvalReport:
     """The per-vertebra booking loop ``evaluate`` ran on lists of confidence rows or label indices."""
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
@@ -115,6 +125,17 @@ class TestConstrainedDecode:
             k = int(rng.integers(1, 7))
             states = random_probs(rng, k)
             assert constrained_decode(states) == oracle_best_window(states)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, N_CLASSES))
+    def test_matches_the_per_window_loop(self, data, k):
+        # entries from a few values, zeros among them, so that windows often tie and the smallest start must win
+        entry = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        states = np.array(data.draw(st.lists(st.lists(entry, min_size=N_CLASSES, max_size=N_CLASSES),
+                                             min_size=k, max_size=k)))
+        if data.draw(st.booleans(), label="tied rows"):
+            states[:] = states[0]
+        assert constrained_decode(states) == loop_constrained_decode(states)
 
     def test_output_always_consecutive(self):
         rng = np.random.default_rng(4)

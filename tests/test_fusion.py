@@ -1,14 +1,15 @@
 """Message fusion: hand-checked steps, invariants, locality, and training."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
-
 from conftest import make_case, one_hot, random_case, shift_phi
-from spineid import io
+from spineid import fusion, io
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
 from spineid.fusion import (
@@ -575,3 +576,12 @@ class TestTrainPhi:
         with pytest.raises(DivergenceError):
             train_phi([case], identity_params(theta=0.1, hops=1, window=3),
                       TrainConfig(learning_rate=0.5, epochs=3))
+
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_one_forward_pass_per_epoch_and_one_for_the_last_step(self, epochs):
+        # epoch 0's loss was once also computed before the loop, on the same phi
+        cases = self.toy_cases(np.random.default_rng(36))
+        cfg = TrainConfig(learning_rate=1.0, epochs=epochs)
+        with mock.patch.object(fusion, "_forward", wraps=fusion._forward) as forward:
+            train_phi(cases, identity_params(theta=0.1, hops=2, window=3), cfg)
+        assert forward.call_count == epochs + 1

@@ -383,6 +383,17 @@ def test_padded_first_or_last_box_loads_line_by_line(tmp_path, line):
     assert outcome == per_line_load_detections(path)
 
 
+def test_padded_header_loads_in_the_joined_scan(tmp_path):
+    # the header is read by one json.loads, as line 1 is line by line, so spaces around it change nothing
+    header, *boxes = _valid_detections_text().splitlines()
+    path = tmp_path / "d.jsonl"
+    path.write_text("\n".join([f"  {header} \t", *boxes]) + "\n")
+    outcome, fallback = _load_counting_fallbacks(path)
+    assert not fallback
+    assert outcome == per_line_load_detections(path)
+    assert isinstance(outcome, DetectionSet) and len(outcome) == len(boxes)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cfg=gen_configs(), case_index=st.integers(0, 9999), case_id=st.text(max_size=8),
        newline=st.sampled_from(("", "\n")))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,40 @@ def test_vertebrae_range_respected():
     sizes = {len(c) for c, _ in gen_cases(cfg)}
     assert sizes <= {2, 3, 4, 5}
     assert len(sizes) > 1
+
+
+def _at_cap(boxes: int = 250_000, n_samples: int = 20) -> GenConfig:
+    """One vertebra of 2 x ``boxes`` true boxes and as many noise boxes: 1,000,000 boxes at the default."""
+    return GenConfig(vertebrae_range=(1, 1), mc=McConfig(n_samples=n_samples),
+                     detect=DetectConfig(boxes_per_vertebra=boxes, count_jitter=0.0, noise_rate=0.5))
+
+
+def test_configs_at_the_caps_are_accepted_and_one_past_refused():
+    # built only, never generated from: one case at the box cap takes seconds and about 200 MB
+    assert synthetic.MAX_CASE_SIZE == 1_000_000
+    _at_cap()
+    _at_cap(n_samples=1_000_000)
+    with pytest.raises(ValidationError, match="allow more than 1000000 boxes per case"):
+        _at_cap(boxes=250_001)
+    with pytest.raises(ValidationError, match="n_samples 1000001 allow more than 1000000 MC sample rows per case"):
+        _at_cap(n_samples=1_000_001)
+
+
+@pytest.mark.parametrize("detect, mc", [
+    (DetectConfig(boxes_per_vertebra=10**30), McConfig()),
+    (DetectConfig(boxes_per_vertebra=1, noise_rate=0.9999999), McConfig()),
+    (DetectConfig(boxes_per_vertebra=1, noise_rate=math.nextafter(1.0, 0.0)), McConfig()),
+    (DetectConfig(), McConfig(n_samples=10**30)),
+], ids=["boxes", "noise", "largest-noise-rate", "samples"])
+def test_over_cap_config_is_refused_before_any_allocation(detect, mc):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="per case"):
+            GenConfig(vertebrae_range=(1, 24), mc=mc, detect=detect)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_baseline_rate_matches_model_oracle():
