@@ -405,7 +405,8 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     sizes = np.bincount(d)
     owner = np.empty(len(sizes), dtype=np.int64)
     owner[d] = labels3[member]
-    area = _segment_medians(d, dims3[member, 0] * dims3[member, 1], sizes)
+    with np.errstate(over="ignore"):  # an area past the float range is inf: such areas tie, and the lower label wins
+        area = _segment_medians(d, dims3[member, 0] * dims3[member, 1], sizes)
     ranked = np.lexsort((area, -sizes, owner))
     winners = ranked[np.diff(owner[ranked], prepend=-1) != 0]
     winners = winners[sizes[winners] >= cfg.min_pts]

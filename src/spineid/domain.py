@@ -179,6 +179,16 @@ class VertebraCenter:
         if _integer(self.z_rank, "field 'z_rank'") < 0:
             raise ValidationError(f"z_rank must be non-negative, got {self.z_rank}")
 
+    @classmethod
+    def _trusted(cls, position: tuple, mean_dims: tuple, member_count: int, z_rank: int) -> VertebraCenter:
+        """A center of values checked already, in stored form (``io._column_vertebrae``), set as ``__init__`` would."""
+        center = object.__new__(cls)
+        object.__setattr__(center, "position", position)
+        object.__setattr__(center, "mean_dims", mean_dims)
+        object.__setattr__(center, "member_count", member_count)
+        object.__setattr__(center, "z_rank", z_rank)
+        return center
+
     @property
     def z(self) -> float:
         return self.position[2]
@@ -204,8 +214,10 @@ def _entropies(probs: np.ndarray) -> np.ndarray:
     A row holding a zero sums only its non-zero terms, a shorter sum than a
     full row's, as the entropy of that row alone does.
     """
-    out = np.empty(len(probs))
     full = (probs > 0.0).all(axis=1)
+    if full.all():
+        return -(probs * np.log(probs)).sum(axis=1) + 0.0  # avoid -0.0
+    out = np.empty(len(probs))
     p = probs[full]
     out[full] = (p * np.log(p)).sum(axis=1)
     for i in np.flatnonzero(~full).tolist():
@@ -287,13 +299,16 @@ class McSampleSet(UncertaintyReport):
     def __post_init__(self):
         samples = _probabilities(self.samples, 2, SUM_TOL_INGEST, "samples")
         means, entropies, variances = _sample_stats(samples, np.array([len(samples)]))
+        means.flags.writeable = False
         self._store(samples, means[0], entropies.item(), variances.item())
 
     def _store(self, samples: np.ndarray, mean: np.ndarray, entropy: float, variance: float) -> None:
-        mean.flags.writeable = False
-        for name, value in (("samples", samples), ("mean_probs", mean), ("entropy", entropy), ("variance", variance),
-                            ("certainty_weight", 1.0 - entropy / MAX_ENTROPY)):
-            object.__setattr__(self, name, value)
+        """Set the five fields; ``mean`` is a row of a means array its caller made read-only."""
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "mean_probs", mean)
+        object.__setattr__(self, "entropy", entropy)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "certainty_weight", 1.0 - entropy / MAX_ENTROPY)
 
     @classmethod
     def _split(cls, rows, counts) -> list[McSampleSet]:
@@ -311,6 +326,7 @@ class McSampleSet(UncertaintyReport):
         starts = np.cumsum(counts) - counts
         rows = _probabilities(rows, 2, SUM_TOL_INGEST, "samples", starts)
         means, entropies, variances = _sample_stats(rows, counts)
+        means.flags.writeable = False
         sets = []
         for start, stop, mean, entropy, variance in zip(starts.tolist(), (starts + counts).tolist(), means,
                                                          entropies.tolist(), variances.tolist()):
@@ -348,6 +364,18 @@ class SpineVertebra:
             if not 0.0 <= fw <= 1.0:
                 raise ValidationError(f"fusion_weight must lie in [0, 1], got {fw}")
             object.__setattr__(self, "fusion_weight", fw)
+
+    @classmethod
+    def _trusted(cls, center: VertebraCenter, mc: McSampleSet, truth: int | None,
+                 fusion_weight: float | None) -> SpineVertebra:
+        """A vertebra without a stored report, of values checked already; as ``VertebraCenter._trusted``."""
+        vertebra = object.__new__(cls)
+        object.__setattr__(vertebra, "center", center)
+        object.__setattr__(vertebra, "mc", mc)
+        object.__setattr__(vertebra, "truth", truth)
+        object.__setattr__(vertebra, "uncertainty", None)
+        object.__setattr__(vertebra, "fusion_weight", fusion_weight)
+        return vertebra
 
 
 @dataclass(frozen=True)

@@ -104,39 +104,51 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
     u and 1/dis, and is 0 where row i + d lies in another case; so one pass
     over the stack fuses every case on its own. ``w`` is a (hi - lo, 1)
     column, and ``dst`` lists the rows whose partner is in their own case.
-    Offsets with no such row are left out.
+    Offsets with no such row are left out. A single case, as ``fuse`` gives,
+    has no other case: every row of ``lo:hi`` is in ``dst``, and each
+    offset's pairs are two row slices, with no gather or mask.
     """
     sizes = [len(case) for case in cases]
     m = sum(sizes)
-    case_of = np.repeat(np.arange(len(cases)), sizes)
+    one = len(cases) == 1
+    case_of = None if one else np.repeat(np.arange(len(cases)), sizes)
     u = np.concatenate([resolve_certainty(case) for case in cases])
     if params.distance_mode == "physical":
         positions = np.array([v.center.position for case in cases for v in case.vertebrae], dtype=np.float64)
     pairs = {}
     for delta in phi_offsets(params.window):
         lo, hi = max(0, -delta), m - max(0, delta)
-        rows = np.arange(lo, max(lo, hi))
-        dst = rows[case_of[rows] == case_of[rows + delta]]
-        if len(dst) == 0:
+        if hi <= lo:
             continue
-        src = dst + delta
+        if one:
+            dst, here, there = np.arange(lo, hi), slice(lo, hi), slice(lo + delta, hi + delta)
+        else:
+            rows = np.arange(lo, hi)
+            dst = rows[case_of[rows] == case_of[rows + delta]]
+            if len(dst) == 0:
+                continue
+            here, there = dst, dst + delta
         if params.distance_mode == "index":
             dis = float(abs(delta))
         else:
             with np.errstate(over="ignore"):  # an overflowing distance is rejected below
-                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+                dis = np.linalg.norm(positions[here] - positions[there], axis=1)
             over, same = np.isinf(dis), dis == 0.0
             if over.any() or same.any():
                 row = int(dst[np.argmax(over if over.any() else same)])
-                i = row - sum(sizes[:case_of[row]])  # vertebra i of its own case
+                i = row if one else row - sum(sizes[:case_of[row]])  # vertebra i of its own case
                 if over.any():
                     raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
                                           "their physical distance overflows float64")
                 raise DegenerateGeometryError(
                     f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
                 )
-        w = np.zeros((hi - lo, 1))
-        w[dst - lo, 0] = params.theta * u[src] / dis
+        weights = params.theta * u[there] / dis
+        if one:
+            w = weights[:, None]
+        else:
+            w = np.zeros((hi - lo, 1))
+            w[dst - lo, 0] = weights
         pairs[delta] = (lo, hi, w, dst)
     return pairs
 
@@ -144,19 +156,21 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
 def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     """Run ``hops`` fusion hops from the (m, 24) states ``c0``.
 
-    Returns the states before and after every hop (hops + 1 matrices) and
-    each hop's raw row sums, which the backward pass divides by. Offset d's
-    messages are one product of the states shifted by d rows.
+    Returns the states before and after every hop, written into one
+    preallocated (hops + 1, m, 24) array, and each hop's raw row sums, a
+    (hops, m) array the backward pass divides by. Offset d's messages are one
+    product of the states shifted by d rows.
     """
-    cs, sums = [c0], []
-    for _ in range(hops):
-        c = cs[-1]
+    cs = np.empty((hops + 1, *c0.shape))
+    cs[0] = c0
+    sums = np.empty((hops, len(c0)))
+    for t in range(hops):
+        c = cs[t]
         raw = c.copy()
         for delta, (lo, hi, w, _) in pairs.items():
             raw[lo:hi] += w * (c[lo + delta:hi + delta] @ phi[delta])
-        s = raw.sum(axis=1)
-        cs.append(raw / s[:, None])
-        sums.append(s)
+        s = sums[t] = raw.sum(axis=1)
+        np.divide(raw, s[:, None], out=cs[t + 1])
     return cs, sums
 
 
@@ -174,17 +188,16 @@ def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
     c0 = np.array([v.mc.mean_probs for v in case.vertebrae])
     if params.theta == 0.0 or len(case) == 1 or params.window == 1:
         # no messages; renormalizing would still move the states by ulps
-        cs = [c0] * (params.hops + 1)
+        snapshots = np.repeat(c0[None], params.hops + 1, axis=0)
     else:
         pairs = _fuse_pairs([case], params)
         with np.errstate(over="ignore", invalid="ignore"):
-            cs, sums = _forward(c0, pairs, params.phi, params.hops)
+            snapshots, sums = _forward(c0, pairs, params.phi, params.hops)
         bad = ~np.isfinite(sums)
         if bad.any():
             hop, i = np.argwhere(bad)[0]
             raise ValidationError(f"fusion overflowed at hop {hop + 1}: the raw confidences of vertebra {i} "
                                   "do not sum to a finite number")
-    snapshots = np.stack(cs)
     snapshots.flags.writeable = False
     return FusionTrace(snapshots=snapshots, final_labels=tuple(snapshots[-1].argmax(axis=1).tolist()))
 

@@ -5,12 +5,14 @@ Numbers are written with Python's shortest round-trip float repr, so
 inputs always produce byte-identical files. A detections file in the layout
 ``save_detections`` writes is read in one JSON scan of its box lines; any
 other detections file by one ``json.loads`` per line, with the same values
-and errors.
+and errors. A case whose fields pass one check per case is built without
+per-vertebra checks; any other case, and every error, vertebra by vertebra.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import replace
@@ -360,16 +362,19 @@ def case_to_dict(case: SpineCase) -> dict:
 def _sample_block(samples: list) -> tuple[np.ndarray, list[int]]:
     """Every vertebra's ``mc.samples`` rows as one (N, 24) float64 block, and each vertebra's row count.
 
-    One conversion serves the whole case. When it fails, the vertebrae are
-    converted one by one, so the error names the first bad one.
+    When every vertebra holds a non-empty list of rows, each a list of 24
+    values, one ``np.fromiter`` over all values converts the case, each value
+    as ``np.array`` converts it. Otherwise, or when that fails, the vertebrae
+    are converted one by one, so the error names the first bad one.
     """
     if all(type(rows) is list and rows for rows in samples):
-        try:
-            block = np.array(list(chain.from_iterable(samples)), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            block = None
-        if block is not None and block.ndim == 2 and block.shape[1] == N_CLASSES:
-            return block, [len(rows) for rows in samples]
+        flat = list(chain.from_iterable(samples))
+        if all(type(row) is list and len(row) == N_CLASSES for row in flat):
+            try:
+                block = np.fromiter(chain.from_iterable(flat), np.float64, len(flat) * N_CLASSES)
+                return block.reshape(-1, N_CLASSES), [len(rows) for rows in samples]
+            except (TypeError, ValueError, OverflowError):
+                pass
     arrays = []
     for i, rows in enumerate(samples):
         arr = _convert(_float_array, rows, f"vertebrae[{i}].mc.samples")
@@ -380,25 +385,78 @@ def _sample_block(samples: list) -> tuple[np.ndarray, list[int]]:
     return np.concatenate(arrays), [len(arr) for arr in arrays]
 
 
+_CENTER_FIELDS = ("position", "mean_dims", "member_count", "z_rank")
+
+
+def _column_vertebrae(raw_verts: list, sample_sets: list) -> list[SpineVertebra] | None:
+    """The vertebrae of a case, each field checked once for the whole case and every object built by its
+    class's ``_trusted`` constructor; None when a guard fails or anything raises.
+
+    ``raw_verts`` are the decoded vertebra dicts, ``sample_sets`` their
+    checked samples. Every case ``save_case`` writes without stored reports
+    passes the guards:
+
+    1. Each ``center`` holds the four center fields.
+    2. Each ``position`` is a list of 3 values and each ``mean_dims`` a list
+       of 2, every value an int or a float by exact type.
+    3. Each such value is a finite float or an int that converts to one
+       (``math.isfinite`` raises for an int too large); ``mean_dims`` > 0.
+    4. Each ``member_count`` and ``z_rank`` is an int by exact type, the
+       first at least 1, the second at least 0.
+    5. Each ``truth`` is missing, null, or an int in [0, 24); each
+       ``fusion_weight`` missing, null, or an int or float in [0, 1].
+    6. No vertebra stores an ``uncertainty`` report.
+
+    These are the checks ``VertebraCenter`` and ``SpineVertebra`` run,
+    narrowed to exact builtin types: a list passes ``_numbers``, an int or
+    float the number rule, an int the integer rule. So under them no check of
+    the per-vertebra path raises, whatever the caller passes, and each object
+    holds what that path stores: tuples of ``float(v)``, the integers as
+    given, ``float(w)`` and no report. ``SpineCase`` checks the order of the
+    case either way. Any other case goes vertebra by vertebra, and every
+    error comes from there, with its message.
+    """
+    try:
+        centers = [rec["center"] for rec in raw_verts]
+        positions, dims, members, ranks = ([c[key] for c in centers] for key in _CENTER_FIELDS)
+        truths = [rec.get("truth") for rec in raw_verts]
+        weights = [rec.get("fusion_weight") for rec in raw_verts]
+        values = list(chain(*positions, *dims))
+        types = set(map(type, values))
+        inside = (all(type(p) is list and len(p) == 3 for p in positions)
+                  and all(type(d) is list and len(d) == 2 for d in dims)
+                  and types <= {int, float} and set(map(type, members + ranks)) <= {int}
+                  and all(map(math.isfinite, values)) and min(chain(*dims)) > 0
+                  and min(members) >= 1 and min(ranks) >= 0
+                  and all(t is None or type(t) is int and 0 <= t < N_CLASSES for t in truths)
+                  and all(w is None or type(w) in (int, float) and 0 <= w <= 1 for w in weights)
+                  and all(rec.get("uncertainty") is None for rec in raw_verts))
+    except Exception:  # a case outside the guards, built again vertebra by vertebra to report its first fault
+        return None
+    if not inside:
+        return None
+    # float(v) of a float is v itself, so lists of floats alone need no conversion
+    floats = tuple if types == {float} else lambda numbers: tuple(map(float, numbers))
+    return [
+        SpineVertebra._trusted(VertebraCenter._trusted(floats(p), floats(d), n, r), mc, t,
+                               None if w is None else float(w))
+        for p, d, n, r, t, w, mc in zip(positions, dims, members, ranks, truths, weights, sample_sets)
+    ]
+
+
 def case_from_dict(data: dict) -> SpineCase:
-    """A case from its decoded JSON; the MC samples of all vertebrae are checked and summarized in one pass."""
+    """A case from its decoded JSON; the MC samples of all vertebrae are checked and summarized in one pass,
+    and the other fields in one check per case (``_column_vertebrae``) when it admits them."""
     raw_verts = _get(data, "vertebrae")
     if not isinstance(raw_verts, list):
         raise ParseError("vertebrae must be a list")
     samples = [_get(_get(rec, "mc"), "samples") for rec in raw_verts]
     sample_sets = McSampleSet._split(*_sample_block(samples)) if samples else []
-    verts = []
-    for rec, mc in zip(raw_verts, sample_sets):
-        report = rec.get("uncertainty")
-        verts.append(
-            SpineVertebra(
-                center=center_from_dict(_get(rec, "center")),
-                mc=mc,
-                truth=rec.get("truth"),
-                uncertainty=None if report is None else report_from_dict(report),
-                fusion_weight=rec.get("fusion_weight"),
-            )
-        )
+    verts = _column_vertebrae(raw_verts, sample_sets)
+    if verts is None:  # each vertebra checked on its own, so an error names the first bad one
+        verts = [SpineVertebra(center_from_dict(_get(rec, "center")), mc, rec.get("truth"),
+                               None if rec.get("uncertainty") is None else report_from_dict(rec["uncertainty"]),
+                               rec.get("fusion_weight")) for rec, mc in zip(raw_verts, sample_sets)]
     return SpineCase(case_id=_get(data, "case_id"), vertebrae=tuple(verts))
 
 

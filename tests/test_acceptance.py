@@ -371,10 +371,13 @@ def _per_case_rates(cases, params) -> list[float]:
 def _child_env() -> dict[str, str]:
     """This environment with the directory holding the imported spineid first on
     PYTHONPATH, so a child started in any working directory imports the same
-    package as this test run (a relative PYTHONPATH would not resolve there)."""
+    package as this test run (a relative PYTHONPATH would not resolve there).
+    PYTHONWARNINGS=error makes a stray warning fail the child, as the test
+    configuration's ``filterwarnings = error`` makes it fail in process."""
     env = dict(os.environ)
     root = str(Path(spineid.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error"
     return env
 
 

@@ -577,6 +577,36 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.decode() == "error: position must be 3 finite numbers, got (1.0, 1.0, inf)\n"
 
+    def test_overflowing_box_area_is_silent(self, tmp_path):
+        # the six boxes' areas, 1e200 squared, overflow to inf: numpy's overflow warning was once printed, and
+        # under PYTHONWARNINGS=error (set by _child_env) raised, exiting 1
+        header = {"case_id": "c", "volume_shape": [40, 40, 40], "k": 10}
+        boxes = [{"plane": "sagittal", "slice_index": 5 + n // 3, "cx": 10, "cy": 20.0 + n / 10, "w": 1e200,
+                  "h": 1e200, "confidence": 0.9} for n in range(6)]
+        path, out = tmp_path / "d.detections.jsonl", tmp_path / "centers.json"
+        path.write_text("\n".join(map(json.dumps, [header] + boxes)) + "\n")
+        proc = subprocess.run([sys.executable, "-m", "spineid", "cluster", "--in", str(path), "--out", str(out),
+                               "--eps-pos", "6", "--min-pts", "2", "--eps-dim", "10", "--density-floor", "0.1"],
+                              capture_output=True, env=_child_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        [center] = io.load_centers(out)
+        assert center.mean_dims == (1e200, 1e200) and center.member_count == 6
+
+    @pytest.mark.parametrize("first, second", [(1.4e154, 1.5e154), (1.5e154, 1.4e154)])
+    def test_infinite_box_areas_tie_to_the_lower_label(self, tmp_path, capsys, first, second):
+        # two dimension clusters of six boxes in one position cluster, every area past the float range: the
+        # tie goes to the lower label, the cluster of the first box, whichever dims it has
+        header = {"case_id": "c", "volume_shape": [40, 40, 40], "k": 10}
+        boxes = [{"plane": "sagittal", "slice_index": 5 + n % 2, "cx": 10, "cy": 20.0 + n / 10,
+                  "w": (first, second)[n % 2], "h": (first, second)[n % 2], "confidence": 0.9} for n in range(12)]
+        path, out = tmp_path / "d.detections.jsonl", tmp_path / "centers.json"
+        path.write_text("\n".join(map(json.dumps, [header] + boxes)) + "\n")
+        assert main(["cluster", "--in", str(path), "--out", str(out),
+                     "--eps-pos", "6", "--min-pts", "2", "--eps-dim", "10", "--density-floor", "0.1"]) == 0
+        assert capsys.readouterr().err == ""
+        [center] = io.load_centers(out)
+        assert center.mean_dims == (first, first) and center.member_count == 6
+
     @pytest.mark.parametrize("record", ["samples", "mean_probs"])
     def test_overflowing_probabilities_are_validation_error(self, corpus, tmp_path, capsys, record):
         path = tmp_path / "case.json"

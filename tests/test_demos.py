@@ -1,4 +1,4 @@
-"""Demo smoke test: each demo script runs to completion.
+"""Demo smoke test: each demo script runs to completion, with warnings as errors and nothing on stderr.
 
 Demo 05 is the one end-to-end script that trains fusion matrices, fuses
 with them and evaluates the result.
@@ -23,3 +23,4 @@ def test_demos_are_found():
 def test_demo_exits_zero(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, cwd=tmp_path, env=_child_env())
     assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}:\n{proc.stderr.decode(errors='replace')}"
+    assert proc.stderr == b"", f"{demo.name} wrote to stderr:\n{proc.stderr.decode(errors='replace')}"

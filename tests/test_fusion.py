@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case, one_hot, random_case, shift_phi
 from spineid import fusion, io
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
-from spineid.errors import DegenerateGeometryError, DivergenceError, ValidationError
+from spineid.errors import DegenerateGeometryError, DivergenceError, SpineError, ValidationError
 from spineid.fusion import (
     TrainConfig,
     _forward,
@@ -338,6 +338,91 @@ class TestShiftedKernel:
             for d in phi:
                 assert grad[d].tobytes() == want_grad[d].tobytes()
             phi = {d: np.maximum(phi[d] - 5.0 * grad[d], 0.0) for d in phi}
+
+
+def stacked_fuse_pairs(cases, params):
+    """Oracle: fusion._fuse_pairs as it was, one builder for any number of cases, each offset's in-case rows
+    found by comparing the case of every row with its partner's, and their weights gathered by those rows."""
+    sizes = [len(case) for case in cases]
+    m = sum(sizes)
+    case_of = np.repeat(np.arange(len(cases)), sizes)
+    u = np.concatenate([resolve_certainty(case) for case in cases])
+    if params.distance_mode == "physical":
+        positions = np.array([v.center.position for case in cases for v in case.vertebrae], dtype=np.float64)
+    pairs = {}
+    for delta in phi_offsets(params.window):
+        lo, hi = max(0, -delta), m - max(0, delta)
+        rows = np.arange(lo, max(lo, hi))
+        dst = rows[case_of[rows] == case_of[rows + delta]]
+        if len(dst) == 0:
+            continue
+        src = dst + delta
+        if params.distance_mode == "index":
+            dis = float(abs(delta))
+        else:
+            with np.errstate(over="ignore"):
+                dis = np.linalg.norm(positions[dst] - positions[src], axis=1)
+            over, same = np.isinf(dis), dis == 0.0
+            if over.any() or same.any():
+                row = int(dst[np.argmax(over if over.any() else same)])
+                i = row - sum(sizes[:case_of[row]])
+                if over.any():
+                    raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
+                                          "their physical distance overflows float64")
+                raise DegenerateGeometryError(
+                    f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
+                )
+        w = np.zeros((hi - lo, 1))
+        w[dst - lo, 0] = params.theta * u[src] / dis
+        pairs[delta] = (lo, hi, w, dst)
+    return pairs
+
+
+def pair_table(build, cases, params):
+    """Each offset's ``(lo, hi, w, dst)`` as plain values and bytes, or the type and message of the error."""
+    try:
+        pairs = build(cases, params)
+    except SpineError as exc:
+        return type(exc), str(exc)
+    return [(delta, lo, hi, w.shape, w.dtype.str, w.tobytes(), dst.dtype.str, dst.tobytes())
+            for delta, (lo, hi, w, dst) in pairs.items()]
+
+
+@st.composite
+def fusion_corpora(draw):
+    """1-8 cases of 1-24 vertebrae with their weights stored or left to fusion; one case may hold two vertebrae
+    at one position, or a vertebra so far above the rest that its physical distance overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cases = []
+    for k in draw(st.lists(st.integers(1, 24), min_size=1, max_size=8), label="sizes"):
+        case = random_case(rng, k=k)
+        metric = draw(st.sampled_from([None, "entropy", "variance"]))
+        cases.append(case if metric is None else with_reports(case, metric))
+    j = draw(st.integers(0, len(cases) - 1))
+    geometry = draw(st.sampled_from(["planted", "planted", "shared", "overflow"]))
+    if geometry != "planted" and len(cases[j]) > 1:
+        verts = list(cases[j].vertebrae)
+        i = draw(st.integers(1, len(verts) - 1))
+        if geometry == "shared":  # vertebra i at the position of vertebra i - 1
+            verts[i] = replace(verts[i], center=replace(verts[i].center, position=verts[i - 1].center.position))
+        else:  # vertebrae 0 to i - 1 moved to the far top of the volume
+            for n in range(i):
+                verts[n] = replace(verts[n], center=replace(verts[n].center, position=(float(n), 0.0, 1e200)))
+        cases[j] = replace(cases[j], vertebrae=tuple(verts))
+    return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=fusion_corpora(), window=st.sampled_from([1, 3, 5, 7]), distance=st.sampled_from(["index", "physical"]),
+       theta=st.sampled_from([0.0, 0.1, 0.7]))
+def test_pair_tables_match_the_stacked_builder(cases, window, distance, theta):
+    # one case takes two row slices per offset, several cases the gathered rows; both give the old tables
+    params = FusionParams(theta, 1, window, distance, {d: np.eye(24) for d in phi_offsets(window)})
+    want = pair_table(stacked_fuse_pairs, cases, params)
+    event(want[0].__name__ if isinstance(want, tuple) else "table")
+    assert pair_table(fusion._fuse_pairs, cases, params) == want
+    for case in cases:
+        assert pair_table(fusion._fuse_pairs, [case], params) == pair_table(stacked_fuse_pairs, [case], params)
 
 
 class TestFuse:

@@ -6,14 +6,21 @@ Whatever the input, each loader either returns or raises a SpineError
 The detections loader also gives, on mutated files, exactly the result or
 the error of the per-line loader it replaced, kept here as the oracle; a
 file that save_detections writes is read in one joined JSON scan, and any
-file a joined scan would misread is read line by line.
+file a joined scan would misread is read line by line. Likewise the case
+loader gives, on generated and mutated cases, exactly the case or the error
+of the per-vertebra builder it replaced, and the sample conversion those of
+the one nested ``np.array`` it replaced.
 """
 
+import copy
+import dataclasses
 import functools
 import json
+import math
 import reprlib
 import tempfile
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -22,9 +29,9 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_configs, make_case, random_probs
+from conftest import gen_configs, make_case, random_case, random_probs
 from spineid import io
-from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet, SpineCase, SpineVertebra
+from spineid.domain import DETECTION_COLUMNS, PLANES, DetectionSet, McSampleSet, SpineCase, SpineVertebra
 from spineid.errors import ParseError, SpineError, ValidationError
 from spineid.fusion import identity_params
 from spineid.synthetic import DetectConfig, GenConfig, generate_case
@@ -408,3 +415,228 @@ def test_saved_detections_load_in_one_joined_scan(tmp_path_factory, cfg, case_in
     assert not fallback
     assert outcome == ds == per_line_load_detections(path)
 
+
+def per_vertebra_case_from_dict(data) -> SpineCase:
+    """Oracle: io.case_from_dict as it was, every vertebra built by the public constructors, which check it."""
+    raw_verts = io._get(data, "vertebrae")
+    if not isinstance(raw_verts, list):
+        raise ParseError("vertebrae must be a list")
+    samples = [io._get(io._get(rec, "mc"), "samples") for rec in raw_verts]
+    sample_sets = McSampleSet._split(*io._sample_block(samples)) if samples else []
+    verts = []
+    for rec, mc in zip(raw_verts, sample_sets):
+        report = rec.get("uncertainty")
+        verts.append(SpineVertebra(center=io.center_from_dict(io._get(rec, "center")), mc=mc, truth=rec.get("truth"),
+                                   uncertainty=None if report is None else io.report_from_dict(report),
+                                   fusion_weight=rec.get("fusion_weight")))
+    return SpineCase(case_id=io._get(data, "case_id"), vertebrae=tuple(verts))
+
+
+def _value_tree(value):
+    """``value`` as nested tuples, equal only when every field, its Python type and every array's bits are."""
+    if dataclasses.is_dataclass(value):
+        return type(value), tuple((f.name, _value_tree(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return tuple, tuple(map(_value_tree, value))
+    if isinstance(value, np.ndarray):
+        return np.ndarray, value.dtype.str, value.shape, value.flags.writeable, value.tobytes()
+    return type(value), repr(value)
+
+
+def _case_outcome(build, doc):
+    """The value tree of the case ``build`` makes of ``doc``, or the type and message of the error it raises."""
+    try:
+        return _value_tree(build(doc))
+    except Exception as exc:  # any exception: a guard let through what the per-vertebra checks reject
+        return type(exc), str(exc)
+
+
+@st.composite
+def case_docs(draw) -> dict:
+    """A saved case's decoded JSON: 1-12 vertebrae of 1-7 sample rows each, with or without truth, each with or
+    without a stored fusion weight; null fields may be left out, and integral numbers written as JSON ints."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = io.case_to_dict(random_case(rng, k=draw(st.integers(1, 12)), with_truth=draw(st.booleans())))
+    as_ints, drop_nulls = draw(st.booleans()), draw(st.booleans())
+    for rec in doc["vertebrae"]:
+        rec["fusion_weight"] = draw(st.none() | st.sampled_from([0, 1, -0.0, 1.0]) | st.floats(0, 1))
+        if as_ints:
+            for key in ("position", "mean_dims"):
+                rec["center"][key] = [int(v) if v.is_integer() else v for v in rec["center"][key]]
+        if drop_nulls:
+            for key in [key for key, value in rec.items() if value is None]:
+                del rec[key]
+    return json.loads(json.dumps(doc))
+
+
+MISSING = object()  # a mutation that deletes the field
+BAD_CASE_VALUES = (True, "3", math.inf, 10**400, math.nan, 0, -1, 24, 1.5, -0.5, [1.0], MISSING)
+
+
+def _stored_report(doc: dict) -> dict:
+    """The uncertainty report of the first vertebra's samples, as a case file stores one."""
+    return io.report_to_dict(McSampleSet(np.array(doc["vertebrae"][0]["mc"]["samples"])))
+
+
+def _mutated(doc: dict, path: tuple, value) -> dict:
+    """A copy of ``doc`` with the field or list item at ``path`` set to ``value``, or deleted for MISSING."""
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = _stored_report(doc) if value == "report" else value
+    return doc
+
+
+@st.composite
+def mutated_case_docs(draw) -> dict:
+    """A generated case with one field (from ``_field_paths``), or one number of a position or mean_dims list,
+    set to a bad value or a stored uncertainty report, or deleted."""
+    doc = draw(case_docs())
+    path = draw(st.sampled_from(_field_paths(doc)), label="field")
+    target = doc
+    for key in path:
+        target = target[key]
+    if path[-1] in ("position", "mean_dims") and draw(st.booleans()):
+        path += (draw(st.integers(0, len(target) - 1)),)
+    return _mutated(doc, path, draw(st.sampled_from(BAD_CASE_VALUES + ("report",)), label="value"))
+
+
+@functools.cache
+def _guard_base() -> dict:
+    """A three-vertebra case with truth and a stored weight on every vertebra, inside every column guard."""
+    doc = io.case_to_dict(random_case(np.random.default_rng(28), k=3))
+    for rec in doc["vertebrae"]:
+        rec["fusion_weight"] = 0.5
+    return json.loads(json.dumps(doc))
+
+
+# Mutations of vertebra 1, each rejected by one guard of io._column_vertebrae alone.
+GUARD_MUTATIONS = {
+    "center missing": (("center",), MISSING),
+    "center field missing": (("center", "z_rank"), MISSING),
+    "short position": (("center", "position"), [1.0, 2.0]),
+    "short mean_dims": (("center", "mean_dims"), [1.0]),
+    # no file decodes to these, but a library caller may pass them to case_from_dict
+    "position as a dict of float keys": (("center", "position"), {1.0: 0, 2.0: 0, 3.0: 0}),
+    "mean_dims as a dict of float keys": (("center", "mean_dims"), {20.0: 0, 30.0: 0}),
+    "bool in position": (("center", "position", 2), True),
+    "numeric string in mean_dims": (("center", "mean_dims", 0), "3"),
+    "1e400 in position": (("center", "position", 0), math.inf),
+    "huge int in position": (("center", "position", 1), 10**400),
+    "NaN in position": (("center", "position", 2), math.nan),
+    "1e400 in mean_dims": (("center", "mean_dims", 1), math.inf),
+    "zero mean_dims": (("center", "mean_dims", 0), 0),
+    "bool member_count": (("center", "member_count"), True),
+    "float z_rank": (("center", "z_rank"), 1.0),
+    "zero member_count": (("center", "member_count"), 0),
+    "negative z_rank": (("center", "z_rank"), -1),
+    "bool truth": (("truth",), True),
+    "truth 24": (("truth",), 24),
+    "negative truth": (("truth",), -1),
+    "bool weight": (("fusion_weight",), True),
+    "weight 1.5": (("fusion_weight",), 1.5),
+    "negative weight": (("fusion_weight",), -0.5),
+    "stored report": (("uncertainty",), "report"),
+}
+
+
+def _guard_examples(test):
+    """``test`` with the unmutated base case and one explicit example per ``GUARD_MUTATIONS`` entry."""
+    test = example(doc=_guard_base())(test)
+    for path, value in GUARD_MUTATIONS.values():
+        test = example(doc=_mutated(_guard_base(), ("vertebrae", 1) + path, value))(test)
+    return test
+
+
+@_guard_examples
+@settings(max_examples=300, deadline=None)
+@given(doc=case_docs() | mutated_case_docs())
+def test_case_loader_matches_per_vertebra_oracle(doc):
+    want = _case_outcome(per_vertebra_case_from_dict, doc)
+    event("case" if want[0] is SpineCase else want[0].__name__)
+    assert _case_outcome(io.case_from_dict, doc) == want
+
+
+def test_saved_cases_skip_the_per_vertebra_checks():
+    # a case save_case writes without stored reports passes every column guard, so no vertebra is built
+    # by the checking constructors; a stored report sends the case through them
+    rng = np.random.default_rng(29)
+    case = random_case(rng, k=5)
+    with mock.patch.object(SpineVertebra, "__post_init__", wraps=SpineVertebra.__post_init__, autospec=True) as check:
+        assert io.case_from_dict(json.loads(json.dumps(io.case_to_dict(case)))) == case
+        assert not check.called
+        with_report = replace(case, vertebrae=(replace(case.vertebrae[0], uncertainty=report(case.vertebrae[0].mc)),
+                                               *case.vertebrae[1:]))
+        check.reset_mock()
+        assert io.case_from_dict(json.loads(json.dumps(io.case_to_dict(with_report)))) == with_report
+        assert check.call_count == len(case)
+
+
+def nested_sample_block(samples: list):
+    """Oracle: io._sample_block as it was, one ``np.array`` over the nested rows of all vertebrae."""
+    if all(type(rows) is list and rows for rows in samples):
+        try:
+            block = np.array(list(chain.from_iterable(samples)), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            block = None
+        if block is not None and block.ndim == 2 and block.shape[1] == 24:
+            return block, [len(rows) for rows in samples]
+    arrays = []
+    for i, rows in enumerate(samples):
+        arr = io._convert(io._float_array, rows, f"vertebrae[{i}].mc.samples")
+        if arr.ndim != 2 or arr.shape[1] != 24 or len(arr) == 0:
+            raise ValidationError(f"vertebra {i}: samples must have shape (n, 24) with n >= 1, got {arr.shape}")
+        arrays.append(arr)
+    return np.concatenate(arrays), [len(arr) for arr in arrays]
+
+
+def _block_outcome(build, samples):
+    """The block's dtype, shape and bytes and the counts, or the type and message of the error."""
+    try:
+        block, counts = build(samples)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return block.dtype.str, block.shape, block.tobytes(), counts
+
+
+BAD_SAMPLE_VALUES = (True, "0.5", None, [0.5], {"v": 1}, 10**400, math.inf, math.nan, 0, 1, -0.0)
+
+
+@st.composite
+def sample_lists(draw) -> list:
+    """The ``mc.samples`` of a generated case, each vertebra 1-7 rows, after up to two mutations: a value set to
+    a bad or integral one, a row made short, long, a string of 24 digits or a tuple, or a vertebra's rows
+    emptied, made a tuple or a number."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = io.case_to_dict(random_case(rng, k=draw(st.integers(1, 8))))
+    samples = [rec["mc"]["samples"] for rec in doc["vertebrae"]]
+    for _ in range(draw(st.integers(0, 2), label="mutations")):
+        i = draw(st.integers(0, len(samples) - 1))
+        if type(samples[i]) is not list or not samples[i]:
+            continue  # rows the first mutation replaced
+        j = draw(st.integers(0, len(samples[i]) - 1))
+        if type(samples[i][j]) is not list:
+            continue
+        kind = draw(st.sampled_from(("value", "value", "short", "long", "digits", "tuple", "empty", "rows tuple",
+                                     "rows number")))
+        if kind == "value":
+            samples[i][j][draw(st.integers(0, 23))] = draw(st.sampled_from(BAD_SAMPLE_VALUES))
+        elif kind in ("short", "long"):
+            samples[i][j] = samples[i][j][:23] if kind == "short" else samples[i][j] + [0.0]
+        elif kind in ("digits", "tuple"):
+            samples[i][j] = "0" * 24 if kind == "digits" else tuple(samples[i][j])
+        else:
+            samples[i] = {"empty": [], "rows tuple": tuple(samples[i]), "rows number": 5}[kind]
+    return samples
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=sample_lists())
+def test_sample_block_matches_nested_conversion(samples):
+    want = _block_outcome(nested_sample_block, samples)
+    event("block" if isinstance(want[0], str) else want[0].__name__)
+    assert _block_outcome(io._sample_block, samples) == want
