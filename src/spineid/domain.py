@@ -366,14 +366,14 @@ class SpineVertebra:
             object.__setattr__(self, "fusion_weight", fw)
 
     @classmethod
-    def _trusted(cls, center: VertebraCenter, mc: McSampleSet, truth: int | None,
-                 fusion_weight: float | None) -> SpineVertebra:
-        """A vertebra without a stored report, of values checked already; as ``VertebraCenter._trusted``."""
+    def _trusted(cls, center: VertebraCenter, mc: McSampleSet, truth: int | None, fusion_weight: float | None,
+                 uncertainty: UncertaintyReport | None = None) -> SpineVertebra:
+        """A vertebra of values checked already; as ``VertebraCenter._trusted``."""
         vertebra = object.__new__(cls)
         object.__setattr__(vertebra, "center", center)
         object.__setattr__(vertebra, "mc", mc)
         object.__setattr__(vertebra, "truth", truth)
-        object.__setattr__(vertebra, "uncertainty", None)
+        object.__setattr__(vertebra, "uncertainty", uncertainty)
         object.__setattr__(vertebra, "fusion_weight", fusion_weight)
         return vertebra
 
@@ -413,6 +413,14 @@ class SpineCase:
                         "truth labels must increase by exactly 1 along the case, got "
                         f"{CANONICAL_NAMES[truths[i]]} -> {CANONICAL_NAMES[truths[i + 1]]} at position {i}"
                     )
+
+    @classmethod
+    def _trusted(cls, case_id: str, vertebrae: tuple[SpineVertebra, ...]) -> SpineCase:
+        """A case of a checked case's id and of vertebrae in its checked order; as ``VertebraCenter._trusted``."""
+        case = object.__new__(cls)
+        object.__setattr__(case, "case_id", case_id)
+        object.__setattr__(case, "vertebrae", vertebrae)
+        return case
 
     def __len__(self) -> int:
         return len(self.vertebrae)

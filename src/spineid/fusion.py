@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,53 +105,43 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
     u and 1/dis, and is 0 where row i + d lies in another case; so one pass
     over the stack fuses every case on its own. ``w`` is a (hi - lo, 1)
     column, and ``dst`` lists the rows whose partner is in their own case.
-    Offsets with no such row are left out. A single case, as ``fuse`` gives,
-    has no other case: every row of ``lo:hi`` is in ``dst``, and each
-    offset's pairs are two row slices, with no gather or mask.
+    Offsets with no such row are left out.
     """
-    sizes = [len(case) for case in cases]
-    m = sum(sizes)
-    one = len(cases) == 1
-    case_of = None if one else np.repeat(np.arange(len(cases)), sizes)
+    case_of = np.repeat(np.arange(len(cases)), [len(case) for case in cases])
     u = np.concatenate([resolve_certainty(case) for case in cases])
     if params.distance_mode == "physical":
         positions = np.array([v.center.position for case in cases for v in case.vertebrae], dtype=np.float64)
     pairs = {}
     for delta in phi_offsets(params.window):
-        lo, hi = max(0, -delta), m - max(0, delta)
-        if hi <= lo:
+        lo = max(0, -delta)
+        hi = max(lo, len(u) - max(0, delta))
+        here, there = slice(lo, hi), slice(lo + delta, hi + delta)
+        same = case_of[here] == case_of[there]  # row i's partner i + d lies in its own case
+        if not same.any():
             continue
-        if one:
-            dst, here, there = np.arange(lo, hi), slice(lo, hi), slice(lo + delta, hi + delta)
-        else:
-            rows = np.arange(lo, hi)
-            dst = rows[case_of[rows] == case_of[rows + delta]]
-            if len(dst) == 0:
-                continue
-            here, there = dst, dst + delta
         if params.distance_mode == "index":
             dis = float(abs(delta))
         else:
             with np.errstate(over="ignore"):  # an overflowing distance is rejected below
                 dis = np.linalg.norm(positions[here] - positions[there], axis=1)
-            over, same = np.isinf(dis), dis == 0.0
-            if over.any() or same.any():
-                row = int(dst[np.argmax(over if over.any() else same)])
-                i = row if one else row - sum(sizes[:case_of[row]])  # vertebra i of its own case
+            over, zero = np.isinf(dis) & same, (dis == 0.0) & same
+            if over.any() or zero.any():
+                row = lo + int(np.argmax(over if over.any() else zero))
+                i = row - int(np.argmax(case_of == case_of[row]))  # vertebra i of its own case
                 if over.any():
                     raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
                                           "their physical distance overflows float64")
-                raise DegenerateGeometryError(
-                    f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
-                )
-        weights = params.theta * u[there] / dis
-        if one:
-            w = weights[:, None]
-        else:
-            w = np.zeros((hi - lo, 1))
-            w[dst - lo, 0] = weights
-        pairs[delta] = (lo, hi, w, dst)
+                raise DegenerateGeometryError(f"vertebrae {i} and {i + delta} share a physical position; "
+                                              "1/distance is undefined")
+            dis[~same] = 1.0  # pairs across cases get weight 0 below, whatever their distance
+        w = np.where(same, params.theta * u[there] / dis, 0.0)[:, None]
+        pairs[delta] = (lo, hi, w, np.flatnonzero(same) + lo)
     return pairs
+
+
+def _input_states(cases: list[SpineCase]) -> np.ndarray:
+    """The stacked (m, 24) states fusion starts from: each vertebra's MC sample mean, case after case."""
+    return np.array([v.mc.mean_probs for case in cases for v in case.vertebrae])
 
 
 def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
@@ -158,8 +149,9 @@ def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
 
     Returns the states before and after every hop, written into one
     preallocated (hops + 1, m, 24) array, and each hop's raw row sums, a
-    (hops, m) array the backward pass divides by. Offset d's messages are one
-    product of the states shifted by d rows.
+    (hops, m) array the backward pass divides by. Offset d's messages are
+    the product of all m states with phi[d], shifted by d rows, so a case
+    has the same bits alone as inside a stack.
     """
     cs = np.empty((hops + 1, *c0.shape))
     cs[0] = c0
@@ -168,38 +160,48 @@ def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
         c = cs[t]
         raw = c.copy()
         for delta, (lo, hi, w, _) in pairs.items():
-            raw[lo:hi] += w * (c[lo + delta:hi + delta] @ phi[delta])
+            raw[lo:hi] += w * (c @ phi[delta])[lo + delta:hi + delta]
         s = sums[t] = raw.sum(axis=1)
         np.divide(raw, s[:, None], out=cs[t + 1])
     return cs, sums
 
 
-def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
-    """Iterate the fusion hop from each vertebra's MC sample mean.
-
-    The trace holds hops + 1 snapshots, the first being the inputs, and the
-    argmax labels of the last; ties break toward the smaller class index. A
-    single hop is ``fuse(case, params_with_hops_1).snapshots[1]``.
-
-    With theta = 0, a single vertebra, or a window of 1 there are no
-    messages, and every snapshot is the input states unchanged. A hop whose
-    raw confidences overflow float64 raises ``ValidationError``.
-    """
-    c0 = np.array([v.mc.mean_probs for v in case.vertebrae])
-    if params.theta == 0.0 or len(case) == 1 or params.window == 1:
-        # no messages; renormalizing would still move the states by ulps
+def fuse_many(cases: list[SpineCase], params: FusionParams) -> list[FusionTrace]:
+    """``fuse`` of each case, in one pass over the stacked cases, each trace with the bits ``fuse`` gives."""
+    if not cases:
+        return []
+    sizes = [len(case) for case in cases]
+    starts = [0, *accumulate(sizes)]
+    c0 = _input_states(cases)
+    if params.theta == 0.0 or params.window == 1:
         snapshots = np.repeat(c0[None], params.hops + 1, axis=0)
     else:
-        pairs = _fuse_pairs([case], params)
         with np.errstate(over="ignore", invalid="ignore"):
-            snapshots, sums = _forward(c0, pairs, params.phi, params.hops)
-        bad = ~np.isfinite(sums)
-        if bad.any():
-            hop, i = np.argwhere(bad)[0]
+            snapshots, sums = _forward(c0, _fuse_pairs(cases, params), params.phi, params.hops)
+        if not np.isfinite(sums).all():
+            if len(cases) > 1:  # an overflow leaks to the next case as 0 * inf; alone, the case that overflows raises
+                return [trace for case in cases for trace in fuse_many([case], params)]
+            hop, i = np.argwhere(~np.isfinite(sums))[0]
             raise ValidationError(f"fusion overflowed at hop {hop + 1}: the raw confidences of vertebra {i} "
-                                  "do not sum to a finite number")
+                                  f"of case {cases[0].case_id!r} do not sum to a finite number")
+        lone = [start for start, k in zip(starts, sizes) if k == 1]
+        if lone:  # no messages; renormalizing would still move their states by ulps
+            snapshots[:, lone] = c0[lone]
     snapshots.flags.writeable = False
-    return FusionTrace(snapshots=snapshots, final_labels=tuple(snapshots[-1].argmax(axis=1).tolist()))
+    labels = snapshots[-1].argmax(axis=1).tolist()
+    return [FusionTrace(snapshots[:, a:b], tuple(labels[a:b])) for a, b in zip(starts, starts[1:])]
+
+
+def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
+    """Iterate the fusion hop from each vertebra's MC sample mean: ``fuse_many([case], params)[0]``.
+
+    The trace holds hops + 1 snapshots, the first being the inputs, and the
+    argmax labels of the last; ties break toward the smaller class index.
+    With theta = 0, a single vertebra, or a window of 1 every snapshot is the
+    inputs unchanged. A hop whose raw confidences overflow float64 raises
+    ``ValidationError`` naming the case and the vertebra.
+    """
+    return fuse_many([case], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +215,10 @@ class _Unrolled:
         for case in cases:
             if case.truths is None:
                 raise ValidationError(f"case {case.case_id!r} lacks full ground truth")
-        self.pairs = _fuse_pairs(cases, params)
-        # the phi gradient sums over the pairs inside a case only, (src, coeff)
-        # per offset: the zero-weight rows between cases would change the
-        # product's blocking, and so its bits
+        self.c0, self.pairs = _input_states(cases), _fuse_pairs(cases, params)
+        # the phi gradient sums over the pairs inside a case only, (src, coeff) per offset:
+        # the zero-weight rows between cases would change the product's blocking, and so its bits
         self.gathered = {delta: (dst + delta, w[dst - lo]) for delta, (lo, hi, w, dst) in self.pairs.items()}
-        self.c0 = np.array([v.mc.mean_probs for case in cases for v in case.vertebrae])
         self.truth = np.array([t for case in cases for t in case.truths], dtype=np.int64)
         self.hops = params.hops
 
@@ -251,7 +251,7 @@ class _Unrolled:
             for delta, (lo, hi, w, dst) in self.pairs.items():
                 src, coeff = self.gathered[delta]
                 grad[delta] += (coeff * c_prev[src]).T @ h[dst]
-                g[lo + delta:hi + delta] += w * (h[lo:hi] @ phi[delta].T)
+                g[lo + delta:hi + delta] += w * (h @ phi[delta].T)[lo:hi]
         return loss, grad
 
 

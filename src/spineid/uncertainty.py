@@ -9,11 +9,17 @@ sample variance is reported alongside as an alternative dispersion measure.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from .domain import SUM_TOL_INTERNAL, McSampleSet, SpineCase, UncertaintyReport, _entropies, _probabilities
+from .domain import (
+    SUM_TOL_INTERNAL,
+    McSampleSet,
+    SpineCase,
+    SpineVertebra,
+    UncertaintyReport,
+    _entropies,
+    _probabilities,
+)
 from .errors import ValidationError
 
 __all__ = [
@@ -75,7 +81,12 @@ def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:
     """``case`` with each vertebra's sample set stored as its report, and its fusion weight under ``metric``.
 
     The only code that turns MC samples into stored fusion weights; ``fuse``
-    and ``train_phi`` read them back.
+    and ``train_phi`` read them back. The case and its vertebrae were
+    checked when built, so only the new weights are.
     """
-    verts = tuple(replace(v, uncertainty=v.mc, fusion_weight=fusion_weight(v.mc, metric)) for v in case.vertebrae)
-    return replace(case, vertebrae=verts)
+    weights = [fusion_weight(v.mc, metric) for v in case.vertebrae]
+    for w in weights:
+        if not 0.0 <= w <= 1.0:  # an entropy can round past ln 24, and its weight below 0
+            raise ValidationError(f"fusion_weight must lie in [0, 1], got {w}")
+    verts = tuple(SpineVertebra._trusted(v.center, v.mc, v.truth, w, v.mc) for v, w in zip(case.vertebrae, weights))
+    return SpineCase._trusted(case.case_id, verts)

@@ -815,6 +815,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'labels' has an invalid value") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", ["0.5", True], ids=["digit-str", "bool"])
+    def test_batch_vectors_must_be_numbers(self, tmp_path, capsys, entry):
+        # numpy once parsed "0.5" and read true as 1.0
+        vectors = np.eye(4).tolist()
+        vectors[2][1] = entry
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"tau": 0.5, "labels": [0, 0, 1, 1], "vectors": vectors}))
+        assert main(["supcon", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'vectors' has an invalid value") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", ["0.5", True], ids=["digit-str", "bool"])
+    def test_phi_entries_must_be_numbers(self, corpus, tmp_path, capsys, entry):
+        # numpy once parsed "0.5" and read true as 1.0
+        data = io.params_to_dict(identity_params(window=3))
+        data["phi"]["+1"][5] = entry
+        params_path = tmp_path / "phi.json"
+        params_path.write_text(json.dumps(data))
+        assert main(["fuse", "--case", str(corpus / "case_0000.json"), "--params", str(params_path),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'phi[+1]' has an invalid value") and err.count("\n") == 1
+
     def test_small_tau_is_divergence(self, tmp_path, capsys):
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(unit_vector_batch()))

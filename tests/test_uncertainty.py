@@ -1,16 +1,19 @@
 """Uncertainty aggregation against extended-precision recomputation."""
 
+import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_hot, random_case, random_probs
-from spineid.domain import MAX_ENTROPY, McSampleSet, UncertaintyReport, _sample_stats
+from conftest import make_case, one_hot, random_case, random_probs
+from spineid import io
+from spineid.domain import MAX_ENTROPY, McSampleSet, SpineVertebra, UncertaintyReport, _sample_stats
 from spineid.errors import ValidationError
 from spineid.fusion import TrainConfig, fuse, identity_params, resolve_certainty, train_phi
 from spineid.uncertainty import aggregate_samples, certainty_from_variance, entropy, fusion_weight, report, with_reports
@@ -284,6 +287,32 @@ class TestSampleSetIsItsReport:
             case = with_reports(random_case(rng), metric)
             assert all(v.uncertainty is v.mc for v in case.vertebrae)
             assert [v.fusion_weight for v in case.vertebrae] == [fusion_weight(v.mc, metric) for v in case.vertebrae]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 24), metric=st.sampled_from(["entropy", "variance"]))
+    def test_with_reports_matches_the_checking_constructors(self, seed, k, metric):
+        # with_reports builds its case and vertebrae unchecked; the checking ones, as it built them before, agree
+        case = random_case(np.random.default_rng(seed), k=k)
+        want = replace(case, vertebrae=tuple(replace(v, uncertainty=v.mc, fusion_weight=fusion_weight(v.mc, metric))
+                                              for v in case.vertebrae))
+        got = with_reports(case, metric)
+        assert got == want and repr(got) == repr(want)
+        assert json.dumps(io.case_to_dict(got)) == json.dumps(io.case_to_dict(want))
+        for v, g in zip(case.vertebrae, got.vertebrae, strict=True):
+            assert g.center is v.center and g.mc is v.mc and g.uncertainty is v.mc and g.truth is v.truth
+            assert type(g.fusion_weight) is float
+
+    def test_weight_below_zero_rejected_as_by_the_vertebra(self):
+        # a near-uniform mean's entropy can round past ln 24, so its certainty weight falls just below 0
+        rng = np.random.default_rng(0)
+        rows = np.full(24, 1 / 24) + rng.uniform(-1e-12, 1e-12, (50, 24))
+        low = next(mc for mc in (McSampleSet(r[None] / r.sum()) for r in rows) if mc.certainty_weight < 0)
+        case = make_case([one_hot(3), low.samples, one_hot(5)], truths=[3, 4, 5])
+        v = case.vertebrae[1]
+        with pytest.raises(ValidationError) as checked:
+            SpineVertebra(v.center, v.mc, v.truth, v.mc, low.certainty_weight)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(checked.value))}$"):
+            with_reports(case)
 
     def test_reports_and_fusion_build_no_plain_report(self, monkeypatch):
         rng = np.random.default_rng(14)
