@@ -17,7 +17,7 @@ from spineid import (
     McConfig,
     TrainConfig,
     evaluate,
-    fuse_many,
+    fuse,
     gen_cases,
     identity_params,
     train_phi,
@@ -46,7 +46,7 @@ print(f"baseline (argmax of MC means): id-rate {baseline.id_rate:.4f}, label-MSE
 params = identity_params(theta=0.1, hops=3, window=5)
 trained = train_phi(train, params, TrainConfig(learning_rate=12.0, epochs=400, seed=42, init="identity"))
 
-fused_states = [list(trace.snapshots[-1]) for trace in fuse_many(held, trained)]
+fused_states = [list(fuse(c, trained).snapshots[-1]) for c in held]
 fused = evaluate(held, fused_states)
 print(f"fused (trained matrices)     : id-rate {fused.id_rate:.4f}, label-MSE {fused.mse:.4f}")
 print(f"improvement: {fused.id_rate - baseline.id_rate:+.4f} id-rate, "

@@ -27,8 +27,7 @@ _EXPORTS = {
         "errors": ("DegenerateGeometryError", "DivergenceError", "EmptyClusterError", "ParseError",
                    "SpineError", "ValidationError"),
         "evaluate": ("EvalReport", "constrained_decode", "decode_states", "evaluate"),
-        "fusion": ("FusionTrace", "TrainConfig", "fuse", "fuse_many", "identity_params", "initial_phi",
-                   "train_phi"),
+        "fusion": ("FusionTrace", "TrainConfig", "fuse", "identity_params", "initial_phi", "train_phi"),
         "io": ("load_case", "load_centers", "load_detections", "load_embedding_batch", "load_fusion_params",
                "save_case", "save_centers", "save_detections", "save_fusion_params"),
         "labels": ("CANONICAL_NAMES", "N_CLASSES", "label_index", "sequence_loss"),

@@ -253,12 +253,12 @@ def _cmd_pipeline(args) -> int:
     from . import io
     from .clustering import cluster_centers
     from .evaluate import evaluate
-    from .fusion import fuse_many
+    from .fusion import fuse
     from .uncertainty import with_reports
 
     case_files = _load_case_dir(args.dir, args.out)
     params = _fusion_params(args)
-    cases = []
+    cases, baseline_states, fused_states = [], [], []
     count_match = 0
     center_errors = []
     for path, case in case_files:
@@ -270,10 +270,13 @@ def _cmd_pipeline(args) -> int:
             truth_pos = np.array([v.center.position for v in case.vertebrae])
             for c in centers:
                 center_errors.append(float(np.min(np.linalg.norm(truth_pos - np.array(c.position), axis=1))))
-        cases.append(with_reports(case, args.u_metric))
-    traces = fuse_many(cases, params)
-    baseline = evaluate(cases, [trace.snapshots[0] for trace in traces], decode=args.decode)
-    fused = evaluate(cases, [trace.snapshots[-1] for trace in traces], decode=args.decode)
+        case = with_reports(case, args.u_metric)
+        trace = fuse(case, params)
+        cases.append(case)
+        baseline_states.append(trace.snapshots[0])
+        fused_states.append(trace.snapshots[-1])
+    baseline = evaluate(cases, baseline_states, decode=args.decode)
+    fused = evaluate(cases, fused_states, decode=args.decode)
     out = {
         "cases": len(cases),
         "clustering": {

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -128,11 +127,11 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
             if over.any() or zero.any():
                 row = lo + int(np.argmax(over if over.any() else zero))
                 i = row - int(np.argmax(case_of == case_of[row]))  # vertebra i of its own case
+                pair, case = f"vertebrae {i} and {i + delta}", f"case {cases[case_of[row]].case_id!r}"
                 if over.any():
-                    raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
+                    raise ValidationError(f"{pair} lie too far apart in {case}: "
                                           "their physical distance overflows float64")
-                raise DegenerateGeometryError(f"vertebrae {i} and {i + delta} share a physical position; "
-                                              "1/distance is undefined")
+                raise DegenerateGeometryError(f"{pair} share a physical position in {case}; 1/distance is undefined")
             dis[~same] = 1.0  # pairs across cases get weight 0 below, whatever their distance
         w = np.where(same, params.theta * u[there] / dis, 0.0)[:, None]
         pairs[delta] = (lo, hi, w, np.flatnonzero(same) + lo)
@@ -166,42 +165,32 @@ def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     return cs, sums
 
 
-def fuse_many(cases: list[SpineCase], params: FusionParams) -> list[FusionTrace]:
-    """``fuse`` of each case, in one pass over the stacked cases, each trace with the bits ``fuse`` gives."""
-    if not cases:
-        return []
-    sizes = [len(case) for case in cases]
-    starts = [0, *accumulate(sizes)]
-    c0 = _input_states(cases)
-    if params.theta == 0.0 or params.window == 1:
-        snapshots = np.repeat(c0[None], params.hops + 1, axis=0)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            snapshots, sums = _forward(c0, _fuse_pairs(cases, params), params.phi, params.hops)
-        if not np.isfinite(sums).all():
-            if len(cases) > 1:  # an overflow leaks to the next case as 0 * inf; alone, the case that overflows raises
-                return [trace for case in cases for trace in fuse_many([case], params)]
-            hop, i = np.argwhere(~np.isfinite(sums))[0]
-            raise ValidationError(f"fusion overflowed at hop {hop + 1}: the raw confidences of vertebra {i} "
-                                  f"of case {cases[0].case_id!r} do not sum to a finite number")
-        lone = [start for start, k in zip(starts, sizes) if k == 1]
-        if lone:  # no messages; renormalizing would still move their states by ulps
-            snapshots[:, lone] = c0[lone]
-    snapshots.flags.writeable = False
-    labels = snapshots[-1].argmax(axis=1).tolist()
-    return [FusionTrace(snapshots[:, a:b], tuple(labels[a:b])) for a, b in zip(starts, starts[1:])]
-
-
 def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
-    """Iterate the fusion hop from each vertebra's MC sample mean: ``fuse_many([case], params)[0]``.
+    """Iterate the fusion hop from each vertebra's MC sample mean.
 
     The trace holds hops + 1 snapshots, the first being the inputs, and the
     argmax labels of the last; ties break toward the smaller class index.
-    With theta = 0, a single vertebra, or a window of 1 every snapshot is the
-    inputs unchanged. A hop whose raw confidences overflow float64 raises
-    ``ValidationError`` naming the case and the vertebra.
+    With theta = 0, a single vertebra, or a window of 1 there are no
+    messages, and every snapshot is the inputs unchanged. Otherwise the hops
+    are ``train_phi``'s forward pass over a stack of one case, so a case has
+    the same bits here as inside the training stack. A hop whose raw
+    confidences overflow float64 raises ``ValidationError`` naming the case
+    and the vertebra.
     """
-    return fuse_many([case], params)[0]
+    c0 = _input_states([case])
+    if params.theta == 0.0 or len(case) == 1 or params.window == 1:
+        # no messages; renormalizing would still move the states by ulps
+        snapshots = np.repeat(c0[None], params.hops + 1, axis=0)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            snapshots, sums = _forward(c0, _fuse_pairs([case], params), params.phi, params.hops)
+        bad = ~np.isfinite(sums)
+        if bad.any():
+            hop, i = np.argwhere(bad)[0]
+            raise ValidationError(f"fusion overflowed at hop {hop + 1}: the raw confidences of vertebra {i} "
+                                  f"of case {case.case_id!r} do not sum to a finite number")
+    snapshots.flags.writeable = False
+    return FusionTrace(snapshots=snapshots, final_labels=tuple(snapshots[-1].argmax(axis=1).tolist()))
 
 
 # ---------------------------------------------------------------------------

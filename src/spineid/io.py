@@ -36,7 +36,7 @@ from .domain import (
     UncertaintyReport,
     VertebraCenter,
 )
-from .errors import ParseError, ValidationError, _invalid, _number_type, _numbers
+from .errors import ParseError, ValidationError, _invalid, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, label_index
 
 
@@ -144,15 +144,14 @@ def _float_array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _number_array(value: Any) -> np.ndarray:
-    """``_float_array(value)`` of nested lists whose entries pass the number rule: numpy alone parses ``"0.5"``
-    and reads ``true`` as 1. The rule runs once per entry type."""
-    arr = _float_array(value)
+def _number_array(value: Any, key: str) -> np.ndarray:
+    """Field ``key``'s nested lists as a float64 array, if every entry passes the number rule: numpy alone
+    parses ``"0.5"`` and reads ``true`` as 1."""
+    arr = _convert(_float_array, value, key)
     entries = [value]
     for _ in range(arr.ndim):
         entries = list(chain.from_iterable(entries))
-    if not all(map(_number_type, set(map(type, entries)))):
-        raise TypeError("entries must be numbers")
+    _numbers(entries, f"field {key!r}")
     return arr
 
 
@@ -509,7 +508,7 @@ def params_from_dict(data: dict) -> FusionParams:
         if offset in keys:
             raise ParseError(f"phi keys {keys[offset]!r} and {key!r} name the same offset")
         keys[offset] = key
-        flat = _convert(_number_array, flat, f"phi[{key}]")
+        flat = _number_array(flat, f"phi[{key}]")
         if flat.size != 24 * 24:
             raise ValidationError(f"phi[{key}] must hold 576 values, got {flat.size}")
         phi[offset] = flat.reshape(24, 24)
@@ -566,7 +565,7 @@ def load_embedding_batch(path: str | Path, tau_override: float | None = None):
 
     with _in_file(path):
         data = _read_json(path)
-        vectors = _convert(_number_array, _get(data, "vectors"), "vectors")
+        vectors = _number_array(_get(data, "vectors"), "vectors")
         labels = _convert(_labels, _get(data, "labels"), "labels")
         tau = tau_override if tau_override is not None else data.get("tau", 0.1)
         return EmbeddingBatch(vectors=vectors, labels=labels, tau=tau)

@@ -23,7 +23,7 @@ from conftest import make_case, one_hot, random_case
 from spineid.clustering import ClusterConfig, box_densities, cluster_centers
 from spineid.domain import FusionParams, McSampleSet, phi_offsets
 from spineid.evaluate import evaluate
-from spineid.fusion import TrainConfig, _Unrolled, fuse, fuse_many, identity_params, train_phi
+from spineid.fusion import TrainConfig, _Unrolled, fuse, identity_params, train_phi
 from spineid.labels import N_CLASSES, sequence_loss
 from spineid.losses import supcon_grad, supcon_loss
 from spineid.synthetic import ConfusionModel, DetectConfig, GenConfig, McConfig, gen_cases
@@ -262,7 +262,8 @@ def _baseline_states(cases):
 
 
 def _fused_reports(cases, params):
-    return evaluate(cases, [trace.snapshots[-1] for trace in fuse_many(cases, params)])
+    states = [fuse(c, params).snapshots[-1] for c in cases]
+    return evaluate(cases, states)
 
 
 def _make_corpus(conf: ConfusionModel, seed: int, n: int):
@@ -359,7 +360,8 @@ def test_criterion_9_parameter_sweeps():
 
 
 def _per_case_rates(cases, params) -> list[float]:
-    return list(_fused_reports(cases, params).per_case_id_rate)
+    states = [fuse(c, params).snapshots[-1] for c in cases]
+    return list(evaluate(cases, states).per_case_id_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from spineid.fusion import (
     _forward,
     _Unrolled,
     fuse,
-    fuse_many,
     identity_params,
     initial_phi,
     resolve_certainty,
@@ -119,35 +118,6 @@ class TestFuseStep:
             fuse(case, params)
         with pytest.raises(ValidationError, match="too far apart"):
             train_phi([case], params, TrainConfig(0.1, 1))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_cases=st.integers(1, 4),
-    hops=st.integers(1, 3),
-    window=st.sampled_from([3, 5]),
-    distance=st.sampled_from(["index", "physical"]),
-)
-def test_stacked_forward_matches_each_case_fuse(seed, n_cases, hops, window, distance):
-    # cases of two or more vertebrae: fuse returns a single vertebra's states
-    # unrenormalized, while the stacked pass renormalizes every row; cases of
-    # 2 to 4 vertebrae have an offset with a single pair at some window
-    rng = np.random.default_rng(seed)
-    cases = [random_case(rng, k=int(rng.integers(2, 7))) for _ in range(n_cases)]
-    params = FusionParams(0.1, hops, window, distance,
-                          {d: rng.uniform(0, 1, (24, 24)) for d in phi_offsets(window)})
-    un = _Unrolled(cases, params)
-    cs, _ = _forward(un.c0, un.pairs, params.phi, hops)
-    start = 0
-    for case in cases:
-        trace = fuse(case, params)
-        for c, want in zip(cs, trace.snapshots, strict=True):
-            assert c[start:start + len(case)].tobytes() == want.tobytes()
-        start += len(case)
-    assert start == len(un.c0)
-    for c in cs[1:]:
-        assert np.abs(c.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_computed_weights_are_the_stored_weights():
@@ -352,11 +322,13 @@ def stacked_fuse_pairs(cases, params):
             if over.any() or same.any():
                 row = int(dst[np.argmax(over if over.any() else same)])
                 i = row - sum(sizes[:case_of[row]])
+                case_id = cases[case_of[row]].case_id
                 if over.any():
-                    raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart: "
+                    raise ValidationError(f"vertebrae {i} and {i + delta} lie too far apart in case {case_id!r}: "
                                           "their physical distance overflows float64")
                 raise DegenerateGeometryError(
-                    f"vertebrae {i} and {i + delta} share a physical position; 1/distance is undefined"
+                    f"vertebrae {i} and {i + delta} share a physical position in case {case_id!r}; "
+                    "1/distance is undefined"
                 )
         w = np.zeros((hi - lo, 1))
         w[dst - lo, 0] = params.theta * u[src] / dis
@@ -423,24 +395,33 @@ def outcome(run):
 @given(cases=fusion_corpora(), window=st.sampled_from([1, 3, 5, 7]), hops=st.integers(0, 3),
        distance=st.sampled_from(["index", "physical"]), theta=st.sampled_from([0.0, 0.1, 0.7]),
        seed=st.integers(0, 2**32 - 1))
-def test_fuse_many_matches_each_case_fuse(cases, window, hops, distance, theta, seed):
-    # uneven sample counts come from random_case; a stack that cannot be fused
-    # raises the error one of its cases raises alone
+def test_stacked_forward_matches_each_case_fuse(cases, window, hops, distance, theta, seed):
+    # training's forward pass over a stack of cases gives every case fuse's bits; uneven sample counts
+    # come from random_case. A case without messages (theta 0, window 1 or one vertebra) keeps its input
+    # states in fuse, while the stack still renormalizes its rows. A stack that cannot be fused raises
+    # the error its one bad case raises alone.
     rng = np.random.default_rng(seed)
-    phi = {d: rng.uniform(0, 2, (24, 24)) for d in phi_offsets(window)}
-    params = FusionParams(theta, hops, window, distance, phi)
-    each = [outcome(lambda case=case: fuse(case, params)) for case in cases]
-    errors = [r for r in each if isinstance(r, tuple)]
-    got = outcome(lambda: fuse_many(cases, params))
+    params = FusionParams(theta, hops, window, distance, {d: rng.uniform(0, 2, (24, 24)) for d in phi_offsets(window)})
+    errors = [r for r in (outcome(lambda case=case: fusion._fuse_pairs([case], params)) for case in cases)
+              if isinstance(r, tuple)]
+    pairs = outcome(lambda: fusion._fuse_pairs(cases, params))
     event("error" if errors else "traces")
     if errors:
-        assert got in errors
+        assert pairs == errors[0]
         return
-    assert len(got) == len(cases)
-    for trace, want in zip(got, each, strict=True):
-        assert trace.snapshots.shape == want.snapshots.shape and not trace.snapshots.flags.writeable
-        assert trace.snapshots.tobytes() == want.snapshots.tobytes()
-        assert trace.final_labels == want.final_labels
+    c0 = fusion._input_states(cases)
+    cs, _ = _forward(c0, pairs, params.phi, hops)
+    start = 0
+    for case in cases:
+        rows = slice(start, start + len(case))
+        start += len(case)
+        trace = fuse(case, params)
+        if theta == 0.0 or window == 1 or len(case) == 1:
+            assert trace.snapshots.tobytes() == np.stack([c0[rows]] * (hops + 1)).tobytes()
+            continue
+        for c, want in zip(cs, trace.snapshots, strict=True):
+            assert c[rows].tobytes() == want.tobytes()
+    assert start == len(c0)
 
 
 class TestFuse:
@@ -471,44 +452,24 @@ class TestFuse:
         assert all(type(label) is int for label in trace.final_labels)
 
     def test_overflowing_hop_rejected_without_warning(self):
-        # every message is ~1e307 per class, so a row's raw sum overflows float64;
-        # the suite turns an escaping RuntimeWarning into a failure
+        # every message is ~1e307 per class, so a row's raw sum overflows float64, first in
+        # vertebra 1, which hears two neighbours; the suite turns an escaping RuntimeWarning into a failure
         rng = np.random.default_rng(30)
         case = random_case(rng, k=4)
         params = FusionParams(0.1, 3, 3, "index", {d: np.full((24, 24), 1e308) for d in phi_offsets(3)})
-        with pytest.raises(ValidationError, match="overflowed at hop 1"):
+        with pytest.raises(ValidationError, match=rf"^fusion overflowed at hop 1: the raw confidences of vertebra 1 "
+                                                  rf"of case {case.case_id!r} do not sum to a finite number$"):
             fuse(case, params)
 
-    def test_overflow_in_a_stack_names_its_case(self):
-        # the outer cases store weights of 0, so their messages vanish and each
-        # fuses alone; the middle one's raw sums overflow at hop 1 from its
-        # first vertebra
-        rng = np.random.default_rng(31)
-        quiet = [random_case(rng, k=4) for _ in range(2)]
-        quiet = [replace(c, vertebrae=tuple(replace(v, fusion_weight=0.0) for v in c.vertebrae)) for c in quiet]
-        loud = make_case([one_hot(t) for t in (4, 5, 6)], truths=[4, 5, 6], case_id="loud")
-        params = FusionParams(0.1, 3, 3, "index", {d: np.full((24, 24), 1e308) for d in phi_offsets(3)})
-        for case in quiet:
-            assert np.isfinite(fuse(case, params).snapshots).all()
-        with pytest.raises(ValidationError, match=r"^fusion overflowed at hop 1: the raw confidences of "
-                                                  r"vertebra 0 of case 'loud' do not sum to a finite number$"):
-            fuse_many([quiet[0], loud, quiet[1]], params)
-
-    def test_overflow_only_a_neighbor_reads_stays_out_of_the_stack(self):
-        # a's first row times phi[+1] overflows, but no row of a reads it; stacked after b, b's
-        # last row reads it with a weight of 0, and 0 * inf is NaN
-        phi = {-1: np.zeros((24, 24)), 1: np.full((24, 24), np.finfo(np.float64).max)}
-        params = FusionParams(1e-3, 2, 3, "index", phi)
-        hot = np.where(np.arange(24) < 17, 1 / 17, 0.0)
-        a = make_case([hot, one_hot(4), one_hot(5)], truths=[3, 4, 5], case_id="a")
-        b = make_case([one_hot(0), one_hot(1)], truths=[0, 1], case_id="b")
-        with np.errstate(over="ignore"):
-            assert np.isinf(input_states(a) @ phi[1])[0].all()
-        for trace, case in zip(fuse_many([b, a], params), [b, a], strict=True):
-            assert trace.snapshots.tobytes() == fuse(case, params).snapshots.tobytes()
-
-    def test_no_cases_no_traces(self):
-        assert fuse_many([], identity_params()) == []
+    def test_geometry_error_in_a_stack_names_its_case(self):
+        # training fuses a stack of cases; the error names the case and its own vertebrae
+        rng = np.random.default_rng(32)
+        good = [random_case(rng, k=4) for _ in range(2)]
+        bad = make_case([one_hot(t) for t in (4, 5, 6)], truths=[4, 5, 6], case_id="bad",
+                        positions=[(0.0, 0.0, 10.0), (0.0, 0.0, 5.0), (0.0, 0.0, 5.0)])
+        params = identity_params(theta=0.1, window=3, distance_mode="physical")
+        with pytest.raises(DegenerateGeometryError, match=r"^vertebrae 2 and 1 share a physical position in case 'bad';"):
+            train_phi([good[0], bad, good[1]], params, TrainConfig(0.1, 1))
 
     def test_confident_neighbors_fix_off_by_one_middle(self):
         # middle vertebra leans to truth+1; neighbors are confidently correct

@@ -1,4 +1,4 @@
-"""The package's public names: the same 56, each the object its module defines, loaded on first use.
+"""The package's public names: the same 55, each the object its module defines, loaded on first use.
 Also: no module of the package keeps an import it does not use.
 """
 
@@ -18,7 +18,7 @@ PUBLIC = {
     "errors": ["DegenerateGeometryError", "DivergenceError", "EmptyClusterError", "ParseError", "SpineError",
                "ValidationError"],
     "evaluate": ["EvalReport", "constrained_decode", "decode_states", "evaluate"],
-    "fusion": ["FusionTrace", "TrainConfig", "fuse", "fuse_many", "identity_params", "initial_phi", "train_phi"],
+    "fusion": ["FusionTrace", "TrainConfig", "fuse", "identity_params", "initial_phi", "train_phi"],
     "io": ["load_case", "load_centers", "load_detections", "load_embedding_batch", "load_fusion_params",
            "save_case", "save_centers", "save_detections", "save_fusion_params"],
     "labels": ["CANONICAL_NAMES", "N_CLASSES", "label_index", "sequence_loss"],
@@ -59,7 +59,7 @@ def test_public_api_is_unchanged_and_lazy():
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     out = json.loads(proc.stdout)
     names = sorted(n for names in PUBLIC.values() for n in names)
-    assert len(names) == 56
+    assert len(names) == 55
     assert out["loaded_on_import"] == ["spineid"]
     assert out["all"] == names
     assert out["dir"] == names
