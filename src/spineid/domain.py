@@ -2,7 +2,9 @@
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; numpy-backed fields are stored as read-only arrays, so
-instances are safe to share across threads and processes.
+instances are safe to share across threads and processes. The one other
+constructor, ``McSampleSet._split``, checks the stacked sample rows of a whole
+case in one pass and builds one set per vertebra from that checked block.
 
 Coordinate convention (fixed, voxel units): the embedded frame is (x, y, z)
 with z the cranial-caudal axis, increasing toward the head. A volume of shape
@@ -178,16 +180,6 @@ class VertebraCenter:
             raise ValidationError(f"member_count must be at least 1, got {self.member_count}")
         if _integer(self.z_rank, "field 'z_rank'") < 0:
             raise ValidationError(f"z_rank must be non-negative, got {self.z_rank}")
-
-    @classmethod
-    def _trusted(cls, position: tuple, mean_dims: tuple, member_count: int, z_rank: int) -> VertebraCenter:
-        """A center of values checked already, in stored form (``io._column_vertebrae``), set as ``__init__`` would."""
-        center = object.__new__(cls)
-        object.__setattr__(center, "position", position)
-        object.__setattr__(center, "mean_dims", mean_dims)
-        object.__setattr__(center, "member_count", member_count)
-        object.__setattr__(center, "z_rank", z_rank)
-        return center
 
     @property
     def z(self) -> float:
@@ -365,18 +357,6 @@ class SpineVertebra:
                 raise ValidationError(f"fusion_weight must lie in [0, 1], got {fw}")
             object.__setattr__(self, "fusion_weight", fw)
 
-    @classmethod
-    def _trusted(cls, center: VertebraCenter, mc: McSampleSet, truth: int | None, fusion_weight: float | None,
-                 uncertainty: UncertaintyReport | None = None) -> SpineVertebra:
-        """A vertebra of values checked already; as ``VertebraCenter._trusted``."""
-        vertebra = object.__new__(cls)
-        object.__setattr__(vertebra, "center", center)
-        object.__setattr__(vertebra, "mc", mc)
-        object.__setattr__(vertebra, "truth", truth)
-        object.__setattr__(vertebra, "uncertainty", uncertainty)
-        object.__setattr__(vertebra, "fusion_weight", fusion_weight)
-        return vertebra
-
 
 @dataclass(frozen=True)
 class SpineCase:
@@ -413,14 +393,6 @@ class SpineCase:
                         "truth labels must increase by exactly 1 along the case, got "
                         f"{CANONICAL_NAMES[truths[i]]} -> {CANONICAL_NAMES[truths[i + 1]]} at position {i}"
                     )
-
-    @classmethod
-    def _trusted(cls, case_id: str, vertebrae: tuple[SpineVertebra, ...]) -> SpineCase:
-        """A case of a checked case's id and of vertebrae in its checked order; as ``VertebraCenter._trusted``."""
-        case = object.__new__(cls)
-        object.__setattr__(case, "case_id", case_id)
-        object.__setattr__(case, "vertebrae", vertebrae)
-        return case
 
     def __len__(self) -> int:
         return len(self.vertebrae)

@@ -81,12 +81,9 @@ def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:
     """``case`` with each vertebra's sample set stored as its report, and its fusion weight under ``metric``.
 
     The only code that turns MC samples into stored fusion weights; ``fuse``
-    and ``train_phi`` read them back. The case and its vertebrae were
-    checked when built, so only the new weights are.
+    and ``train_phi`` read them back. Each vertebra and the case are built
+    by their checking constructors, so a weight outside [0, 1] is rejected
+    by ``SpineVertebra``.
     """
-    weights = [fusion_weight(v.mc, metric) for v in case.vertebrae]
-    for w in weights:
-        if not 0.0 <= w <= 1.0:  # an entropy can round past ln 24, and its weight below 0
-            raise ValidationError(f"fusion_weight must lie in [0, 1], got {w}")
-    verts = tuple(SpineVertebra._trusted(v.center, v.mc, v.truth, w, v.mc) for v, w in zip(case.vertebrae, weights))
-    return SpineCase._trusted(case.case_id, verts)
+    verts = [SpineVertebra(v.center, v.mc, v.truth, v.mc, fusion_weight(v.mc, metric)) for v in case.vertebrae]
+    return SpineCase(case.case_id, verts)

@@ -838,6 +838,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'phi[+1]' has an invalid value") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("head", [["0.5", 0.5], [True, 0.0]], ids=["digit-str", "bool"])
+    def test_stored_mean_probs_must_be_numbers(self, corpus, tmp_path, capsys, head):
+        # numpy once parsed "0.5" and read true as 1.0, so each vector summed to 1 and the case loaded
+        path = tmp_path / "case.json"
+        assert main(["uncertainty", "--in", str(corpus / "case_0000.json"), "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        data["vertebrae"][0]["uncertainty"]["mean_probs"] = head + [0.0] * 22
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["fuse", "--case", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'mean_probs' has an invalid value") and err.count("\n") == 1
+        assert f"[{path}]" in err
+
     def test_small_tau_is_divergence(self, tmp_path, capsys):
         path = tmp_path / "batch.json"
         path.write_text(json.dumps(unit_vector_batch()))

@@ -1,5 +1,5 @@
 """The package's public names: the same 55, each the object its module defines, loaded on first use.
-Also: no module of the package keeps an import it does not use.
+Also: no module of the package keeps an import it does not use, or a private name nothing in the package reads.
 """
 
 import ast
@@ -95,3 +95,43 @@ def test_no_module_keeps_an_unused_import():
     unused = {path.name: names for path in sorted(src.glob("*.py"))
               if (names := _unused_top_level_imports(path.read_text()))}
     assert unused == {}
+
+
+def _unread_private_names(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, the private names (``_x``, not dunder) it binds at top level or in a top-level class body
+    that no module of ``sources`` reads, as a name or as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = {}
+    for module, tree in trees.items():
+        bound = []
+        for body in [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    bound.append(node.name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    bound += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        names = [n for n in bound if n.startswith("_") and not n.endswith("__") and n not in read]
+        if names:
+            unread[module] = names
+    return unread
+
+
+def test_unread_private_name_check_sees_them():
+    sources = {
+        "a.py": "_A, _B = 1, 2\n__x__ = 0\ndef _f(): return _A\nclass C:\n    _k = 0\n    def _m(self): pass\n",
+        "b.py": "from .a import _f\n_f()\nC()._m()\n",
+    }
+    assert _unread_private_names(sources) == {"a.py": ["_B", "_k"]}
+
+
+def test_no_private_name_goes_unread():
+    src = Path(__file__).resolve().parents[1] / "src" / "spineid"
+    assert _unread_private_names({path.name: path.read_text() for path in sorted(src.glob("*.py"))}) == {}
