@@ -22,8 +22,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "clustering": ("ClusterConfig", "box_densities", "cluster_centers", "embed_detections"),
-        "domain": ("DetectionSet", "FusionParams", "McSampleSet", "SpineCase", "SpineVertebra",
-                   "UncertaintyReport", "VertebraCenter", "phi_offsets"),
+        "domain": ("DetectionSet", "FusionParams", "McSampleSet", "SpineCase", "SpineVertebra", "VertebraCenter",
+                   "phi_offsets"),
         "errors": ("DegenerateGeometryError", "DivergenceError", "EmptyClusterError", "ParseError",
                    "SpineError", "ValidationError"),
         "evaluate": ("EvalReport", "constrained_decode", "decode_states", "evaluate"),

@@ -25,9 +25,9 @@ from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 PLANES = ("sagittal", "coronal")
 
-# Probability vectors must renormalize to this tolerance after internal
-# operations; files produced by external tools are accepted at 1e-6 and
-# renormalized on ingest.
+# A probability vector handed to ``uncertainty.entropy`` must sum to 1 within
+# 1e-9; an MC sample row, from a file or a caller, within 1e-6, and the mean
+# of a set's rows is renormalized.
 SUM_TOL_INTERNAL = 1e-9
 SUM_TOL_INGEST = 1e-6
 
@@ -237,49 +237,17 @@ def _sample_stats(samples: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
 
 
 @dataclass(frozen=True, eq=False)
-class UncertaintyReport:
-    """Aggregated Monte Carlo statistics for one vertebra.
-
-    ``mean_probs`` is the read-only (24,) mean distribution.
-    ``certainty_weight`` is the entropy-complement weight used by message
-    fusion: 1 for a one-hot mean distribution, 0 for a uniform one. A
-    ``McSampleSet`` is the report of its own samples; a plain report, as a
-    case file holds one, checks its four fields when built.
-    """
-
-    mean_probs: np.ndarray
-    entropy: float
-    variance: float
-    certainty_weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean_probs", _probabilities(self.mean_probs, 1, SUM_TOL_INTERNAL, "mean_probs"))
-        for name in ("entropy", "variance", "certainty_weight"):
-            object.__setattr__(self, name, _number(getattr(self, name), f"field {name!r}"))
-        if not -1e-12 <= self.entropy <= MAX_ENTROPY + 1e-12:
-            raise ValidationError(f"entropy {self.entropy} outside [0, ln {N_CLASSES}]")
-        if not 0 <= self.variance < math.inf:
-            raise ValidationError(f"variance must be finite and non-negative, got {self.variance}")
-        if not abs(self.certainty_weight - (1.0 - self.entropy / MAX_ENTROPY)) <= 1e-12:
-            raise ValidationError("certainty_weight must equal 1 - entropy/ln(24)")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UncertaintyReport):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-
-
-@dataclass(frozen=True, eq=False)
-class McSampleSet(UncertaintyReport):
+class McSampleSet:
     """N stochastic forward-pass probability vectors for one vertebra, and their uncertainty report.
 
-    ``mean_probs`` is the element-wise mean of the rows renormalized to sum
-    to 1, a read-only (24,) array; ``entropy`` is its Shannon entropy in
-    nats; ``variance`` is the mean over classes of the unbiased per-class
-    sample variance, 0 for one sample; ``certainty_weight`` is
-    1 - entropy/ln(24). They come from ``_sample_stats``, which ``_split``
-    runs once for a whole case, over rows already checked, so the report's
-    own checks are not run again.
+    A sample set is its vertebra's only uncertainty report: ``mean_probs``
+    is the element-wise mean of the rows renormalized to sum to 1, a
+    read-only (24,) array; ``entropy`` is its Shannon entropy in nats;
+    ``variance`` is the mean over classes of the unbiased per-class sample
+    variance, 0 for one sample; ``certainty_weight`` is 1 - entropy/ln(24),
+    clipped at 0, since the entropy of a near-uniform mean can round past
+    ln 24. They come from ``_sample_stats``, which ``_split`` runs once for
+    a whole case. Two sets are equal when their samples are.
     """
 
     samples: np.ndarray
@@ -300,7 +268,7 @@ class McSampleSet(UncertaintyReport):
         object.__setattr__(self, "mean_probs", mean)
         object.__setattr__(self, "entropy", entropy)
         object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "certainty_weight", 1.0 - entropy / MAX_ENTROPY)
+        object.__setattr__(self, "certainty_weight", max(0.0, 1.0 - entropy / MAX_ENTROPY))
 
     @classmethod
     def _split(cls, rows, counts) -> list[McSampleSet]:
@@ -328,7 +296,6 @@ class McSampleSet(UncertaintyReport):
         return sets
 
     def __eq__(self, other) -> bool:
-        # against a plain report, UncertaintyReport.__eq__ compares the four fields
         if not isinstance(other, McSampleSet):
             return NotImplemented
         return np.array_equal(self.samples, other.samples)
@@ -336,12 +303,15 @@ class McSampleSet(UncertaintyReport):
 
 @dataclass(frozen=True)
 class SpineVertebra:
-    """One vertebra record inside a case: clustered center, MC samples, optional truth label index."""
+    """One vertebra record inside a case: clustered center, MC samples, optional truth label index.
+
+    ``uncertainty`` is None or ``mc`` itself: the sample set is the report.
+    """
 
     center: VertebraCenter
     mc: McSampleSet
     truth: int | None = None
-    uncertainty: UncertaintyReport | None = None
+    uncertainty: McSampleSet | None = None
     fusion_weight: float | None = None
 
     def __post_init__(self):
@@ -349,6 +319,8 @@ class SpineVertebra:
             raise ValidationError("center must be a VertebraCenter")
         if not isinstance(self.mc, McSampleSet):
             raise ValidationError("mc must be a McSampleSet")
+        if self.uncertainty is not None and self.uncertainty is not self.mc:
+            raise ValidationError("uncertainty must be None or the vertebra's own mc")
         if self.truth is not None:
             object.__setattr__(self, "truth", _check_label(self.truth, "field 'truth'"))
         if self.fusion_weight is not None:

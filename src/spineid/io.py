@@ -6,7 +6,9 @@ inputs always produce byte-identical files. A detections file in the layout
 ``save_detections`` writes is read in one JSON scan of its box lines; any
 other detections file by one ``json.loads`` per line, with the same values
 and errors. A case's MC samples are converted and checked as one block; every
-object of the case is built by its checking constructor.
+object of the case is built by its checking constructor. A vertebra's stored
+uncertainty report must equal the report of its samples, so a case loads it
+as the sample set itself.
 """
 
 from __future__ import annotations
@@ -25,17 +27,14 @@ import numpy as np
 from .domain import (
     DETECTION_COLUMNS,
     PLANES,
-    SUM_TOL_INGEST,
-    SUM_TOL_INTERNAL,
     DetectionSet,
     FusionParams,
     McSampleSet,
     SpineCase,
     SpineVertebra,
-    UncertaintyReport,
     VertebraCenter,
 )
-from .errors import ParseError, ValidationError, _invalid, _numbers
+from .errors import ParseError, ValidationError, _invalid, _number, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, label_index
 
 
@@ -330,28 +329,26 @@ def load_centers(path: str | Path) -> list[VertebraCenter]:
 # cases: one JSON document
 
 
-def report_to_dict(r: UncertaintyReport) -> dict:
+def report_to_dict(mc: McSampleSet) -> dict:
     return {
-        "mean_probs": r.mean_probs.tolist(),
-        "entropy": float(r.entropy),
-        "variance": float(r.variance),
-        "certainty_weight": float(r.certainty_weight),
+        "mean_probs": mc.mean_probs.tolist(),
+        "entropy": float(mc.entropy),
+        "variance": float(mc.variance),
+        "certainty_weight": float(mc.certainty_weight),
     }
 
 
-def report_from_dict(rec: dict) -> UncertaintyReport:
-    """An uncertainty report whose ``mean_probs`` may come from another tool.
-
-    A vector that sums to 1 within 1e-6 is accepted. It is divided by its sum
-    when that is off by more than 1e-9, else kept as written, so round trips
-    are bit exact.
-    """
-    probs = _number_array(_get(rec, "mean_probs"), "mean_probs")
-    with np.errstate(over="ignore", invalid="ignore"):  # UncertaintyReport rejects what overflows
-        total = float(probs.sum())
-    if SUM_TOL_INTERNAL < abs(total - 1.0) <= SUM_TOL_INGEST:
-        probs = probs / total
-    return UncertaintyReport(probs, *(_get(rec, key) for key in ("entropy", "variance", "certainty_weight")))
+def _stored_report(rec: dict, mc: McSampleSet, i: int) -> McSampleSet:
+    """``mc``, when the stored report ``rec`` is its report: four fields that pass the number rule and equal
+    ``report_to_dict(mc)``. A report that differs, as one written before its samples were edited, is rejected."""
+    want = report_to_dict(mc)
+    stored = {key: _get(rec, key) for key in want}
+    stored["mean_probs"] = list(_numbers(stored["mean_probs"], "field 'mean_probs'"))
+    for key in ("entropy", "variance", "certainty_weight"):
+        _number(stored[key], f"field {key!r}")
+    if stored != want:
+        raise ValidationError(f"vertebra {i}: the stored uncertainty report does not match its MC samples")
+    return mc
 
 
 def case_to_dict(case: SpineCase) -> dict:
@@ -404,8 +401,8 @@ def case_from_dict(data: dict) -> SpineCase:
     samples = [_get(_get(rec, "mc"), "samples") for rec in raw_verts]
     sample_sets = McSampleSet._split(*_sample_block(samples)) if samples else []
     verts = [SpineVertebra(center_from_dict(_get(rec, "center")), mc, rec.get("truth"),
-                           None if rec.get("uncertainty") is None else report_from_dict(rec["uncertainty"]),
-                           rec.get("fusion_weight")) for rec, mc in zip(raw_verts, sample_sets)]
+                           None if rec.get("uncertainty") is None else _stored_report(rec["uncertainty"], mc, i),
+                           rec.get("fusion_weight")) for i, (rec, mc) in enumerate(zip(raw_verts, sample_sets))]
     return SpineCase(case_id=_get(data, "case_id"), vertebrae=tuple(verts))
 
 

@@ -2,9 +2,11 @@
 
 The mean of the stochastic forward-pass samples is the predictive
 distribution; its Shannon entropy (natural log, with 0*log(0) = 0) is the
-uncertainty score. The certainty weight 1 - H/ln(24) feeds message fusion,
-so confident neighbors dominate and uncertain ones are damped. Per-class
-sample variance is reported alongside as an alternative dispersion measure.
+uncertainty score. The certainty weight 1 - H/ln(24), clipped at 0, feeds
+message fusion, so confident neighbors dominate and uncertain ones are
+damped. Per-class sample variance is reported alongside as an alternative
+dispersion measure. A vertebra's sample set is its only report: the copy a
+case file stores is checked against the samples when the case is loaded.
 """
 
 from __future__ import annotations
@@ -16,14 +18,12 @@ from .domain import (
     McSampleSet,
     SpineCase,
     SpineVertebra,
-    UncertaintyReport,
     _entropies,
     _probabilities,
 )
 from .errors import ValidationError
 
 __all__ = [
-    "UncertaintyReport",
     "aggregate_samples",
     "entropy",
     "report",
@@ -50,7 +50,7 @@ def entropy(p) -> float:
     return _entropies(_probabilities(p, 1, SUM_TOL_INTERNAL, "probabilities")[None, :]).item()
 
 
-def report(mc: McSampleSet) -> UncertaintyReport:
+def report(mc: McSampleSet) -> McSampleSet:
     """Full uncertainty summary for one vertebra's sample set: the set itself.
 
     Entropy is computed on the mean distribution, not averaged over
@@ -63,12 +63,12 @@ def report(mc: McSampleSet) -> UncertaintyReport:
     return mc
 
 
-def certainty_from_variance(rep: UncertaintyReport) -> float:
+def certainty_from_variance(rep: McSampleSet) -> float:
     """Alternative fusion weight 1 - variance/0.25, clipped into [0, 1]."""
     return float(np.clip(1.0 - rep.variance / _VAR_CEILING, 0.0, 1.0))
 
 
-def fusion_weight(rep: UncertaintyReport, metric: str) -> float:
+def fusion_weight(rep: McSampleSet, metric: str) -> float:
     """One vertebra's fusion weight u under ``metric``: 'entropy' or 'variance'."""
     if metric == "entropy":
         return rep.certainty_weight
@@ -81,9 +81,8 @@ def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:
     """``case`` with each vertebra's sample set stored as its report, and its fusion weight under ``metric``.
 
     The only code that turns MC samples into stored fusion weights; ``fuse``
-    and ``train_phi`` read them back. Each vertebra and the case are built
-    by their checking constructors, so a weight outside [0, 1] is rejected
-    by ``SpineVertebra``.
+    and ``train_phi`` read them back. Both metrics give a weight in [0, 1];
+    each vertebra and the case are built by their checking constructors.
     """
     verts = [SpineVertebra(v.center, v.mc, v.truth, v.mc, fusion_weight(v.mc, metric)) for v in case.vertebrae]
     return SpineCase(case.case_id, verts)

@@ -14,8 +14,8 @@ from conftest import make_case, one_hot, unit_vector_batch
 from test_acceptance import _child_env
 from spineid import io
 from spineid.cli import build_parser, main
-from spineid.domain import FusionParams, phi_offsets
-from spineid.fusion import fuse, identity_params, initial_phi
+from spineid.domain import MAX_ENTROPY, FusionParams, McSampleSet, phi_offsets
+from spineid.fusion import fuse, identity_params, initial_phi, resolve_certainty
 from spineid.synthetic import GenConfig
 from spineid.uncertainty import with_reports
 
@@ -116,6 +116,23 @@ def test_uncertainty_variance_metric(corpus, tmp_path):
     case = io.load_case(out)
     for v in case.vertebrae:
         assert v.fusion_weight == pytest.approx(min(1.0, max(0.0, 1 - v.uncertainty.variance / 0.25)))
+
+
+def test_near_uniform_samples_give_weight_zero(corpus, tmp_path):
+    # the entropy of a near-uniform mean can round past ln 24, and its weight was once -2.2e-16: uncertainty
+    # and pipeline exited 2, and fuse ran with the negative weight
+    rows = np.full(24, 1 / 24) + np.random.default_rng(0).uniform(-1e-12, 1e-12, (50, 24))
+    row = next(r for r in rows / rows.sum(axis=1, keepdims=True) if McSampleSet(r[None]).entropy > MAX_ENTROPY)
+    path = corpus / "case_0000.json"
+    data = json.loads(path.read_text())
+    data["vertebrae"][1]["mc"]["samples"] = [row.tolist()]
+    path.write_text(json.dumps(data))
+    out = tmp_path / "case_u.json"
+    assert main(["uncertainty", "--in", str(path), "--out", str(out)]) == 0
+    assert io.load_case(out).vertebrae[1].fusion_weight == 0.0
+    assert main(["fuse", "--case", str(path), "--out", str(tmp_path / "labels.json")]) == 0
+    assert resolve_certainty(io.load_case(path))[1] == 0.0
+    assert main(["pipeline", "--dir", str(corpus), "--out", str(tmp_path / "pipeline.json")]) == 0
 
 
 def test_fuse_command_with_trace(corpus, tmp_path):
@@ -851,6 +868,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'mean_probs' has an invalid value") and err.count("\n") == 1
         assert f"[{path}]" in err
+
+    @pytest.mark.parametrize("vertebra, edit", [(1, "entropy"), (2, "samples")])
+    def test_stale_stored_report_is_rejected(self, corpus, tmp_path, capsys, vertebra, edit):
+        # a stored report that is not its samples' report once loaded, and fuse ran with its stored weight
+        path = tmp_path / "stale.json"
+        assert main(["uncertainty", "--in", str(corpus / "case_0000.json"), "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        rec = data["vertebrae"][vertebra]
+        if edit == "entropy":
+            rec["uncertainty"]["entropy"] = math.nextafter(rec["uncertainty"]["entropy"], math.inf)
+        else:  # a sample row edited after the report was written
+            rec["mc"]["samples"][0][:2] = rec["mc"]["samples"][0][1::-1]
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["fuse", "--case", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: vertebra {vertebra}: the stored uncertainty report does not "
+                                           f"match its MC samples [{path}]\n")
 
     def test_small_tau_is_divergence(self, tmp_path, capsys):
         path = tmp_path / "batch.json"

@@ -20,7 +20,6 @@ from spineid.domain import (
     McSampleSet,
     SpineCase,
     SpineVertebra,
-    UncertaintyReport,
     VertebraCenter,
     phi_offsets,
 )
@@ -95,9 +94,8 @@ class TestValidation:
 
     @staticmethod
     def _vector_checks():
-        """Every public way to hand in one probability vector."""
-        return (entropy, lambda v: UncertaintyReport(v, 0.0, 0.0, 1.0),
-                lambda v: io.report_from_dict(_report_dict(v)))
+        """Every public way to hand in one probability vector: as itself, or as the one row of a sample set."""
+        return entropy, lambda v: McSampleSet(v[None])
 
     def test_non_normalized_probs(self):
         bad = one_hot(3) * 1.01
@@ -127,6 +125,13 @@ class TestValidation:
         for check in self._vector_checks():
             with pytest.raises(ValidationError, match="sum to 1.*exceeds 1"):
                 check(np.full(24, 1e308))
+
+    def test_stored_report_is_the_own_sample_set(self):
+        v = make_case([one_hot(3)]).vertebrae[0]
+        assert SpineVertebra(v.center, v.mc, uncertainty=v.mc).uncertainty is v.mc
+        for other in (McSampleSet(v.mc.samples), McSampleSet(one_hot(4)[None])):
+            with pytest.raises(ValidationError, match="uncertainty must be None or the vertebra's own mc"):
+                SpineVertebra(v.center, v.mc, uncertainty=other)
 
     def test_empty_case(self):
         with pytest.raises(ValidationError, match="at least one vertebra"):
@@ -184,7 +189,8 @@ def _rule_inputs() -> dict:
     box = dict(case_id="c", volume_shape=(64, 64, 64), slice_count_per_plane=2,
                **{name: [v] for name, v in zip(DETECTION_COLUMNS, (0, 5, 10.0, 20.0, 30.0, 20.0, 0.9))})
     vertebra = make_case([one_hot(3)]).vertebrae[0]
-    rep = report(vertebra.mc)
+    stored = io.case_to_dict(with_reports(make_case([one_hot(3)])))
+    stored["vertebrae"][0]["uncertainty"]["entropy"] = "0.0"
     phi3 = {d: np.eye(N_CLASSES) for d in phi_offsets(3)}
     return {
         "center-position-str": ("position", lambda: VertebraCenter(**center | {"position": ("1", 2.0, 3.0)})),
@@ -203,8 +209,7 @@ def _rule_inputs() -> dict:
         "params-offset-float": ("phi offset", lambda: FusionParams(0.1, 3, 3, "index", {-1.0: phi3[-1], 1: phi3[1]})),
         "vertebra-fusion-weight-str": ("fusion_weight", lambda: SpineVertebra(vertebra.center, vertebra.mc,
                                                                               fusion_weight="0.5")),
-        "report-entropy-str": ("entropy", lambda: UncertaintyReport(rep.mean_probs, str(rep.entropy), rep.variance,
-                                                                    rep.certainty_weight)),
+        "report-entropy-str": ("entropy", lambda: io.case_from_dict(stored)),
         "case-id-int": ("case_id", lambda: SpineCase(7, (vertebra,))),
         "batch-tau-str": ("tau", lambda: EmbeddingBatch(np.eye(2), [0, 0], "0.5")),
         "train-epochs-float": ("epochs", lambda: TrainConfig(learning_rate=0.1, epochs=2.5)),
@@ -230,12 +235,12 @@ def test_numbers_follow_one_rule(case):
 
 class TestImmutability:
     def test_arrays_read_only(self):
-        probs = one_hot(4)
-        rep = UncertaintyReport(probs, 0.0, 0.0, 1.0)
-        probs[4] = 0.5
-        assert rep.mean_probs[4] == 1.0
+        probs = one_hot(4)[None]
+        one = McSampleSet(probs)
+        probs[0, 4] = 0.5
+        assert one.mean_probs[4] == 1.0
         with pytest.raises(ValueError):
-            rep.mean_probs[0] = 0.5
+            one.mean_probs[0] = 0.5
         mc = McSampleSet(random_probs(np.random.default_rng(0), 3))
         with pytest.raises(ValueError):
             mc.samples[0, 0] = 1.0
@@ -248,28 +253,32 @@ class TestImmutability:
             d.cx = 0.0
 
 
-def _report_dict(probs) -> dict:
-    """A report record holding ``probs``; its other fields are those of a one-hot mean."""
-    return {"mean_probs": list(probs), "entropy": 0.0, "variance": 0.0, "certainty_weight": 1.0}
-
-
 class TestIngestTolerance:
-    """``mean_probs`` read from a file is accepted at 1e-6 and renormalized."""
+    """A stored report is accepted only as its samples' report, bit for bit: a ``mean_probs`` off by less than
+    1e-6 is rejected, not renormalized."""
 
-    def test_ingest_renormalizes_loose_vectors(self):
-        loose = one_hot(5) * (1 + 5e-7)
-        rep = io.report_from_dict(_report_dict(loose))
-        assert abs(rep.mean_probs.sum() - 1.0) <= 1e-9
+    def test_ingest_preserves_exact_vectors(self, tmp_path):
+        case = with_reports(random_case(np.random.default_rng(1)))
+        path = tmp_path / "case.json"
+        io.save_case(case, path)
+        text = path.read_text()
+        io.save_case(io.load_case(path), path)
+        assert path.read_text() == text
+
+    @staticmethod
+    def _load_scaled_mean(scale):
+        doc = io.case_to_dict(with_reports(make_case([one_hot(4), one_hot(5)], truths=[4, 5])))
+        doc["vertebrae"][1]["uncertainty"]["mean_probs"] = (one_hot(5) * scale).tolist()
+        with pytest.raises(ValidationError, match="^vertebra 1: the stored uncertainty report does not match "
+                                                  "its MC samples$") as rejected:
+            io.case_from_dict(doc)
+        assert rejected.value.exit_code == 2
+
+    def test_ingest_rejects_loose_vectors(self):
+        self._load_scaled_mean(1 + 5e-7)
 
     def test_ingest_rejects_worse_than_1e6(self):
-        with pytest.raises(ValidationError):
-            io.report_from_dict(_report_dict(one_hot(5) * (1 + 5e-6)))
-
-    def test_ingest_preserves_exact_vectors(self):
-        rng = np.random.default_rng(1)
-        probs = random_probs(rng)[0]
-        rep = io.report_from_dict(json.loads(json.dumps(_report_dict(probs))))
-        assert np.array_equal(rep.mean_probs, probs)
+        self._load_scaled_mean(1 + 5e-6)
 
 
 def _random_detections(rng, n: int) -> dict[str, np.ndarray]:
@@ -448,7 +457,7 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("metric", ["entropy", "variance"])
     def test_case_with_reports_file_roundtrip(self, tmp_path, metric):
-        # the stored reports are the sample sets; the loaded ones are plain reports of the same four fields
+        # the stored reports are the sample sets, and so are the loaded ones
         rng = np.random.default_rng(49)
         for i in range(20):
             case = with_reports(random_case(rng), metric)
@@ -456,7 +465,7 @@ class TestRoundTrip:
             io.save_case(case, path)
             loaded = io.load_case(path)
             assert loaded == case and case == loaded
-            assert all(type(v.uncertainty) is UncertaintyReport for v in loaded.vertebrae)
+            assert all(v.uncertainty is v.mc for v in loaded.vertebrae)
 
     def test_detections_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(47)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_case, one_hot, random_case, random_probs
 from spineid.domain import McSampleSet
@@ -131,8 +132,7 @@ class TestConstrainedDecode:
     def test_matches_the_per_window_loop(self, data, k):
         # entries from a few values, zeros among them, so that windows often tie and the smallest start must win
         entry = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
-        states = np.array(data.draw(st.lists(st.lists(entry, min_size=N_CLASSES, max_size=N_CLASSES),
-                                             min_size=k, max_size=k)))
+        states = data.draw(arrays(np.float64, (k, N_CLASSES), elements=entry))
         if data.draw(st.booleans(), label="tied rows"):
             states[:] = states[0]
         assert constrained_decode(states) == loop_constrained_decode(states)

@@ -450,9 +450,9 @@ MISSING = object()  # a mutation that deletes the field
 BAD_CASE_VALUES = (True, "3", math.inf, 10**400, math.nan, 0, -1, 24, 1.5, -0.5, [1.0], MISSING)
 
 
-def _stored_report(doc: dict) -> dict:
-    """The uncertainty report of the first vertebra's samples, as a case file stores one."""
-    return io.report_to_dict(McSampleSet(np.array(doc["vertebrae"][0]["mc"]["samples"])))
+def _stored_report(rec: dict) -> dict:
+    """The uncertainty report of a vertebra record's samples, as a case file stores one."""
+    return io.report_to_dict(McSampleSet(np.array(rec["mc"]["samples"])))
 
 
 def _mutated(doc: dict, path: tuple, value) -> dict:
@@ -463,8 +463,13 @@ def _mutated(doc: dict, path: tuple, value) -> dict:
         target = target[key]
     if value is MISSING:
         del target[path[-1]]
+    elif value == "report":  # the first vertebra's report, in any field
+        target[path[-1]] = _stored_report(doc["vertebrae"][0])
+    elif value == "own report, 1 ulp off":  # path ends at a vertebra's "uncertainty"; its entropy moves up
+        stored = target[path[-1]] = _stored_report(target)
+        stored["entropy"] = math.nextafter(stored["entropy"], math.inf)
     else:
-        target[path[-1]] = _stored_report(doc) if value == "report" else value
+        target[path[-1]] = value
     return doc
 
 
@@ -518,6 +523,7 @@ VERTEBRA_MUTATIONS = {
     "weight 1.5": (("fusion_weight",), 1.5),
     "negative weight": (("fusion_weight",), -0.5),
     "stored report": (("uncertainty",), "report"),
+    "stored report 1 ulp off its samples": (("uncertainty",), "own report, 1 ulp off"),
 }
 
 
@@ -593,7 +599,8 @@ def sample_lists(draw) -> list:
         kind = draw(st.sampled_from(("value", "value", "short", "long", "digits", "tuple", "empty", "rows tuple",
                                      "rows number")))
         if kind == "value":
-            samples[i][j][draw(st.integers(0, 23))] = draw(st.sampled_from(BAD_SAMPLE_VALUES))
+            # within the row's current length: a first mutation may have made it short
+            samples[i][j][draw(st.integers(0, len(samples[i][j]) - 1))] = draw(st.sampled_from(BAD_SAMPLE_VALUES))
         elif kind in ("short", "long"):
             samples[i][j] = samples[i][j][:23] if kind == "short" else samples[i][j] + [0.0]
         elif kind in ("digits", "tuple"):
