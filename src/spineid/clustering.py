@@ -21,7 +21,8 @@ the same float64 rule, with numpy alone. DBSCAN
 works on that pair list as array code: clusters are the connected components
 of core points, and each border point joins the lowest-numbered cluster it
 touches, which are the labels of a breadth-first DBSCAN grown in index
-order. Label propagation stops as soon as every linked pair shares a root,
+order. Each cluster is numbered by a cumulative count of the roots before
+it. Label propagation stops as soon as every linked pair shares a root,
 without a last round that would change nothing.
 
 The dimension pass runs once for all position clusters, and most clusters
@@ -34,11 +35,13 @@ Only the other clusters' boxes go through one pair query, each cluster
 lifted onto its own plane along a third axis so no pair crosses clusters.
 
 The center of each surviving cluster is the coordinate-wise median of its
-members, which tolerates residual outliers; one segmented reduction, with no
-Python loop over clusters, picks every cluster's boxes and takes the medians
-of all five columns (x, y, z, w, h) from one sort: each cluster is one row,
-padded with +inf to the largest cluster. Output is sorted cranial to caudal
-(descending z, ties broken by x then y) and assigned z ranks.
+members, which tolerates residual outliers. One segmented reduction, with no
+Python loop over clusters, takes the medians of six columns (x, y, z, w, h
+and the box area w*h) of every dimension cluster from one sort: each cluster
+is one row, padded with +inf to the largest cluster. The area medians pick
+each position cluster's winner, and the winners' rows are the centers.
+Output is sorted cranial to caudal (descending z, ties broken by x then y)
+and assigned z ranks.
 
 Every pass runs on a canonical ordering of the input, so the result is
 deterministic and invariant to the order in which detections arrive.
@@ -187,14 +190,15 @@ def _pairs(pts: np.ndarray, eps: float, what: str) -> tuple[np.ndarray, np.ndarr
     first[:] = np.repeat(np.arange(n), counts)
     later[:] = np.repeat(np.arange(1, n + 1) - (np.cumsum(counts) - counts), counts)
     later += np.arange(len(later))
-    sq.fill(0.0)  # 0.0 + dx*dx is dx*dx: the squares add up column by column, as the rule sums them
-    for column in pts.T:
+    for k, column in enumerate(pts.T):  # the squares add up column by column, as the rule sums them
         ordered = column.take(order)
-        ordered.take(later, out=d, mode="clip")  # "clip" writes straight into out; every index is in range
+        square = d if k else sq  # the first column's squares go straight into sq
+        ordered.take(later, out=square, mode="clip")  # "clip" writes straight into out; every index is in range
         ordered.take(first, out=e, mode="clip")
-        d -= e
-        d *= d
-        sq += d
+        square -= e
+        square *= square
+        if k:
+            sq += d
     keep = np.flatnonzero(sq <= eps * eps)
     lower = order.take(first.take(keep))
     upper = order.take(later.take(keep))
@@ -214,17 +218,19 @@ def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     point's root always lies in its own component, so once every pair shares
     a root, each component has one root, which is its own root, and a further
     round would change nothing; until then every round lowers some entry. The
-    loop stops there, without that round. The two per-pair columns of roots
-    are refreshed in place and freed on return, so no round allocates new
-    ones (``mode="clip"`` only spares ``np.take`` a buffered output; every
-    index is in range).
+    loop stops there, without that round. No root exceeds its own index, so
+    only a pair's larger root can drop: one scatter of each pair's smaller
+    root onto its larger one, in whichever order the pair comes, is the whole
+    hook. The per-pair columns of roots start as copies of ``a`` and ``b``
+    and are refreshed in place, so no round allocates new ones (``mode="clip"``
+    only spares ``np.take`` a buffered output; every index is in range).
     """
     root = np.arange(n)
-    root_a, root_b = root[a], root[b]
+    root_a, root_b = a.copy(), b.copy()
     while not np.array_equal(root_a, root_b):
         hooked = root.copy()
-        np.minimum.at(hooked, root_a, root_b)
-        np.minimum.at(hooked, root_b, root_a)
+        larger = np.maximum(root_a, root_b)
+        np.minimum.at(hooked, larger, np.minimum(root_a, root_b, out=root_a))
         root = hooked[hooked]
         np.take(root, a, out=root_a, mode="clip")
         np.take(root, b, out=root_b, mode="clip")
@@ -241,20 +247,21 @@ def _dbscan(n: int, i: np.ndarray, j: np.ndarray, min_pts: int, degrees: np.ndar
     core, but paired with a core point) joins the lowest-numbered cluster it
     touches. These are the labels a breadth-first DBSCAN grown from each
     unlabeled core point in index order assigns. ``degrees``, when given, must
-    be ``_degrees(n, i, j)``; a caller that has them spares the count.
+    be ``_degrees(n, i, j)``; a caller that has them spares the count. A
+    cluster's root is its smallest index, so its number is the cumulative
+    count of core roots before it.
     """
     if degrees is None:
         degrees = _degrees(n, i, j)
     core = degrees + 1 >= min_pts
     core_i, core_j = core[i], core[j]
     linked = core_i & core_j
-    a, b = i[linked], j[linked]
-    root = _component_roots(n, a, b)
-    labels = np.full(n, -1, dtype=np.int64)
-    labels[core] = np.unique(root[core], return_inverse=True)[1]
-    border = core_i != core_j
-    inner = np.where(core_i, i, j)[border]
-    outer = np.where(core_i, j, i)[border]
+    root = _component_roots(n, i[linked], j[linked])
+    rank = np.cumsum(core & (root == np.arange(n))) - 1
+    labels = np.where(core, rank.take(root), -1)
+    border = np.flatnonzero(core_i != core_j)
+    i, j, core_i = i[border], j[border], core_i[border]
+    inner, outer = np.where(core_i, i, j), np.where(core_i, j, i)
     lowest = np.full(n, n, dtype=np.int64)
     np.minimum.at(lowest, outer, labels[inner])
     np.copyto(labels, lowest, where=lowest < n)
@@ -282,11 +289,13 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
 
     Dimension clusters are numbered by their smallest index, so the labels of
     each position cluster form one contiguous run in the order a separate
-    DBSCAN of that cluster alone would number them.
+    DBSCAN of that cluster alone would number them: the cumulative count of
+    the boxes that are their own cluster's smallest index.
     """
-    radius = min(eps, 2.0 * float(dims[:, 0].max() + dims[:, 1].max()))
-    lifted = np.column_stack((dims, pos_labels * (2.0 * radius)))
-    _require_measurable(lifted.min(axis=0), lifted.max(axis=0), "box dimensions")
+    w, h = dims.T
+    radius = min(eps, 2.0 * float(w.max() + h.max()))
+    lift = pos_labels * (2.0 * radius)  # sorted, as pos_labels is: its ends are its least and greatest
+    _require_measurable(np.array((w.min(), h.min(), lift[0])), np.array((w.max(), h.max(), lift[-1])), "box dimensions")
     starts = np.flatnonzero(np.diff(pos_labels, prepend=-1))
     sizes = np.diff(starts, append=len(dims))
     span = np.maximum.reduceat(dims, starts) - np.minimum.reduceat(dims, starts)
@@ -296,13 +305,11 @@ def _dimension_labels(dims: np.ndarray, pos_labels: np.ndarray, eps: float) -> n
     first = np.where(whole, np.repeat(starts, sizes), -1)
     split = np.flatnonzero(~whole)
     if len(split):
-        sub = _dbscan(len(split), *_pairs(lifted[split], radius, "box dimensions"), 2)
+        sub = _dbscan(len(split), *_pairs(np.column_stack((dims, lift))[split], radius, "box dimensions"), 2)
         _, sub_first, sub_inverse = np.unique(sub, return_index=True, return_inverse=True)
         first[split] = np.where(sub >= 0, split[sub_first][sub_inverse], -1)
-    labels = np.full(len(dims), -1, dtype=np.int64)
-    member = first >= 0
-    labels[member] = np.unique(first[member], return_inverse=True)[1]
-    return labels
+    rank = np.cumsum(first == np.arange(len(first))) - 1
+    return np.where(first >= 0, rank.take(first), -1)
 
 
 def _segment_medians(seg: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -393,21 +400,23 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
     # Pass 3: dimension clustering inside each position cluster, run as one
     # DBSCAN over the clustered boxes sorted by position label.
     by_label = np.argsort(pos_labels, kind="stable")[noise:]
-    pts3, dims3, labels3 = pts[by_label], dims[by_label], pos_labels[by_label]
+    dims3, labels3 = dims[by_label], pos_labels[by_label]
     dim_labels = _dimension_labels(dims3, labels3, cfg.eps_dim) if len(labels3) else labels3
     # Each dimension cluster lies inside one position cluster, its owner, and
     # owners number their labels in turn. An owner keeps its largest; equal
     # sizes go to the smaller median box area, since oversized boxes straddling
     # two vertebrae are the failure mode rejected here, then to the lower label.
-    # A winner thinned below min_pts no longer counts as a vertebra.
+    # A winner thinned below min_pts no longer counts as a vertebra. One
+    # reduction gives the medians of x, y, z, w, h and w*h of every cluster.
     member = np.flatnonzero(dim_labels >= 0)
     d = dim_labels[member]
     sizes = np.bincount(d)
     owner = np.empty(len(sizes), dtype=np.int64)
     owner[d] = labels3[member]
     with np.errstate(over="ignore"):  # an area past the float range is inf: such areas tie, and the lower label wins
-        area = _segment_medians(d, dims3[member, 0] * dims3[member, 1], sizes)
-    ranked = np.lexsort((area, -sizes, owner))
+        values = np.column_stack((pts, dims, dims[:, 0] * dims[:, 1]))[by_label[member]]
+        medians = _segment_medians(d, values, sizes)
+    ranked = np.lexsort((medians[:, 5], -sizes, owner))
     winners = ranked[np.diff(owner[ranked], prepend=-1) != 0]
     winners = winners[sizes[winners] >= cfg.min_pts]
     dropped_dimension = len(labels3) - int(sizes[winners].sum())
@@ -415,8 +424,8 @@ def cluster_centers(ds: DetectionSet, cfg: ClusterConfig | None = None) -> list[
         raise EmptyClusterError(dropped_density=dropped_density, dropped_position=dropped_position,
                                 dropped_dimension=dropped_dimension)
 
-    rows, counts = member[np.isin(d, winners)], sizes[winners]
-    x, y, z, w, h = _segment_medians(dim_labels[rows], np.column_stack((pts3, dims3))[rows], counts).T
+    counts = sizes[winners]
+    x, y, z, w, h = medians[winners, :5].T
     ranks = np.lexsort((y, x, -z))  # cranial to caudal: descending z, ties broken by x then y
     ranked_rows = zip(*(c[ranks].tolist() for c in (x, y, z, w, h, counts)))
     return [

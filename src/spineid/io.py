@@ -165,7 +165,7 @@ _BOX_LINE = "{" + ", ".join(f'"{name}": %{"s" if name == "plane" else "r"}' for 
 
 def _plane_codes(names: list) -> np.ndarray:
     try:
-        return np.array([_PLANE_CODES[name] for name in names], dtype=np.int64)
+        return np.fromiter(map(_PLANE_CODES.__getitem__, names), np.int64, len(names))
     except KeyError:
         raise ValueError("unknown plane") from None
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.spatial import cKDTree
 from spineid.clustering import (
     ClusterConfig,
     _canonical_order,
+    _component_roots,
     _dbscan,
     _degrees,
     _dimension_labels,
@@ -622,6 +624,28 @@ class TestDbscan:
         event(f"{min(rounds, 4)}{'+' if rounds >= 4 else ''} hooking rounds")
         assert np.array_equal(_dbscan(len(pts), *pairs, min_pts), expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dbscan_clouds(), st.integers(0, 2**32 - 1))
+    def test_component_roots_take_pairs_in_either_order(self, cloud, seed):
+        # every caller lists each pair as (lower, upper); the hook must not depend on it
+        pts, eps, min_pts = cloud
+        i, j = cKDTree(pts).query_pairs(eps, output_type="ndarray").T
+        labels, _ = looped_dbscan(len(pts), i, j, min_pts)
+        core = _degrees(len(pts), i, j) + 1 >= min_pts
+        linked = core[i] & core[j]
+        pairs = np.column_stack((i[linked], j[linked]))
+        rng = np.random.default_rng(seed)
+        swapped = rng.permutation(len(pairs))[: len(pairs) // 2]
+        pairs[swapped] = pairs[swapped, ::-1]
+        pairs = pairs[rng.permutation(len(pairs))]
+        # the oracle's roots: each core point's smallest core index of its cluster, every other point itself
+        expected = np.arange(len(pts))
+        for label in np.unique(labels[core]).tolist():
+            members = np.flatnonzero(core & (labels == label))
+            expected[members] = members[0]
+        event("a swapped pair" if len(swapped) else "no pair to swap")
+        assert np.array_equal(_component_roots(len(pts), *pairs.T), expected)
+
     @pytest.mark.parametrize("n", [9, 64, 1000])
     def test_long_chain_keeps_hooking(self, n):
         # a path through the points in a shuffled index order: every hooking
@@ -758,6 +782,22 @@ class TestClusterCenters:
         found = cluster_centers(ds, self.CFG)
         assert len(found) == 3
         assert max(self.match_errors(planted, found)) <= 1.0
+
+    def test_dense_scan_peak_memory(self):
+        # a scan like the largest of the benchmark's dense corpus (1,571 boxes): the block of candidate pairs
+        # in _pairs sets the peak, about 3.2 MiB
+        gen = GenConfig(seed=0, n_cases=1, k_slices=200, vertebrae_range=(24, 24),
+                        detect=DetectConfig(boxes_per_vertebra=30, noise_rate=0.1))
+        ds = generate_case(gen, 0)[1]
+        cfg = ClusterConfig(eps_pos=6.0, min_pts=4, eps_dim=10.0, density_floor=0.1)
+        tracemalloc.start()
+        try:
+            found = cluster_centers(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(found) == 24
+        assert peak <= 4 * 2**20
 
     def test_oversized_dimension_cluster_discarded(self):
         rng = np.random.default_rng(13)
