@@ -14,6 +14,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -268,8 +269,13 @@ def _cmd_pipeline(args) -> int:
             centers = cluster_centers(ds, _cluster_config(args, ds))
             count_match += len(centers) == len(case)
             truth_pos = np.array([v.center.position for v in case.vertebrae])
-            for c in centers:
-                center_errors.append(float(np.min(np.linalg.norm(truth_pos - np.array(c.position), axis=1))))
+            # a finite distance is below ~1.3e154 (its square is finite), so the mean of any number of them is too
+            with np.errstate(over="ignore"):  # a distance past float64 is rejected below
+                errors = [float(np.min(np.linalg.norm(truth_pos - np.array(c.position), axis=1))) for c in centers]
+            if not all(map(math.isfinite, errors)):
+                raise ValidationError(f"the clustered centers of case {case.case_id!r} lie too far from its stored "
+                                      "centers: their distance overflows float64")
+            center_errors.extend(errors)
         case = with_reports(case, args.u_metric)
         trace = fuse(case, params)
         cases.append(case)

@@ -1,10 +1,12 @@
 """Value types shared by every pipeline stage.
 
 All types are immutable after construction and validate their invariants in
-``__post_init__``; numpy-backed fields are stored as read-only arrays, so
-instances are safe to share across threads and processes. The one other
-constructor, ``McSampleSet._split``, checks the stacked sample rows of a whole
-case in one pass and builds one set per vertebra from that checked block.
+``__post_init__``, or, for the objects a case file builds by the dozen, in an
+``__init__`` that stores the checked fields in the instance dict. Numpy-backed
+fields are stored as read-only arrays, so instances are safe to share across
+threads and processes. The one other constructor, ``McSampleSet._split``,
+checks the stacked sample rows of a whole case in one pass and builds one set
+per vertebra from that checked block.
 
 Coordinate convention (fixed, voxel units): the embedded frame is (x, y, z)
 with z the cranial-caudal axis, increasing toward the head. A volume of shape
@@ -17,10 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
+from operator import gt
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _invalid, _number, _numbers
+from .errors import ValidationError, _all_numbers, _integer, _invalid, _number, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, _check_label
 
 PLANES = ("sagittal", "coronal")
@@ -155,7 +159,20 @@ class DetectionSet:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-@dataclass(frozen=True)
+def _floats(raw, n: int, name: str) -> tuple[float, ...]:
+    """Field ``name`` as a tuple of ``n`` finite floats: a sequence of numbers within float range, else an error."""
+    try:
+        values = tuple(map(float, raw)) if _all_numbers(raw) else None
+    except OverflowError:
+        values = None
+    if values is None:
+        raise _invalid(f"field {name!r}", raw)
+    if len(values) != n or not all(map(math.isfinite, values)):
+        raise ValidationError(f"{name} must be {n} finite numbers, got {values!r}")
+    return values
+
+
+@dataclass(frozen=True, init=False)
 class VertebraCenter:
     """A clustered 3D vertebra center with robust box dimensions."""
 
@@ -164,40 +181,20 @@ class VertebraCenter:
     member_count: int
     z_rank: int
 
-    def __post_init__(self):
-        for name, n in (("position", 3), ("mean_dims", 2)):
-            what = f"field {name!r}"
-            try:
-                values = tuple(map(float, _numbers(getattr(self, name), what)))
-            except OverflowError:
-                raise _invalid(what, getattr(self, name)) from None
-            if len(values) != n or not all(map(math.isfinite, values)):
-                raise ValidationError(f"{name} must be {n} finite numbers, got {values!r}")
-            object.__setattr__(self, name, values)
-        if min(self.mean_dims) <= 0:
-            raise ValidationError(f"mean_dims must be two positive values, got {self.mean_dims!r}")
-        if _integer(self.member_count, "field 'member_count'") < 1:
-            raise ValidationError(f"member_count must be at least 1, got {self.member_count}")
-        if _integer(self.z_rank, "field 'z_rank'") < 0:
-            raise ValidationError(f"z_rank must be non-negative, got {self.z_rank}")
+    def __init__(self, position, mean_dims, member_count, z_rank):
+        position, mean_dims = _floats(position, 3, "position"), _floats(mean_dims, 2, "mean_dims")
+        if min(mean_dims) <= 0:
+            raise ValidationError(f"mean_dims must be two positive values, got {mean_dims!r}")
+        if _integer(member_count, "field 'member_count'") < 1:
+            raise ValidationError(f"member_count must be at least 1, got {member_count}")
+        if _integer(z_rank, "field 'z_rank'") < 0:
+            raise ValidationError(f"z_rank must be non-negative, got {z_rank}")
+        d = self.__dict__
+        d["position"], d["mean_dims"], d["member_count"], d["z_rank"] = position, mean_dims, member_count, z_rank
 
     @property
     def z(self) -> float:
         return self.position[2]
-
-
-def _segment_sums(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Column sums of each segment of ``rows``, segment i holding the next ``counts[i]`` rows.
-
-    Every sum adds its rows in order, as numpy's ``sum(axis=0)`` of the
-    segment alone does, so the bits are the same. Equal counts, as every
-    generated case has, are one reshape; uneven counts sum each segment alone.
-    """
-    k, longest = len(counts), int(counts.max())
-    if int(counts.min()) == longest:
-        return rows.reshape(k, longest, -1).sum(axis=1)
-    starts = (np.cumsum(counts) - counts).tolist()
-    return np.stack([rows[s:s + n].sum(axis=0) for s, n in zip(starts, counts.tolist())])
 
 
 def _entropies(probs: np.ndarray) -> np.ndarray:
@@ -227,12 +224,19 @@ def _sample_stats(samples: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     bits of numpy's per-set ``mean(axis=0)``, ``var(axis=0, ddof=1).mean()``
     and the compacted entropy sum.
     """
-    sums = _segment_sums(samples, counts)
-    raw_mean = sums / counts[:, None]
-    means = raw_mean / raw_mean.sum(axis=1, keepdims=True)
-    deviations = np.square(samples - np.repeat(raw_mean, counts, axis=0))
+    n = counts.tolist()
     # a set of one row deviates by exactly 0 from its mean, so its variance is 0 / 1
-    variances = (_segment_sums(deviations, counts) / np.maximum(counts - 1, 1)[:, None]).mean(axis=1)
+    if min(n) == max(n):  # equal counts, as every generated case has: one (k, n, 24) reshape
+        sets = samples.reshape(len(n), n[0], N_CLASSES)
+        raw_mean = sets.sum(axis=1) / n[0]
+        spread = np.square(sets - raw_mean[:, None]).sum(axis=1) / max(n[0] - 1, 1)
+    else:  # each set summed alone, in row order
+        sets = np.split(samples, np.cumsum(counts)[:-1])
+        raw_mean = np.stack([rows.sum(axis=0) for rows in sets]) / counts[:, None]
+        spread = np.stack([np.square(rows - mean).sum(axis=0) for rows, mean in zip(sets, raw_mean)])
+        spread /= np.maximum(counts - 1, 1)[:, None]
+    variances = spread.mean(axis=1)
+    means = raw_mean / raw_mean.sum(axis=1, keepdims=True)
     return means, _entropies(means), variances
 
 
@@ -263,12 +267,9 @@ class McSampleSet:
         self._store(samples, means[0], entropies.item(), variances.item())
 
     def _store(self, samples: np.ndarray, mean: np.ndarray, entropy: float, variance: float) -> None:
-        """Set the five fields; ``mean`` is a row of a means array its caller made read-only."""
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "mean_probs", mean)
-        object.__setattr__(self, "entropy", entropy)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "certainty_weight", max(0.0, 1.0 - entropy / MAX_ENTROPY))
+        """Set the five fields in one update; ``mean`` is a row of a means array its caller made read-only."""
+        self.__dict__.update(samples=samples, mean_probs=mean, entropy=entropy, variance=variance,
+                             certainty_weight=max(0.0, 1.0 - entropy / MAX_ENTROPY))
 
     @classmethod
     def _split(cls, rows, counts) -> list[McSampleSet]:
@@ -279,19 +280,19 @@ class McSampleSet:
         and its row within that vertebra's samples.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.size == 0 or counts.min() < 1:
-            raise ValidationError(f"every vertebra needs at least one sample row, got counts {counts.tolist()}")
-        if int(counts.sum()) != len(rows):
-            raise ValidationError(f"counts {counts.tolist()} name {int(counts.sum())} sample rows, got {len(rows)}")
-        starts = np.cumsum(counts) - counts
-        rows = _probabilities(rows, 2, SUM_TOL_INGEST, "samples", starts)
+        n = counts.tolist()
+        if counts.ndim != 1 or not n or min(n) < 1:
+            raise ValidationError(f"every vertebra needs at least one sample row, got counts {n}")
+        bounds = list(accumulate(n, initial=0))
+        if bounds[-1] != len(rows):
+            raise ValidationError(f"counts {n} name {bounds[-1]} sample rows, got {len(rows)}")
+        rows = _probabilities(rows, 2, SUM_TOL_INGEST, "samples", bounds[:-1])
         means, entropies, variances = _sample_stats(rows, counts)
         means.flags.writeable = False
         sets = []
-        for start, stop, mean, entropy, variance in zip(starts.tolist(), (starts + counts).tolist(), means,
-                                                         entropies.tolist(), variances.tolist()):
+        for a, b, mean, entropy, variance in zip(bounds, bounds[1:], means, entropies.tolist(), variances.tolist()):
             mc = cls.__new__(cls)
-            mc._store(rows[start:stop], mean, entropy, variance)
+            mc._store(rows[a:b], mean, entropy, variance)
             sets.append(mc)
         return sets
 
@@ -301,7 +302,7 @@ class McSampleSet:
         return np.array_equal(self.samples, other.samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpineVertebra:
     """One vertebra record inside a case: clustered center, MC samples, optional truth label index.
 
@@ -314,57 +315,56 @@ class SpineVertebra:
     uncertainty: McSampleSet | None = None
     fusion_weight: float | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.center, VertebraCenter):
+    def __init__(self, center, mc, truth=None, uncertainty=None, fusion_weight=None):
+        if not isinstance(center, VertebraCenter):
             raise ValidationError("center must be a VertebraCenter")
-        if not isinstance(self.mc, McSampleSet):
+        if not isinstance(mc, McSampleSet):
             raise ValidationError("mc must be a McSampleSet")
-        if self.uncertainty is not None and self.uncertainty is not self.mc:
+        if uncertainty is not None and uncertainty is not mc:
             raise ValidationError("uncertainty must be None or the vertebra's own mc")
-        if self.truth is not None:
-            object.__setattr__(self, "truth", _check_label(self.truth, "field 'truth'"))
-        if self.fusion_weight is not None:
-            fw = _number(self.fusion_weight, "field 'fusion_weight'")
-            if not 0.0 <= fw <= 1.0:
-                raise ValidationError(f"fusion_weight must lie in [0, 1], got {fw}")
-            object.__setattr__(self, "fusion_weight", fw)
+        if truth is not None:
+            truth = _check_label(truth, "field 'truth'")
+        if fusion_weight is not None:
+            fusion_weight = _number(fusion_weight, "field 'fusion_weight'")
+            if not 0.0 <= fusion_weight <= 1.0:
+                raise ValidationError(f"fusion_weight must lie in [0, 1], got {fusion_weight}")
+        d = self.__dict__
+        d["center"], d["mc"], d["truth"], d["uncertainty"], d["fusion_weight"] = (center, mc, truth, uncertainty,
+                                                                                  fusion_weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpineCase:
     """An ordered cranial-to-caudal sequence of vertebra records for one scan."""
 
     case_id: str
     vertebrae: tuple[SpineVertebra, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.case_id, str):
-            raise _invalid("field 'case_id'", self.case_id)
-        verts = tuple(self.vertebrae)
-        object.__setattr__(self, "vertebrae", verts)
+    def __init__(self, case_id, vertebrae):
+        if not isinstance(case_id, str):
+            raise _invalid("field 'case_id'", case_id)
+        verts = tuple(vertebrae)
         if len(verts) == 0:
             raise ValidationError("a case must contain at least one vertebra")
+        zs, truths = [], []
         for i, v in enumerate(verts):
             if not isinstance(v, SpineVertebra):
                 raise ValidationError(f"vertebrae[{i}] is not a SpineVertebra")
-            if v.center.z_rank != i:
-                raise ValidationError(
-                    f"vertebrae[{i}] has z_rank {v.center.z_rank}; order must follow z_rank"
-                )
-        zs = [v.center.z for v in verts]
-        for i in range(len(zs) - 1):
-            if zs[i + 1] > zs[i]:
-                raise ValidationError(
-                    f"center z must not increase along the case (position {i} -> {i + 1})"
-                )
-        truths = self.truths
-        if truths is not None:
-            for i in range(len(truths) - 1):
-                if truths[i + 1] != truths[i] + 1:
-                    raise ValidationError(
-                        "truth labels must increase by exactly 1 along the case, got "
-                        f"{CANONICAL_NAMES[truths[i]]} -> {CANONICAL_NAMES[truths[i + 1]]} at position {i}"
-                    )
+            center = v.center
+            if center.z_rank != i:
+                raise ValidationError(f"vertebrae[{i}] has z_rank {center.z_rank}; order must follow z_rank")
+            zs.append(center.position[2])
+            truths.append(v.truth)
+        rises = list(map(gt, zs[1:], zs))  # rises[i]: z increases from position i to i + 1
+        if True in rises:
+            i = rises.index(True)
+            raise ValidationError(f"center z must not increase along the case (position {i} -> {i + 1})")
+        if None not in truths and truths != list(range(truths[0], truths[0] + len(truths))):
+            i = next(i for i, (a, b) in enumerate(zip(truths, truths[1:])) if b != a + 1)
+            raise ValidationError("truth labels must increase by exactly 1 along the case, got "
+                                  f"{CANONICAL_NAMES[truths[i]]} -> {CANONICAL_NAMES[truths[i + 1]]} at position {i}")
+        d = self.__dict__
+        d["case_id"], d["vertebrae"] = case_id, verts
 
     def __len__(self) -> int:
         return len(self.vertebrae)

@@ -111,16 +111,26 @@ def _number(value, what: str) -> float:
     raise _invalid(what, value)
 
 
-def _numbers(values, what: str, integer: bool = False):
-    """``values`` as given, if it is a sequence (not a string or a mapping) whose elements pass the number rule.
+_BUILTIN_TYPES = {False: frozenset((int, float)), True: frozenset((int,))}
 
-    ``integer`` asks for the integer rule. The rule runs once per element type, never once per value.
+
+def _all_numbers(values, integer: bool = False) -> bool:
+    """Whether ``values`` is a sequence (not a string or a mapping) whose elements pass the number rule.
+
+    ``integer`` asks for the integer rule. The rule runs once per element type, never once per value,
+    and a set of builtin types passes by one subset test.
     """
-    rule = _integer_type if integer else _number_type
+    if isinstance(values, (str, dict)):
+        return False
     try:
-        ok = not isinstance(values, (str, dict)) and all(map(rule, set(map(type, values))))
+        types = set(map(type, values))
     except TypeError:
-        ok = False
-    if not ok:
+        return False
+    return types <= _BUILTIN_TYPES[integer] or all(map(_integer_type if integer else _number_type, types))
+
+
+def _numbers(values, what: str, integer: bool = False):
+    """``values`` as given, if ``_all_numbers(values, integer)``; else ``_invalid(what, values)``."""
+    if not _all_numbers(values, integer):
         raise _invalid(what, values)
     return values

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import struct
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import chain
@@ -107,10 +108,12 @@ def _in_file(path: str | Path, line: int | None = None):
 
 
 def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+    try:  # one unbuffered read and one decode, then the universal newlines Path.read_text gives
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_json(path: str | Path, object_pairs_hook=None) -> Any:
@@ -310,7 +313,8 @@ def center_to_dict(c: VertebraCenter) -> dict:
 
 
 def center_from_dict(rec: dict) -> VertebraCenter:
-    return VertebraCenter(*(_get(rec, key) for key in ("position", "mean_dims", "member_count", "z_rank")))
+    return VertebraCenter(_get(rec, "position"), _get(rec, "mean_dims"), _get(rec, "member_count"),
+                          _get(rec, "z_rank"))
 
 
 def save_centers(centers: list[VertebraCenter], path: str | Path) -> None:
@@ -352,17 +356,9 @@ def _stored_report(rec: dict, mc: McSampleSet, i: int) -> McSampleSet:
 
 
 def case_to_dict(case: SpineCase) -> dict:
-    verts = []
-    for v in case.vertebrae:
-        verts.append(
-            {
-                "center": center_to_dict(v.center),
-                "mc": {"samples": v.mc.samples.tolist()},
-                "truth": v.truth,
-                "uncertainty": None if v.uncertainty is None else report_to_dict(v.uncertainty),
-                "fusion_weight": None if v.fusion_weight is None else float(v.fusion_weight),
-            }
-        )
+    verts = [{"center": center_to_dict(v.center), "mc": {"samples": v.mc.samples.tolist()}, "truth": v.truth,
+              "uncertainty": None if v.uncertainty is None else report_to_dict(v.uncertainty),
+              "fusion_weight": None if v.fusion_weight is None else float(v.fusion_weight)} for v in case.vertebrae]
     return {"case_id": case.case_id, "vertebrae": verts}
 
 
@@ -370,17 +366,17 @@ def _sample_block(samples: list) -> tuple[np.ndarray, list[int]]:
     """Every vertebra's ``mc.samples`` rows as one (N, 24) float64 block, and each vertebra's row count.
 
     When every vertebra holds a non-empty list of rows, each a list of 24
-    values, one ``np.fromiter`` over all values converts the case, each value
-    as ``np.array`` converts it. Otherwise, or when that fails, the vertebrae
-    are converted one by one, so the error names the first bad one.
+    numbers, one ``struct.pack`` of all values converts the case, each value
+    as ``np.array`` converts it. Otherwise, or when a value is no number, the
+    vertebrae are converted one by one, so the error names the first bad one.
     """
     if all(type(rows) is list and rows for rows in samples):
         flat = list(chain.from_iterable(samples))
         if all(type(row) is list and len(row) == N_CLASSES for row in flat):
             try:
-                block = np.fromiter(chain.from_iterable(flat), np.float64, len(flat) * N_CLASSES)
+                block = np.frombuffer(struct.pack(f"{len(flat) * N_CLASSES}d", *chain.from_iterable(flat)))
                 return block.reshape(-1, N_CLASSES), [len(rows) for rows in samples]
-            except (TypeError, ValueError, OverflowError):
+            except struct.error:
                 pass
     arrays = []
     for i, rows in enumerate(samples):

@@ -37,22 +37,33 @@ class ConfusionModel:
     floor: float = 0.002
 
     def __post_init__(self):
+        masses = {}
         for name in ("true_mass", "adjacent1", "adjacent2", "floor"):
-            v = _number(getattr(self, name), name)
+            v = masses[name] = _number(getattr(self, name), name)
             if not 0 <= v < math.inf:
                 raise ValidationError(f"{name} must be finite and non-negative, got {v!r}")
         if self.true_mass <= 0:
             raise ValidationError("true_mass must be positive")
         if self.true_mass <= max(self.adjacent1, self.adjacent2, self.floor):
             raise ValidationError("true_mass must dominate every off-target mass")
+        # an edge label's vector holds two more floor entries than a middle one's, so any label's sum may be largest
+        with np.errstate(over="ignore"):
+            if not all(np.isfinite(self._masses(truth).sum()) for truth in range(N_CLASSES)):
+                raise ValidationError("the masses of a base vector sum past float64: "
+                                      + ", ".join(f"{name} {v!r}" for name, v in masses.items()))
 
-    def base_vector(self, truth: int) -> np.ndarray:
+    def _masses(self, truth: int) -> np.ndarray:
+        """The base vector of label ``truth`` before it is renormalized."""
         base = np.full(N_CLASSES, self.floor, dtype=np.float64)
         base[truth] = self.true_mass
         for step, mass in ((1, self.adjacent1), (2, self.adjacent2)):
             for j in (truth - step, truth + step):
                 if 0 <= j < N_CLASSES:
                     base[j] = mass
+        return base
+
+    def base_vector(self, truth: int) -> np.ndarray:
+        base = self._masses(truth)
         return base / base.sum()
 
 

@@ -74,7 +74,7 @@ def fusion_weight(rep: McSampleSet, metric: str) -> float:
         return rep.certainty_weight
     if metric == "variance":
         return certainty_from_variance(rep)
-    raise ValidationError(f"u_metric must be 'entropy' or 'variance', got {metric!r}")
+    raise ValidationError(f"metric must be 'entropy' or 'variance', got {metric!r}")
 
 
 def with_reports(case: SpineCase, metric: str = "entropy") -> SpineCase:

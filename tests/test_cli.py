@@ -465,6 +465,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {name} must be finite and non-negative, got {value}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_confusion_masses_are_validation_error(self, tmp_path, capsys):
+        # once two RuntimeWarnings, then the misleading `error: samples must be finite`
+        out = tmp_path / "out"
+        assert main(["gen", "--out-dir", str(out), "--true-mass", "1e308", "--adjacent1", "9e307"]) == 2
+        assert capsys.readouterr().err == ("error: the masses of a base vector sum past float64: true_mass 1e+308, "
+                                           "adjacent1 9e+307, adjacent2 0.02, floor 0.002\n")
+        assert not out.exists()
+
     def test_overflowing_slice_jitter_is_validation_error(self, tmp_path, capsys):
         # once an OverflowError traceback from round(), exit 1
         out = tmp_path / "out"
@@ -820,6 +828,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: vertebrae 2 and 0 lie too far apart") and err.count("\n") == 1
+
+    def test_overflowing_center_error_names_the_case(self, tmp_path, capsys):
+        # once a RuntimeWarning, then a ValueError traceback from save_json refusing an inf mean_center_error
+        assert main(["gen", "--out-dir", str(tmp_path / "d"), "--seed", "3", "--n-cases", "1"]) == 0
+        path = tmp_path / "d" / "case_0000.json"
+        data = json.loads(path.read_text())
+        for v in data["vertebrae"]:
+            v["center"]["position"][0] = 1e200
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out.json"
+        assert main(["pipeline", "--dir", str(tmp_path / "d"), "--out", str(out), "--eps-pos", "6", "--min-pts", "4",
+                     "--eps-dim", "10", "--density-floor", "0.1"]) == 2
+        assert capsys.readouterr().err == ("error: the clustered centers of case 'case_0000' lie too far from its "
+                                           "stored centers: their distance overflows float64\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("labels", [[True, True, False, False], [1.0, 1.9, 0.2, 0.0], "L1L1L2L2"],
                              ids=["bools", "floats", "string"])

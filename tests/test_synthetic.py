@@ -77,6 +77,23 @@ def test_infeasible_mass_rejected():
         ConfusionModel(0.5, -0.1, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("masses", [(1e308, 9e307, 0.02, 0.002), (1e308, 0.0, 0.0, 3.8e306)],
+                         ids=["middle-label", "edge-label-only"])
+def test_masses_whose_sum_overflows_are_rejected(masses):
+    # once accepted: base_vector's sum overflowed, and gen ended in `samples must be finite` after two warnings;
+    # with floor 3.8e306 only an edge label's vector, which holds two more floor entries, overflows
+    names = ("true_mass", "adjacent1", "adjacent2", "floor")
+    with pytest.raises(ValidationError) as err:
+        ConfusionModel(*masses)
+    assert str(err.value) == ("the masses of a base vector sum past float64: "
+                              + ", ".join(f"{name} {m!r}" for name, m in zip(names, masses)))
+
+
+def test_masses_just_below_the_float_limit_are_accepted():
+    model = ConfusionModel(1e308, 0.0, 0.0, 3.5e306)
+    assert all(np.isfinite(model.base_vector(truth)).all() for truth in range(24))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.0, True, "3", None], ids=["negative", "float", "bool", "str", "none"])
 def test_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):

@@ -169,8 +169,10 @@ class TestFusionWeight:
 
     def test_unknown_metric_rejected(self):
         rep = report(McSampleSet(one_hot(3)[None, :]))
-        with pytest.raises(ValidationError, match="u_metric"):
+        with pytest.raises(ValidationError) as err:
             fusion_weight(rep, "mutual_information")
+        # the message names the parameter, ``metric``, as with_reports and `uncertainty --metric` do
+        assert str(err.value) == "metric must be 'entropy' or 'variance', got 'mutual_information'"
 
 
 def per_set_stats(samples: np.ndarray):
