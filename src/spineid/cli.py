@@ -60,8 +60,6 @@ def _cmd_gen(args) -> int:
 
 def _cluster_config(args, ds) -> ClusterConfig:
     """The cluster flags given on the command line; defaults derived from ``ds`` only for the flags left out."""
-    from dataclasses import replace
-
     from .clustering import ClusterConfig
 
     flags = {"eps_pos": args.eps_pos, "min_pts": args.min_pts, "eps_dim": args.eps_dim,
@@ -69,7 +67,7 @@ def _cluster_config(args, ds) -> ClusterConfig:
     given = {name: value for name, value in flags.items() if value is not None}
     if len(given) == len(flags):
         return ClusterConfig(**given)
-    return replace(ClusterConfig.defaults_for(ds), **given)
+    return ClusterConfig.defaults_for(ds, **given)
 
 
 def _cmd_cluster(args) -> int:

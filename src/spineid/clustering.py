@@ -77,24 +77,24 @@ class ClusterConfig:
             raise ValidationError(f"density_floor must lie in (0, 1], got {self.density_floor!r}")
 
     @classmethod
-    def defaults_for(cls, ds: DetectionSet) -> "ClusterConfig":
-        """Scale-relative defaults derived from the data.
+    def defaults_for(cls, ds: DetectionSet, **given) -> "ClusterConfig":
+        """Scale-relative defaults derived from the data, for the fields ``given`` leaves out.
 
-        eps_pos is 1.5x and eps_dim 0.5x the median box height; min_pts grows
-        with the slice count. These suit producers that emit boxes tightly
-        around each vertebra's central slices. When boxes cover a vertebra's
-        whole extent, 1.5x the box height can exceed the inter-vertebra
-        spacing and merge neighbors, so pass an explicit eps_pos there.
+        eps_pos is 1.5x and eps_dim 0.5x the median box height, which must give
+        positive finite radii; min_pts grows with the slice count. These suit
+        producers that emit boxes tightly around each vertebra's central slices.
+        When boxes cover a vertebra's whole extent, 1.5x the box height can
+        exceed the inter-vertebra spacing and merge neighbors; pass eps_pos there.
         """
         if not len(ds):
             raise ValidationError("cannot derive defaults from an empty detection set")
-        median_h = float(np.median(ds.h))
-        return cls(
-            eps_pos=1.5 * median_h,
-            min_pts=max(4, ds.slice_count_per_plane // 50),
-            eps_dim=0.5 * median_h,
-            density_floor=0.1,
-        )
+        with np.errstate(over="ignore"):  # an overflowing median gives an infinite radius, rejected below
+            median_h = float(np.median(ds.h))
+        derived = {"eps_pos": 1.5 * median_h, "eps_dim": 0.5 * median_h}
+        if not all(0 < eps < math.inf for name, eps in derived.items() if name not in given):
+            raise ValidationError(f"the median box height {median_h!r} gives no positive finite default radius; "
+                                  "pass --eps-pos and --eps-dim")
+        return cls(**(derived | {"min_pts": max(4, ds.slice_count_per_plane // 50), "density_floor": 0.1} | given))
 
 
 def embed_detections(ds: DetectionSet) -> np.ndarray:

@@ -96,6 +96,7 @@ def resolve_certainty(case: SpineCase) -> np.ndarray:
     return np.array([v.mc.certainty_weight for v in case.vertebrae])
 
 
+@np.errstate(over="ignore")  # an overflowing distance is rejected here, an overflowing weight by fuse and training
 def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
     """Per offset d, the message weights over the stacked rows of ``cases``: ``(lo, hi, w, dst)``.
 
@@ -121,8 +122,7 @@ def _fuse_pairs(cases: list[SpineCase], params: FusionParams):
         if params.distance_mode == "index":
             dis = float(abs(delta))
         else:
-            with np.errstate(over="ignore"):  # an overflowing distance is rejected below
-                dis = np.linalg.norm(positions[here] - positions[there], axis=1)
+            dis = np.linalg.norm(positions[here] - positions[there], axis=1)
             over, zero = np.isinf(dis) & same, (dis == 0.0) & same
             if over.any() or zero.any():
                 row = lo + int(np.argmax(over if over.any() else zero))
@@ -143,6 +143,7 @@ def _input_states(cases: list[SpineCase]) -> np.ndarray:
     return np.array([v.mc.mean_probs for case in cases for v in case.vertebrae])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # states that are not finite are rejected by fuse and training
 def _forward(c0: np.ndarray, pairs, phi: dict[int, np.ndarray], hops: int):
     """Run ``hops`` fusion hops from the (m, 24) states ``c0``.
 
@@ -182,8 +183,7 @@ def fuse(case: SpineCase, params: FusionParams) -> FusionTrace:
         # no messages; renormalizing would still move the states by ulps
         snapshots = np.repeat(c0[None], params.hops + 1, axis=0)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            snapshots, sums = _forward(c0, _fuse_pairs([case], params), params.phi, params.hops)
+        snapshots, sums = _forward(c0, _fuse_pairs([case], params), params.phi, params.hops)
         bad = ~np.isfinite(sums)
         if bad.any():
             hop, i = np.argwhere(bad)[0]
@@ -222,8 +222,9 @@ class _Unrolled:
         cs, _ = _forward(self.c0, self.pairs, phi, self.hops)
         return self._cross_entropy(cs[-1])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # a gradient that is not finite is returned as None
     def loss_and_grad(self, phi: dict[int, np.ndarray]):
-        """Mean cross-entropy at the final hop and its gradient w.r.t. phi, None for a loss that is not finite."""
+        """Mean cross-entropy at the final hop and its gradient w.r.t. phi, None unless both are finite."""
         cs, sums = _forward(self.c0, self.pairs, phi, self.hops)
         loss, picked = self._cross_entropy(cs[-1])
         if not np.isfinite(loss):
@@ -241,7 +242,7 @@ class _Unrolled:
                 src, coeff = self.gathered[delta]
                 grad[delta] += (coeff * c_prev[src]).T @ h[dst]
                 g[lo + delta:hi + delta] += w * (h @ phi[delta].T)[lo:hi]
-        return loss, grad
+        return loss, (grad if all(np.isfinite(gd).all() for gd in grad.values()) else None)
 
 
 def train_phi(train_cases: list[SpineCase], params_init: FusionParams, cfg: TrainConfig) -> FusionParams:
@@ -260,8 +261,8 @@ def train_phi(train_cases: list[SpineCase], params_init: FusionParams, cfg: Trai
     best_loss, best_phi = math.inf, phi
     for epoch in range(cfg.epochs):
         loss, grad = unrolled.loss_and_grad(phi)
-        if not np.isfinite(loss):
-            raise DivergenceError("training loss is not finite", epoch=epoch)
+        if grad is None:
+            raise DivergenceError(f"training {'gradient' if np.isfinite(loss) else 'loss'} is not finite", epoch=epoch)
         if loss < best_loss:
             best_loss, best_phi = loss, phi
         phi = {d: np.maximum(phi[d] - cfg.learning_rate * grad[d], 0.0) for d in phi}

@@ -5,10 +5,10 @@ Numbers are written with Python's shortest round-trip float repr, so
 inputs always produce byte-identical files. A detections file in the layout
 ``save_detections`` writes is read in one JSON scan of its box lines; any
 other detections file by one ``json.loads`` per line, with the same values
-and errors. A case's MC samples are converted and checked as one block; every
-object of the case is built by its checking constructor. A vertebra's stored
-uncertainty report must equal the report of its samples, so a case loads it
-as the sample set itself.
+and errors. A case's MC samples are converted by one ``struct.pack`` and
+checked as one block by the number rule; every object of the case is built
+by its checking constructor. A vertebra's stored uncertainty report must
+equal the report of its samples, so a case loads it as the sample set itself.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import reprlib
 import struct
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
@@ -35,7 +35,7 @@ from .domain import (
     SpineVertebra,
     VertebraCenter,
 )
-from .errors import ParseError, ValidationError, _invalid, _number, _numbers
+from .errors import ParseError, ValidationError, _all_numbers, _invalid, _number, _numbers
 from .labels import CANONICAL_NAMES, N_CLASSES, label_index
 
 
@@ -141,14 +141,10 @@ def _convert(convert, value: Any, key: str) -> Any:
         raise _invalid(f"field {key!r}", value) from None
 
 
-def _float_array(value: Any) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
 def _number_array(value: Any, key: str) -> np.ndarray:
     """Field ``key``'s nested lists as a float64 array, if every entry passes the number rule: numpy alone
     parses ``"0.5"`` and reads ``true`` as 1."""
-    arr = _convert(_float_array, value, key)
+    arr = _convert(lambda v: np.asarray(v, dtype=np.float64), value, key)
     entries = [value]
     for _ in range(arr.ndim):
         entries = list(chain.from_iterable(entries))
@@ -365,27 +361,30 @@ def case_to_dict(case: SpineCase) -> dict:
 def _sample_block(samples: list) -> tuple[np.ndarray, list[int]]:
     """Every vertebra's ``mc.samples`` rows as one (N, 24) float64 block, and each vertebra's row count.
 
-    When every vertebra holds a non-empty list of rows, each a list of 24
-    numbers, one ``struct.pack`` of all values converts the case, each value
-    as ``np.array`` converts it. Otherwise, or when a value is no number, the
-    vertebrae are converted one by one, so the error names the first bad one.
+    One ``struct.pack`` converts every value of the case; of the values JSON
+    holds, it refuses all but numbers and bools. A bool packs as exactly 0.0
+    or 1.0, so only the rows holding such a value have their types checked,
+    and none when every value lies strictly between 0 and 1. On any fault,
+    each vertebra's samples in turn must pass the number rule and have shape
+    (n, 24) with n >= 1, so the error names the first bad one.
     """
-    if all(type(rows) is list and rows for rows in samples):
+    try:
+        counts = list(map(len, samples))
         flat = list(chain.from_iterable(samples))
-        if all(type(row) is list and len(row) == N_CLASSES for row in flat):
-            try:
-                block = np.frombuffer(struct.pack(f"{len(flat) * N_CLASSES}d", *chain.from_iterable(flat)))
-                return block.reshape(-1, N_CLASSES), [len(rows) for rows in samples]
-            except struct.error:
-                pass
-    arrays = []
+        if 0 not in counts and {*map(len, flat)} == {N_CLASSES}:
+            block = np.frombuffer(struct.pack(f"{len(flat) * N_CLASSES}d", *chain.from_iterable(flat)))
+            block = block.reshape(-1, N_CLASSES)
+            if 0.0 < block.min() and block.max() < 1.0 or _all_numbers(
+                    chain.from_iterable(compress(flat, ((block == 0.0) | (block == 1.0)).any(axis=1).tolist()))):
+                return block, counts
+    except (TypeError, struct.error):
+        pass
     for i, rows in enumerate(samples):
-        arr = _convert(_float_array, rows, f"vertebrae[{i}].mc.samples")
+        arr = _number_array(rows, f"vertebrae[{i}].mc.samples")
         if arr.ndim != 2 or arr.shape[1] != N_CLASSES or len(arr) == 0:
             raise ValidationError(f"vertebra {i}: samples must have shape (n, {N_CLASSES}) with n >= 1, "
                                   f"got {arr.shape}")
-        arrays.append(arr)
-    return np.concatenate(arrays), [len(arr) for arr in arrays]
+    raise _invalid("field 'vertebrae[].mc.samples'", samples)  # not reached: a vertebra fails a check above
 
 
 def case_from_dict(data: dict) -> SpineCase:

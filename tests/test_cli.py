@@ -425,6 +425,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: training loss is not finite (epoch 0)\n"
         assert not (tmp_path / "phi.json").exists()
 
+    def test_overflowing_training_is_exit_3_without_warning(self, corpus, tmp_path, capsys):
+        # the forward pass once warned of its overflow, an error under the suite's warning filter; fuse did not
+        assert main(["train-phi", "--train", str(corpus), "--epochs", "2", "--theta", "1e308",
+                     "--out", str(tmp_path / "phi.json")]) == 3
+        assert capsys.readouterr().err == "error: training loss is not finite (epoch 0)\n"
+        assert not (tmp_path / "phi.json").exists()
+
     @pytest.mark.parametrize("init", ["identity", "uniform_small"])
     def test_negative_train_seed_is_validation_error(self, corpus, tmp_path, capsys, init):
         # uniform_small ended in numpy's traceback; identity ignored the seed and exited 0
@@ -616,6 +623,31 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (0, b"")
         [center] = io.load_centers(out)
         assert center.mean_dims == (1e200, 1e200) and center.member_count == 6
+
+    @pytest.mark.parametrize("h, median", [(1e308, "inf"), (5e-324, "5e-324")], ids=["overflow", "underflow"])
+    def test_extreme_box_heights_name_the_radius_flags(self, tmp_path, capsys, h, median):
+        # the median once warned of its overflow, and the error named a radius flag that was never passed
+        path = self.boxes_of_height(tmp_path, h)
+        assert main(["cluster", "--in", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"error: the median box height {median} gives no positive finite default "
+                                           "radius; pass --eps-pos and --eps-dim\n")
+
+    def test_given_radii_are_not_derived(self, tmp_path, capsys):
+        # the defaults were once all derived, so a radius flag could not stand in for one that is not finite
+        path, out = self.boxes_of_height(tmp_path, 5e-324), tmp_path / "centers.json"
+        assert main(["cluster", "--in", str(path), "--out", str(out), "--eps-pos", "6", "--eps-dim", "10"]) == 0
+        [center] = io.load_centers(out)
+        assert center.mean_dims == (5.0, 5e-324) and center.member_count == 6
+
+    @staticmethod
+    def boxes_of_height(tmp_path, h: float):
+        """A detections file of six boxes of height ``h`` on one slice, 1 apart along cy."""
+        header = {"case_id": "c", "volume_shape": [40, 40, 40], "k": 10}
+        boxes = [{"plane": "sagittal", "slice_index": 5, "cx": 10, "cy": 20.0 + n, "w": 5.0, "h": h,
+                  "confidence": 0.9} for n in range(6)]
+        path = tmp_path / "d.detections.jsonl"
+        path.write_text("\n".join(map(json.dumps, [header] + boxes)) + "\n")
+        return path
 
     @pytest.mark.parametrize("first, second", [(1.4e154, 1.5e154), (1.5e154, 1.4e154)])
     def test_infinite_box_areas_tie_to_the_lower_label(self, tmp_path, capsys, first, second):
@@ -891,6 +923,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'mean_probs' has an invalid value") and err.count("\n") == 1
         assert f"[{path}]" in err
+
+    @pytest.mark.parametrize("entry", ["0.5", True, False, None], ids=["digit-str", "true", "false", "null"])
+    @pytest.mark.parametrize("subcommand", ["uncertainty", "fuse", "eval", "train-phi", "pipeline"])
+    def test_sample_entries_must_be_numbers(self, corpus, tmp_path, capsys, subcommand, entry):
+        # the whole-case conversion once read true as 1.0 and the per-vertebra one parsed "0.5", with exit 0
+        path = corpus / "case_0001.json"
+        data = json.loads(path.read_text())
+        data["vertebrae"][1]["mc"]["samples"][0][3] = entry
+        path.write_text(json.dumps(data))
+        args = {"uncertainty": ["--in", str(path)], "fuse": ["--case", str(path)], "eval": ["--cases-dir", str(corpus)],
+                "train-phi": ["--train", str(corpus)], "pipeline": ["--dir", str(corpus)]}[subcommand]
+        assert main([subcommand, *args, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'vertebrae[1].mc.samples' has an invalid value") and err.count("\n") == 1
+        assert err.endswith(f" [{path}]\n")
 
     @pytest.mark.parametrize("vertebra, edit", [(1, "entropy"), (2, "samples")])
     def test_stale_stored_report_is_rejected(self, corpus, tmp_path, capsys, vertebra, edit):

@@ -461,6 +461,29 @@ class TestFuse:
                                                   rf"of case {case.case_id!r} do not sum to a finite number$"):
             fuse(case, params)
 
+    def test_overflowing_weight_rejected_without_warning(self):
+        # vertebrae 0.5 apart make theta * u / dis overflow at theta 1e308: fuse rejects the hop and training
+        # diverges, and training once let the weight's overflow warning escape
+        case = make_case([one_hot(t) for t in (4, 5, 6)], truths=[4, 5, 6],
+                         positions=[(0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.0)])
+        params = identity_params(theta=1e308, window=3, distance_mode="physical")
+        with pytest.raises(ValidationError, match=r"^fusion overflowed at hop 1: the raw confidences of vertebra 0 "):
+            fuse(case, params)
+        with pytest.raises(DivergenceError, match=r"^training loss is not finite \(epoch 0\)$"):
+            train_phi([case], params, TrainConfig(0.1, 2))
+
+    def test_gradient_that_is_not_finite_is_divergence(self):
+        # a truth probability of 1e-320 keeps the loss finite, but the gradient's 1 / p overflows: the backward
+        # pass once warned and stepped phi to nan
+        row = one_hot(0)
+        row[5] = 1e-320
+        case = make_case([row, one_hot(6)], truths=[5, 6])
+        params = identity_params(theta=0.1, hops=2, window=3)
+        loss, grad = _Unrolled([case], params).loss_and_grad(initial_phi(3))
+        assert np.isfinite(loss) and grad is None
+        with pytest.raises(DivergenceError, match=r"^training gradient is not finite \(epoch 0\)$"):
+            train_phi([case], params, TrainConfig(0.1, 3))
+
     def test_geometry_error_in_a_stack_names_its_case(self):
         # training fuses a stack of cases; the error names the case and its own vertebrae
         rng = np.random.default_rng(32)

@@ -21,7 +21,6 @@ import math
 import reprlib
 import tempfile
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -552,17 +551,11 @@ def test_case_loader_returns_a_case_or_a_spine_error(doc):
 
 
 def nested_sample_block(samples: list):
-    """Oracle: io._sample_block as it was, one ``np.array`` over the nested rows of all vertebrae."""
-    if all(type(rows) is list and rows for rows in samples):
-        try:
-            block = np.array(list(chain.from_iterable(samples)), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            block = None
-        if block is not None and block.ndim == 2 and block.shape[1] == 24:
-            return block, [len(rows) for rows in samples]
+    """Oracle: each vertebra's rows in turn by the number rule (``io._number_array``) and the shape rule, so
+    ``True``, ``"0.5"``, ``None`` and ``10**400`` are invalid values."""
     arrays = []
     for i, rows in enumerate(samples):
-        arr = io._convert(io._float_array, rows, f"vertebrae[{i}].mc.samples")
+        arr = io._number_array(rows, f"vertebrae[{i}].mc.samples")
         if arr.ndim != 2 or arr.shape[1] != 24 or len(arr) == 0:
             raise ValidationError(f"vertebra {i}: samples must have shape (n, 24) with n >= 1, got {arr.shape}")
         arrays.append(arr)
@@ -578,7 +571,7 @@ def _block_outcome(build, samples):
     return block.dtype.str, block.shape, block.tobytes(), counts
 
 
-BAD_SAMPLE_VALUES = (True, "0.5", None, [0.5], {"v": 1}, 10**400, math.inf, math.nan, 0, 1, -0.0)
+BAD_SAMPLE_VALUES = (True, False, "0.5", None, [0.5], {"v": 1}, 10**400, math.inf, math.nan, 0, 1, -0.0)
 
 
 @st.composite
@@ -616,3 +609,16 @@ def test_sample_block_matches_nested_conversion(samples):
     want = _block_outcome(nested_sample_block, samples)
     event("block" if isinstance(want[0], str) else want[0].__name__)
     assert _block_outcome(io._sample_block, samples) == want
+
+
+@pytest.mark.parametrize("zero, one", [(0, 1), (0.0, 1.0), (-0.0, 1.0)], ids=["ints", "floats", "negative-zero"])
+def test_one_hot_rows_load_as_their_numbers(zero, one):
+    # only rows holding an exact 0.0 or 1.0, the values a bool packs to, have their types checked: numbers pass
+    samples = [[[one if c == (i + n) % 24 else zero for c in range(24)] for n in range(1 + i % 3)] for i in range(5)]
+    block, counts = io._sample_block(samples)
+    assert counts == [1, 2, 3, 1, 2]
+    assert block.tobytes() == np.array([row for rows in samples for row in rows], dtype=np.float64).tobytes()
+    doc = io.case_to_dict(make_case([np.ones((n, 24)) / 24 for n in counts]))
+    for rec, rows in zip(doc["vertebrae"], samples):
+        rec["mc"]["samples"] = rows
+    assert np.concatenate([v.mc.samples for v in io.case_from_dict(doc).vertebrae]).tobytes() == block.tobytes()
